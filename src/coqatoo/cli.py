@@ -14,7 +14,7 @@ from .tree_builder import to_dot
 
 # diagnostic codes that mean "the prover or the filesystem failed", not
 # "the input was rejected"
-_EXIT2_CODES = {"PROVER_MISSING", "PROVER_TIMEOUT", "TACTIC_FAILED", "IO"}
+_EXIT2_CODES = {"PROVER_MISSING", "PROVER_TIMEOUT", "PROVER_EXITED", "TACTIC_FAILED", "IO"}
 
 
 @dataclass
@@ -37,7 +37,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coqatoo",
         description="Generate a natural-language version of a Coq proof script.")
-    parser.add_argument("input", help="path to a .v file, or - for standard input")
+    parser.add_argument("input_path", metavar="input", help="path to a .v file, or - for standard input")
     parser.add_argument("--provider", choices=["live", "replay"], default="live",
                         help="run a live prover or replay a recorded session")
     parser.add_argument("--prover", dest="prover_path",
@@ -61,12 +61,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv: Sequence[str]) -> RunConfig:
     parser = build_arg_parser()
-    ns = parser.parse_args(list(argv))
-    config = RunConfig(input_path=ns.input, provider=ns.provider, prover_path=ns.prover_path,
-                       fixture_path=ns.fixture_path, record_path=ns.record_path,
-                       language=ns.language, mode=ns.mode, templates_dir=ns.templates_dir,
-                       out_path=ns.out_path, strict=ns.strict, timeout_secs=ns.timeout_secs,
-                       dot=ns.dot)
+    config = RunConfig(**vars(parser.parse_args(list(argv))))
     if config.provider == "replay" and not config.fixture_path:
         parser.error("--provider replay requires --fixture")
     if config.record_path and config.provider != "live":

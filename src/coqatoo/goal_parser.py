@@ -37,10 +37,6 @@ class ProofState:
     goals: Tuple[str, ...]
     raw: str
 
-    def bindings(self) -> List[Tuple[str, str]]:
-        """Flatten hypotheses to (name, type) pairs in display order."""
-        return [(n, h.type_expr) for h in self.hypotheses for n in h.names]
-
 
 def _parse_hypothesis_line(line: str, hyps: List[Hypothesis], raw: str) -> None:
     if " : " in line:

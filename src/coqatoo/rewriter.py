@@ -41,8 +41,6 @@ _SENTENCE_SPLIT = re.compile(r"(?<=\.)\s+")
 
 class AnnotationKind(Enum):
     EXPLAIN = "explain"
-    CASE_LABEL = "case_label"
-    GOAL_RESTATE = "goal_restate"
     OMITTED = "omitted"
 
 
@@ -55,7 +53,6 @@ class OutputMode(Enum):
 @dataclass(frozen=True)
 class Annotation:
     sentences: tuple
-    attach_to: int
     kind: AnnotationKind = AnnotationKind.EXPLAIN
 
 
@@ -188,30 +185,29 @@ def rewrite_step(item: ScriptItem, diff: StateDiff, ctx: ProofState,
     """
     assert item.kind is ItemKind.TACTIC
     head = item.head
-    seq = item.seq
 
     if head in ("intros", "intro"):
-        return _rewrite_intros(diff, ctx, templates, seq)
+        return _rewrite_intros(diff, ctx, templates)
     if head == "assumption":
-        return Annotation(_sentences(templates.fill("assumption.default")), seq)
+        return Annotation(_sentences(templates.fill("assumption.default")))
     if head == "apply":
-        return _rewrite_apply(item, ctx, templates, seq)
+        return _rewrite_apply(item, ctx, templates)
     if head == "inversion":
-        return _rewrite_inversion(item, diff, ctx, templates, seq)
+        return _rewrite_inversion(item, diff, ctx, templates)
     if head == "info_auto":
         sentences: List[str] = []
         for sub in _extract_auto_trace(response_raw):
-            sub_item = ScriptItem(ItemKind.TACTIC, sub + ".", item.span, seq)
+            sub_item = ScriptItem(ItemKind.TACTIC, sub + ".", item.span, item.seq)
             sentences.extend(rewrite_step(sub_item, diff, ctx, templates).sentences)
-        return Annotation(tuple(sentences), seq)
+        return Annotation(tuple(sentences))
     if head == "split" or diff.classification is Classification.BRANCH:
-        return Annotation((), seq)
+        return Annotation(())
     if head not in SUPPORTED_TACTICS:
-        return Annotation((), seq, AnnotationKind.OMITTED)
-    return Annotation((), seq)
+        return Annotation((), AnnotationKind.OMITTED)
+    return Annotation(())
 
 
-def _rewrite_intros(diff: StateDiff, ctx: ProofState, templates: TemplateSet, seq: int) -> Annotation:
+def _rewrite_intros(diff: StateDiff, ctx: ProofState, templates: TemplateSet) -> Annotation:
     variables, hypotheses = classify_bindings(diff.added, ctx)
     goal = normalize_text(diff.goal_after or diff.goal_before)
     var_names = [n for h in variables for n in h.names]
@@ -230,36 +226,36 @@ def _rewrite_intros(diff: StateDiff, ctx: ProofState, templates: TemplateSet, se
         key = "intros.hypotheses" if len(hyp_types) > 1 else "intros.hypotheses_one"
         text = templates.fill(key, list=templates.join(hyp_types), goal=goal)
     else:
-        return Annotation((), seq)
-    return Annotation(_sentences(text), seq)
+        return Annotation(())
+    return Annotation(_sentences(text))
 
 
-def _rewrite_apply(item: ScriptItem, ctx: ProofState, templates: TemplateSet, seq: int) -> Annotation:
+def _rewrite_apply(item: ScriptItem, ctx: ProofState, templates: TemplateSet) -> Annotation:
     arg = _tactic_arg(item.command)
     types = _binding_types(ctx)
     if arg is None or arg not in types:
         # applying a global constant is rendered silently
-        return Annotation((), seq)
+        return Annotation(())
     hyp_type = normalize_text(types[arg])
     segments = split_implication(hyp_type)
     if len(segments) < 2:
-        return Annotation((), seq)
+        return Annotation(())
     consequent = segments[-1]
     antecedents = segments[:-1]
     key = "apply.hypothesis_many" if len(antecedents) > 1 else "apply.hypothesis_one"
     text = templates.fill(key, hyp=hyp_type, consequent=consequent,
                           antecedents=templates.join(antecedents))
-    return Annotation(_sentences(text), seq)
+    return Annotation(_sentences(text))
 
 
 def _rewrite_inversion(item: ScriptItem, diff: StateDiff, ctx: ProofState,
-                       templates: TemplateSet, seq: int) -> Annotation:
+                       templates: TemplateSet) -> Annotation:
     arg = _tactic_arg(item.command)
     types = _binding_types(ctx)
     subject = normalize_text(types.get(arg, arg or ""))
     added_types = [normalize_text(h.type_expr) for h in diff.added for _ in h.names]
     text = templates.fill("inversion.default", hyp=subject, list=", ".join(added_types))
-    return Annotation(_sentences(text), seq)
+    return Annotation(_sentences(text))
 
 
 def _case_comment(templates: TemplateSet, goal: str) -> str:

@@ -193,14 +193,3 @@ def detect_unsupported(items: List[ScriptItem]) -> List[Diagnostic]:
             diags.append(warning("UNSUPPORTED_TACTIC", f'no rewriting rule for tactic "{it.head}"', it.span))
     return diags
 
-
-def reconstruct(source: str, items: List[ScriptItem]) -> str:
-    """Rebuild the source from item spans plus inter-item whitespace."""
-    parts = []
-    pos = 0
-    for it in items:
-        parts.append(source[pos:it.span[0]])
-        parts.append(source[it.span[0]:it.span[1]])
-        pos = it.span[1]
-    parts.append(source[pos:])
-    return "".join(parts)

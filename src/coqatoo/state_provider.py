@@ -8,11 +8,12 @@ ProofState happens lazily so recorded sessions survive parser changes.
 
 import json
 import os
-import queue
+import selectors
 import shutil
 import subprocess
-import threading
+import time
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import List, Optional, Sequence
 
 from .diagnostics import CoqatooError, error
@@ -21,9 +22,9 @@ from .script_parser import ItemKind, ScriptItem
 
 DEFAULT_TIMEOUT_SECS = 10
 PROVER_ENV_VAR = "COQATOO_PROVER"
-FIXTURE_EXTENSION = ".cqtrace"
 
-_PROMPT_MARKER = "</prompt>"
+_PROMPT_MARKER = b"</prompt>"
+_CHUNK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -55,36 +56,49 @@ def _tactic_items(items: Sequence[ScriptItem]) -> List[ScriptItem]:
     return [it for it in items if it.kind is ItemKind.TACTIC]
 
 
+def _lemma_item(items: Sequence[ScriptItem]) -> ScriptItem:
+    for it in items:
+        if it.kind is ItemKind.LEMMA_HEADER:
+            return it
+    raise CoqatooError(error("NO_LEMMA", "no lemma statement in the script"))
+
+
+def _fields(record, keys: Sequence[str], where: str) -> tuple:
+    """The string values of `keys` in one decoded fixture record."""
+    if not (isinstance(record, dict) and all(isinstance(record.get(k), str) for k in keys)):
+        raise CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {where}: "
+                                 f"expected an object with string fields {', '.join(keys)}"))
+    return tuple(record[k] for k in keys)
+
+
 def run_replay(items: Sequence[ScriptItem], fixture_path: str) -> SessionTrace:
     """Replay a recorded session, verifying it matches the script."""
     try:
         with open(fixture_path, encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-        if not lines:
-            raise CoqatooError(error("FIXTURE_PARSE", f"fixture {fixture_path} is empty"))
-        header = json.loads(lines[0])
-        lemma = header["lemma"]
-        initial = header["initial_raw_state"]
-        version = header.get("prover_version", "")
-        steps = tuple(TraceStep(json.loads(ln)["tactic"], json.loads(ln)["raw_state"])
-                      for ln in lines[1:])
+            records = [json.loads(ln) for ln in fh.read().splitlines() if ln.strip()]
     except OSError as exc:
         raise CoqatooError(error("IO", f"cannot read fixture {fixture_path}: {exc}"))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except json.JSONDecodeError as exc:
         raise CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {fixture_path}: {exc}"))
+    if not records:
+        raise CoqatooError(error("FIXTURE_PARSE", f"fixture {fixture_path} is empty"))
+    lemma, initial = _fields(records[0], ("lemma", "initial_raw_state"), f"{fixture_path} record 1")
+    version = records[0].get("prover_version", "")
+    steps = tuple(TraceStep(*_fields(rec, ("tactic", "raw_state"), f"{fixture_path} record {i}"))
+                  for i, rec in enumerate(records[1:], start=2))
 
+    script_lemma, fixture_lemma = normalize_text(_lemma_item(items).text), normalize_text(lemma)
+    if fixture_lemma != script_lemma:
+        raise CoqatooError(error(
+            "FIXTURE_MISMATCH",
+            f"fixture records lemma {fixture_lemma!r}, script states {script_lemma!r}"))
     script_tactics = [_norm_tactic(it.text) for it in _tactic_items(items)]
     fixture_tactics = [_norm_tactic(s.tactic) for s in steps]
-    for i, (a, b) in enumerate(zip(script_tactics, fixture_tactics)):
+    for i, (a, b) in enumerate(zip_longest(script_tactics, fixture_tactics, fillvalue="(end of proof)")):
         if a != b:
             raise CoqatooError(error(
                 "FIXTURE_MISMATCH",
                 f"fixture diverges from script at tactic {i}: script has {a!r}, fixture has {b!r}"))
-    if len(script_tactics) != len(fixture_tactics):
-        raise CoqatooError(error(
-            "FIXTURE_MISMATCH",
-            f"fixture diverges from script at tactic {min(len(script_tactics), len(fixture_tactics))}: "
-            f"script has {len(script_tactics)} tactics, fixture has {len(fixture_tactics)}"))
     return SessionTrace(lemma, initial, steps, version)
 
 
@@ -102,64 +116,69 @@ def record_session(trace: SessionTrace, out_path: str) -> None:
 
 
 class _ProverSession:
-    """One strictly sequential conversation with a coqtop process."""
+    """One strictly sequential conversation with a coqtop process.
+
+    `coqtop -emacs` writes each response to stdout and then a
+    `<prompt>...</prompt>` to stderr.  One selector loop reads both pipes
+    in chunks (POSIX only); the stdout read before the first prompt is the
+    banner and is discarded.
+    """
 
     def __init__(self, prover_path: str, timeout_secs: float):
         self.timeout = timeout_secs
         self.proc = subprocess.Popen(
             [prover_path, "-emacs", "-q"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True, bufsize=0)
-        self._out_chunks: "queue.Queue[str]" = queue.Queue()
-        self._prompt_seen = threading.Event()
-        self._stderr_buf: List[str] = []
-        threading.Thread(target=self._pump, args=(self.proc.stdout, self._on_stdout), daemon=True).start()
-        threading.Thread(target=self._pump, args=(self.proc.stderr, self._on_stderr), daemon=True).start()
-        self._wait_prompt()  # banner
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
+        self._stdout = self.proc.stdout.fileno()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._stdout, selectors.EVENT_READ)
+        self._selector.register(self.proc.stderr.fileno(), selectors.EVENT_READ)
 
-    @staticmethod
-    def _pump(stream, sink):
-        while True:
-            ch = stream.read(1)
-            if not ch:
+    def read_response(self) -> str:
+        """Read up to the next prompt; return the stdout written before it."""
+        out, err = bytearray(), bytearray()
+        deadline = time.monotonic() + self.timeout
+        while _PROMPT_MARKER not in err:
+            ready = self._selector.select(max(deadline - time.monotonic(), 0))
+            if not ready:
+                raise CoqatooError(error("PROVER_TIMEOUT", f"no prompt within {self.timeout}s"))
+            for key, _ in ready:
+                chunk = os.read(key.fd, _CHUNK_BYTES)
+                if not chunk:
+                    raise _exited(err)
+                (out if key.fd == self._stdout else err).extend(chunk)
+        # the response was written before the prompt: take what is still in the pipe
+        while any(key.fd == self._stdout for key, _ in self._selector.select(0)):
+            chunk = os.read(self._stdout, _CHUNK_BYTES)
+            if not chunk:
                 break
-            sink(ch)
-
-    def _on_stdout(self, ch: str) -> None:
-        self._out_chunks.put(ch)
-
-    def _on_stderr(self, ch: str) -> None:
-        self._stderr_buf.append(ch)
-        if "".join(self._stderr_buf[-len(_PROMPT_MARKER):]) == _PROMPT_MARKER:
-            self._prompt_seen.set()
-
-    def _wait_prompt(self) -> None:
-        if not self._prompt_seen.wait(self.timeout):
-            self.close()
-            raise CoqatooError(error("PROVER_TIMEOUT", f"no prompt within {self.timeout}s"))
-        self._prompt_seen.clear()
+            out.extend(chunk)
+        text = out.decode("utf-8", errors="replace")
+        return text.replace("\r\n", "\n").replace("\r", "\n")
 
     def submit(self, sentence: str) -> str:
         """Send one sentence and return the full response."""
-        assert self.proc.stdin is not None
         if not sentence.rstrip().endswith("."):
             sentence = sentence.rstrip() + "."
-        self.proc.stdin.write(sentence + "\n")
-        self.proc.stdin.flush()
-        self._wait_prompt()
-        chunks = []
-        while True:
-            try:
-                chunks.append(self._out_chunks.get_nowait())
-            except queue.Empty:
-                break
-        return "".join(chunks)
+        data = (sentence + "\n").encode("utf-8")
+        try:
+            while data:
+                data = data[self.proc.stdin.write(data):]
+        except BrokenPipeError:
+            raise _exited(b"") from None
+        return self.read_response()
 
     def close(self) -> None:
-        try:
-            self.proc.kill()
-        except OSError:
+        self._selector.close()
+        self.proc.kill()
+        with self.proc:  # closes the pipes and reaps the child
             pass
+
+
+def _exited(stderr: bytes) -> CoqatooError:
+    detail = stderr.decode("utf-8", errors="replace").strip()[-200:]
+    return CoqatooError(error("PROVER_EXITED", "prover exited before its prompt"
+                              + (f": {detail}" if detail else "")))
 
 
 def resolve_prover(cli_path: Optional[str] = None) -> Optional[str]:
@@ -181,13 +200,10 @@ def run_live(items: Sequence[ScriptItem], prover_path: str,
     except (subprocess.SubprocessError, OSError, IndexError):
         pass
 
-    lemma_items = [it for it in items if it.kind is ItemKind.LEMMA_HEADER]
-    if not lemma_items:
-        raise CoqatooError(error("NO_LEMMA", "no lemma statement to submit"))
-    lemma = lemma_items[0]
-
+    lemma = _lemma_item(items)
     session = _ProverSession(resolved, timeout_secs)
     try:
+        session.read_response()  # the banner
         initial_raw = session.submit(lemma.text)
         _check_failure(initial_raw, lemma)
         steps = []

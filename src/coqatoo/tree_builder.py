@@ -55,6 +55,9 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
                 parent, left = stack[-1]
                 stack[-1][1] = left - 1
                 if left - 1 > 0:
+                    if not step.after.goals:
+                        raise CoqatooError(error("MALFORMED_TRACE", "proof closed with a branch case unfilled",
+                                                 step.item.span))
                     child = ProofNode(depth=parent.depth + 1, case_goal=step.after.goals[0])
                     parent.children.append(child)
                     current = child

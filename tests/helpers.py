@@ -1,14 +1,20 @@
 """Shared helpers for the test suite."""
 
+import importlib.util
+import json
 import re
+import shlex
+import sys
 from pathlib import Path
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from coqatoo import (ItemKind, ProofState, ScriptItem, SessionTrace, load_templates,
                      preprocess_auto, run_replay, tokenize_script)
 from coqatoo.pipeline import analyze_trace
 
+ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+FAKE_COQTOP = ROOT / "perfbench" / "fake_coqtop.py"
 GOLDEN_DIR = FIXTURE_DIR / "golden"
 CORPUS = ["conj_imp_equiv", "and_commutes", "modus_ponens"]
 
@@ -78,3 +84,55 @@ def roundtrip_tactics(rendered: str) -> List[str]:
 
 def english_templates():
     return load_templates()
+
+
+def _load_fixture_builder():
+    spec = importlib.util.spec_from_file_location("build_fixtures", ROOT / "scripts" / "build_fixtures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the coqtop-style state printer and "No more subgoals" block of the committed fixtures
+_builder = _load_fixture_builder()
+state, DONE = _builder.state, _builder.DONE
+
+
+def write_replay_pair(directory: Path, lemma: str, initial: str, steps: Sequence[Tuple[str, str]],
+                      header_lemma: Optional[str] = None) -> Tuple[Path, Path]:
+    """Write a script proving `lemma` with the steps' tactics, and its .cqtrace."""
+    script = directory / "proof.v"
+    script.write_text(f"{lemma}\nProof.\n" + "".join(f"  {t}.\n" for t, _ in steps) + "Qed.\n",
+                      encoding="utf-8")
+    trace = directory / "proof.cqtrace"
+    records = [{"lemma": header_lemma or lemma, "initial_raw_state": initial}]
+    records += [{"tactic": t, "raw_state": raw} for t, raw in steps]
+    trace.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return script, trace
+
+
+def conjunction_chain(n: int) -> Tuple[str, str, List[Tuple[str, str]]]:
+    """Lemma, initial state and steps proving A1 /\\ ... /\\ An by split/assumption."""
+    atoms = [f"A{i}" for i in range(1, n + 1)]
+    ctx = [", ".join(atoms) + " : Prop"] + [f"H{i} : {a}" for i, a in enumerate(atoms, start=1)]
+    conj = [" /\\ ".join(atoms[i:]) for i in range(n)]  # conj[i] = A(i+1) /\\ ... /\\ An
+    statement = f"forall {' '.join(atoms)} : Prop, {' -> '.join(atoms)} -> {conj[0]}"
+    steps = [("intros", state(ctx, [conj[0]]))]
+    for i in range(n - 1):
+        steps.append(("split", state(ctx, [atoms[i], conj[i + 1]])))
+        steps.append(("assumption", state(ctx, [conj[i + 1]])))
+    steps.append(("assumption", DONE))
+    return f"Lemma chain : {statement}.", state([], [statement]), steps
+
+
+def write_prover(directory: Path, body: str) -> str:
+    """An executable shell script to pass as the prover."""
+    path = directory / "prover"
+    path.write_text("#!/bin/sh\n" + body + "\n", encoding="utf-8")
+    path.chmod(0o755)
+    return str(path)
+
+
+def write_fake_coqtop(directory: Path) -> str:
+    """The benchmark's fake `coqtop -emacs`; it answers from $FAKE_COQTOP_TRACE."""
+    return write_prover(directory, "exec " + shlex.join([sys.executable, str(FAKE_COQTOP)]) + ' "$@"')

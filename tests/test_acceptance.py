@@ -1,7 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS line when its assertions hold (run with -s to see them)."""
 
-import shutil
 import time
 
 import pytest
@@ -125,14 +124,13 @@ def test_unsupported_construct_handling(tmp_path, capsys):
         _report("unsupported ';' rejected; auto recorded as info_auto")
 
 
-@pytest.mark.skipif(shutil.which("coqtop") is None, reason="no coqtop executable on PATH")
-def test_live_prover_integration(tmp_path):
-    items = load_items("conj_imp_equiv")
-    trace = run_live(items, "coqtop")
+def test_live_prover_integration(tmp_path, live_prover, corpus_name):
+    items = load_items(corpus_name)
+    trace = run_live(items, live_prover(fixture_path(corpus_name)))
     out = tmp_path / "live.cqtrace"
     record_session(trace, str(out))
     replayed = run_replay(items, str(out))
     assert equal_states(replayed.initial_state(), trace.initial_state())
     for a, b in zip(replayed.steps, trace.steps):
         assert equal_states(a.state_after(), b.state_after())
-    _report("live prover record/replay agreement")
+    _report(f"live prover record/replay agreement ({corpus_name})")

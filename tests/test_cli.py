@@ -1,8 +1,11 @@
+import time
+
 import pytest
 
 from coqatoo.cli import main, parse_args
 
-from helpers import fixture_path, script_path, GOLDEN_DIR, normalize_rendering
+from helpers import (DONE, GOLDEN_DIR, conjunction_chain, fixture_path, normalize_rendering,
+                     script_path, state, write_prover, write_replay_pair)
 
 
 def replay_args(name, *extra):
@@ -123,3 +126,61 @@ def test_multiple_lemmas_warns(tmp_path, capsys):
     args = [str(src), "--provider", "replay", "--fixture", str(fixture_path("and_commutes"))]
     assert main(args) == 0
     assert "MULTIPLE_LEMMAS" in capsys.readouterr().err
+
+
+def _live_args(script, prover, *extra):
+    return [str(script), "--provider", "live", "--prover", prover, *extra]
+
+
+def test_live_chain_matches_replay(tmp_path, fake_prover, capsys):
+    script, trace = write_replay_pair(tmp_path, *conjunction_chain(300))
+    assert main(_live_args(script, fake_prover(trace))) == 0
+    live = capsys.readouterr().out
+    assert main([str(script), "--provider", "replay", "--fixture", str(trace)]) == 0
+    assert capsys.readouterr().out == live
+
+
+def test_live_rejected_sentence_exits_2(tmp_path, fake_prover, capsys):
+    script = tmp_path / "wrong.v"
+    script.write_text(script_path("and_commutes").read_text().replace("inversion H.", "destruct H."))
+    assert main(_live_args(script, fake_prover(fixture_path("and_commutes")))) == 2
+    assert "TACTIC_FAILED" in capsys.readouterr().err
+
+
+def test_prover_exiting_at_once_exits_2_without_waiting(tmp_path, capsys):
+    start = time.monotonic()
+    code = main(_live_args(script_path("and_commutes"), write_prover(tmp_path, "exit 0"), "--timeout", "10"))
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert "PROVER_EXITED" in capsys.readouterr().err
+
+
+def test_prover_closing_its_input_exits_2_without_waiting(tmp_path, capsys):
+    prover = write_prover(tmp_path, '[ "$1" = --version ] && exit 0\n'
+                                    'exec 0<&-\nprintf "<prompt>Coq < </prompt>" >&2\nexec sleep 10')
+    start = time.monotonic()
+    code = main(_live_args(script_path("and_commutes"), prover, "--timeout", "10"))
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert "PROVER_EXITED" in capsys.readouterr().err
+
+
+def test_prover_never_prompting_times_out(tmp_path, capsys):
+    prover = write_prover(tmp_path, '[ "$1" = --version ] && exit 0\nexec sleep 10')
+    assert main(_live_args(script_path("and_commutes"), prover, "--timeout", "1")) == 2
+    assert "PROVER_TIMEOUT" in capsys.readouterr().err
+
+
+_GOAL = state([], ["True /\\ True"])
+_SPLIT = state([], ["True", "True"])
+
+
+@pytest.mark.parametrize("dot", [[], ["--dot"]])
+@pytest.mark.parametrize("steps", [
+    [("split", _SPLIT), ("assumption", state([], ["True"])), ("assumption", DONE), ("assumption", DONE)],
+    [("split", _SPLIT), ("assumption", DONE)],
+], ids=["tactic_after_done", "close_with_open_case"])
+def test_malformed_trace_exits_1(tmp_path, capsys, steps, dot):
+    script, trace = write_replay_pair(tmp_path, "Lemma t : True /\\ True.", _GOAL, steps)
+    assert main([str(script), "--provider", "replay", "--fixture", str(trace), *dot]) == 1
+    assert "MALFORMED_TRACE" in capsys.readouterr().err

@@ -1,5 +1,5 @@
 import json
-import shutil
+import threading
 
 import pytest
 
@@ -57,6 +57,57 @@ def test_malformed_fixture(tmp_path):
     assert exc.value.diagnostic.code == "FIXTURE_PARSE"
 
 
+def _rewrite_header(tmp_path, **fields):
+    lines = fixture_path("conj_imp_equiv").read_text().splitlines()
+    path = tmp_path / "edited.cqtrace"
+    path.write_text("\n".join([json.dumps(dict(json.loads(lines[0]), **fields))] + lines[1:]))
+    return path
+
+
+def test_fixture_for_another_lemma_mismatch(tmp_path):
+    with pytest.raises(CoqatooError) as exc:
+        run_replay(load_items("conj_imp_equiv"), str(_rewrite_header(tmp_path, lemma="x")))
+    assert exc.value.diagnostic.code == "FIXTURE_MISMATCH"
+    assert "lemma" in exc.value.diagnostic.message
+
+
+def test_fixture_lemma_compared_modulo_whitespace(tmp_path):
+    lemma = json.loads(fixture_path("conj_imp_equiv").read_text().splitlines()[0])["lemma"]
+    path = _rewrite_header(tmp_path, lemma="  " + lemma.replace(" ", "\n   "))
+    assert len(run_replay(load_items("conj_imp_equiv"), str(path)).steps) == 12
+
+
+@pytest.mark.parametrize("record", [
+    '[1, 2]',
+    '"text"',
+    '{"tactic": "apply H", "raw_state": null}',
+    '{"tactic": 3, "raw_state": "No more subgoals.\\n"}',
+    '{"raw_state": "No more subgoals.\\n"}',
+])
+def test_fixture_step_of_wrong_type(tmp_path, record):
+    lines = fixture_path("conj_imp_equiv").read_text().splitlines()
+    path = tmp_path / "typed.cqtrace"
+    path.write_text("\n".join(lines[:3] + [record] + lines[4:]))
+    with pytest.raises(CoqatooError) as exc:
+        run_replay(load_items("conj_imp_equiv"), str(path))
+    assert exc.value.diagnostic.code == "FIXTURE_PARSE"
+
+
+@pytest.mark.parametrize("fields", [{"initial_raw_state": 5}, {"lemma": None}])
+def test_fixture_header_of_wrong_type(tmp_path, fields):
+    with pytest.raises(CoqatooError) as exc:
+        run_replay(load_items("conj_imp_equiv"), str(_rewrite_header(tmp_path, **fields)))
+    assert exc.value.diagnostic.code == "FIXTURE_PARSE"
+
+
+def test_replay_decodes_each_line_once(monkeypatch):
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or loads(text))
+    load_trace("conj_imp_equiv")
+    assert len(decoded) == len(fixture_path("conj_imp_equiv").read_text().splitlines())
+
+
 def test_missing_fixture_file(tmp_path):
     with pytest.raises(CoqatooError) as exc:
         run_replay(load_items("conj_imp_equiv"), str(tmp_path / "nope.cqtrace"))
@@ -96,16 +147,29 @@ def test_auto_rewritten_in_recorded_command_stream(tmp_path):
     assert "auto" not in tactics
 
 
-@pytest.mark.skipif(shutil.which("coqtop") is None, reason="no coqtop executable on PATH")
-def test_live_session_matches_replay(tmp_path):
-    items = load_items("conj_imp_equiv")
-    trace = run_live(items, "coqtop")
+def test_live_session_matches_replay(tmp_path, live_prover, corpus_name):
+    items = load_items(corpus_name)
+    trace = run_live(items, live_prover(fixture_path(corpus_name)))
     out = tmp_path / "live.cqtrace"
     record_session(trace, str(out))
     replayed = run_replay(items, str(out))
     assert equal_states(replayed.initial_state(), trace.initial_state())
     for a, b in zip(replayed.steps, trace.steps):
         assert equal_states(a.state_after(), b.state_after())
+
+
+def test_live_recording_has_no_banner(tmp_path, fake_prover):
+    trace = run_live(load_items("conj_imp_equiv"), fake_prover(fixture_path("conj_imp_equiv")))
+    out = tmp_path / "live.cqtrace"
+    record_session(trace, str(out))
+    header = json.loads(out.read_text().splitlines()[0])
+    assert header["initial_raw_state"].startswith("1 subgoal")
+
+
+def test_live_session_starts_no_thread(fake_prover):
+    before = threading.active_count()
+    run_live(load_items("and_commutes"), fake_prover(fixture_path("and_commutes")))
+    assert threading.active_count() == before
 
 
 def test_prover_missing():
