@@ -3,7 +3,8 @@
 from .diagnostics import CoqatooError, Diagnostic, Severity
 from .goal_parser import Hypothesis, ProofState, equal_states, parse_state
 from .rewriter import OutputMode, TemplateSet, load_templates, render, rewrite_step
-from .script_parser import ItemKind, ScriptItem, detect_unsupported, preprocess_auto, tokenize_script
+from .script_parser import (ItemKind, Script, ScriptItem, detect_unsupported, parse_script, preprocess_auto,
+                            tokenize_script)
 from .state_provider import SessionTrace, TraceStep, record_session, run_live, run_replay
 from .diff_engine import Classification, StateDiff, classify_bindings, diff_states
 from .tree_builder import ProofNode, build_tree, case_labels, flatten, leaves, to_dot
@@ -14,7 +15,8 @@ __all__ = [
     "CoqatooError", "Diagnostic", "Severity",
     "Hypothesis", "ProofState", "equal_states", "parse_state",
     "OutputMode", "TemplateSet", "load_templates", "render", "rewrite_step",
-    "ItemKind", "ScriptItem", "detect_unsupported", "preprocess_auto", "tokenize_script",
+    "ItemKind", "Script", "ScriptItem", "detect_unsupported", "parse_script", "preprocess_auto",
+    "tokenize_script",
     "SessionTrace", "TraceStep", "record_session", "run_live", "run_replay",
     "Classification", "StateDiff", "classify_bindings", "diff_states",
     "ProofNode", "build_tree", "case_labels", "flatten", "leaves", "to_dot",

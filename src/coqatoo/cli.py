@@ -1,15 +1,13 @@
 """Command-line front end: parse -> states -> diffs -> tree -> rewrite -> render."""
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from . import pipeline, script_parser, state_provider
-from .diagnostics import CoqatooError, Diagnostic, Severity
+from .diagnostics import CoqatooError, Diagnostic, Severity, error
 from .rewriter import OutputMode, load_templates
-from .script_parser import ItemKind
 from .tree_builder import to_dot
 
 # diagnostic codes that mean "the prover or the filesystem failed", not
@@ -73,77 +71,62 @@ def _print_diag(diag: Diagnostic) -> None:
     print(diag.format(), file=sys.stderr)
 
 
-def _first_lemma_slice(items):
-    """Keep everything from the first lemma header through its proof end."""
-    start = next(i for i, it in enumerate(items) if it.kind is ItemKind.LEMMA_HEADER)
-    end = len(items)
-    for i in range(start, len(items)):
-        if items[i].kind is ItemKind.PROOF_END:
-            end = i + 1
-            break
-    rest = [it for it in items[end:] if it.kind is ItemKind.LEMMA_HEADER]
-    if rest:
-        print(f"warning[MULTIPLE_LEMMAS]: processing the first lemma only "
-              f"({len(rest)} more ignored)", file=sys.stderr)
-    return items[start:end]
+def _rejects(diags: Sequence[Diagnostic], strict: bool) -> bool:
+    """Print every diagnostic; true when one is an error, or any is under --strict."""
+    for diag in diags:
+        _print_diag(diag)
+    return any(d.severity is Severity.ERROR or strict for d in diags)
+
+
+def _read_source(path: str) -> str:
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CoqatooError(error("IO", f"cannot read {path}: {exc}"))
+
+
+def _write_output(output: str, path: Optional[str]) -> None:
+    if not path:
+        sys.stdout.write(output)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(output)
+    except OSError as exc:
+        raise CoqatooError(error("IO", f"cannot write {path}: {exc}"))
 
 
 def run(config: RunConfig) -> int:
     try:
-        if config.input_path == "-":
-            source = sys.stdin.read()
-        else:
-            with open(config.input_path, encoding="utf-8") as fh:
-                source = fh.read()
-    except OSError as exc:
-        print(f"error[IO]: cannot read {config.input_path}: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        items = script_parser.tokenize_script(source)
-        items = _first_lemma_slice(items)
-
-        diags = script_parser.detect_unsupported(items)
-        fatal = False
-        for diag in diags:
-            _print_diag(diag)
-            if diag.severity is Severity.ERROR or config.strict:
-                fatal = True
-        if fatal:
+        script, diags = script_parser.parse_script(_read_source(config.input_path))
+        if _rejects(diags, config.strict):
             return 1
 
-        items = script_parser.preprocess_auto(items)
-
         if config.provider == "replay":
-            trace = state_provider.run_replay(items, config.fixture_path)
+            trace = state_provider.run_replay(script, config.fixture_path)
         else:
             prover = state_provider.resolve_prover(config.prover_path)
             if prover is None:
-                raise CoqatooError(Diagnostic(
-                    Severity.ERROR, "no prover executable found (install coqtop, "
-                    f"set ${state_provider.PROVER_ENV_VAR}, or pass --prover)", "PROVER_MISSING"))
-            trace = state_provider.run_live(items, prover, config.timeout_secs)
+                raise CoqatooError(error("PROVER_MISSING", "no prover executable found (install coqtop, "
+                                         f"set ${state_provider.PROVER_ENV_VAR}, or pass --prover)"))
+            trace = state_provider.run_live(script, prover, config.timeout_secs)
             if config.record_path:
                 state_provider.record_session(trace, config.record_path)
 
         if config.dot:
-            output = to_dot(pipeline.build_proof_tree(items, trace)) + "\n"
+            output = to_dot(pipeline.build_proof_tree(script, trace)) + "\n"
         else:
             templates = load_templates(config.templates_dir, config.language)
-            output = pipeline.generate(items, trace, templates, OutputMode(config.mode))
+            output, diags = pipeline.generate(script, trace, templates, OutputMode(config.mode))
+            if _rejects(diags, config.strict):
+                return 1
+        _write_output(output, config.out_path)
     except CoqatooError as exc:
         _print_diag(exc.diagnostic)
         return 2 if exc.diagnostic.code in _EXIT2_CODES else 1
-
-    if config.out_path:
-        try:
-            with open(config.out_path, "w", encoding="utf-8") as fh:
-                fh.write(output)
-        except OSError as exc:
-            print(f"error[IO]: cannot write {config.out_path}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(output)
     return 0
 
 

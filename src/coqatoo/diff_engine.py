@@ -1,13 +1,10 @@
 """State diffing: what did one tactic change between two proof states."""
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
-from .goal_parser import Hypothesis, ProofState, normalize_text
-
-log = logging.getLogger(__name__)
+from .goal_parser import Hypothesis, ProofState
 
 SORT_KEYWORDS = {"Prop", "Set", "Type"}
 
@@ -35,13 +32,13 @@ class StateDiff:
 
 
 def _binding_set(state: ProofState):
-    return {(name, normalize_text(h.type_expr)) for h in state.hypotheses for name in h.names}
+    return {(name, h.type_expr) for h in state.hypotheses for name in h.names}
 
 
 def _only_new(hyps: Sequence[Hypothesis], present) -> Tuple[Hypothesis, ...]:
     out = []
     for h in hyps:
-        names = tuple(n for n in h.names if (n, normalize_text(h.type_expr)) not in present)
+        names = tuple(n for n in h.names if (n, h.type_expr) not in present)
         if names:
             out.append(Hypothesis(names, h.type_expr))
     return tuple(out)
@@ -79,21 +76,20 @@ def classify_bindings(added: Sequence[Hypothesis],
     (i.e. the new binding is an element of that type, not a proof).
     Everything else is a proof hypothesis.
     """
-    type_vars = {name for h in before.hypotheses
-                 if normalize_text(h.type_expr) in {"Set", "Type"}
-                 for name in h.names}
+    type_vars = {name for h in before.hypotheses if h.type_expr in {"Set", "Type"} for name in h.names}
     variables: List[Hypothesis] = []
     hypotheses: List[Hypothesis] = []
     for h in added:
-        t = normalize_text(h.type_expr)
-        if t in SORT_KEYWORDS or t in type_vars:
+        if h.type_expr in SORT_KEYWORDS or h.type_expr in type_vars:
             variables.append(h)
         else:
-            if not t.replace(" ", "").isidentifier() and not _looks_prop_like(t):
-                log.warning("HEURISTIC_CLASSIFICATION: treating %r : %r as a hypothesis", h.names, t)
             hypotheses.append(h)
     return variables, hypotheses
 
 
-def _looks_prop_like(t: str) -> bool:
-    return any(op in t for op in ("->", "/\\", "\\/", "<->", "~", "=", "forall", "exists"))
+def is_heuristic(h: Hypothesis) -> bool:
+    """True when classify_bindings calls h a hypothesis only by default:
+    its type is neither an identifier nor built from a logical connective."""
+    t = h.type_expr
+    return not (t.replace(" ", "").isidentifier()
+                or any(op in t for op in ("->", "/\\", "\\/", "<->", "~", "=", "forall", "exists")))

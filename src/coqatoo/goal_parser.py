@@ -2,8 +2,12 @@
 
 Understands the "N subgoals" header, the hypothesis block above the
 "====" separator, the focused goal below it, and trailing
-"subgoal K is:" blocks.  Goal and type texts are kept verbatim apart
-from line joining; comparisons normalize whitespace runs.
+"subgoal K is:" blocks.
+
+Hypothesis types are stored normalized (wrapped lines joined, whitespace
+runs collapsed), so later stages compare and print them as they are.
+Goals are only joined: they are most of a long proof's bytes and few are
+printed, so the stages that print or compare a goal normalize it there.
 """
 
 import re
@@ -38,17 +42,21 @@ class ProofState:
     raw: str
 
 
-def _parse_hypothesis_line(line: str, hyps: List[Hypothesis], raw: str) -> None:
-    if " : " in line:
-        names_part, type_part = line.split(" : ", 1)
-        names = tuple(n.strip() for n in names_part.split(","))
-        if not names or not all(_IDENT.match(n) for n in names):
-            raise CoqatooError(error("MALFORMED_HYP", f"cannot parse hypothesis names in: {line!r}"))
-        hyps.append(Hypothesis(names, type_part.strip()))
-    elif hyps:
-        # wrapped type continuation
-        prev = hyps.pop()
-        hyps.append(Hypothesis(prev.names, prev.type_expr + " " + line.strip()))
+def _parse_hypothesis_line(line: str, pending: List[Tuple[Tuple[str, ...], List[str]]]) -> None:
+    """Open a new (names, lines) entry, or continue the previous one.
+
+    A line opens a hypothesis only when the text before its first " : "
+    is a comma-separated identifier list; otherwise it is a wrapped
+    continuation, which may itself contain " : " (as in a binder).
+    """
+    names_part, sep, type_part = line.partition(" : ")
+    names = tuple(n.strip() for n in names_part.split(","))
+    if sep and all(_IDENT.match(n) for n in names):
+        pending.append((names, [type_part]))
+    elif pending:
+        pending[-1][1].append(line)
+    elif sep:
+        raise CoqatooError(error("MALFORMED_HYP", f"cannot parse hypothesis names in: {line!r}"))
     else:
         raise CoqatooError(error("MALFORMED_HYP", f"hypothesis line without ' : ': {line!r}"))
 
@@ -63,26 +71,20 @@ def parse_state(raw: str) -> ProofState:
     count = int(m.group(1))
     lines = raw[m.end():].splitlines()
 
-    hyps: List[Hypothesis] = []
-    idx = 0
-    saw_separator = False
-    while idx < len(lines):
-        line = lines[idx]
-        idx += 1
+    pending: List[Tuple[Tuple[str, ...], List[str]]] = []
+    for sep, line in enumerate(lines):
         if _SEPARATOR.match(line):
-            saw_separator = True
             break
-        if not line.strip():
-            continue
-        _parse_hypothesis_line(line, hyps, raw)
-    if not saw_separator:
+        if line.strip():
+            _parse_hypothesis_line(line, pending)
+    else:
         raise CoqatooError(error("MALFORMED_STATE", "missing ==== separator in prover output"))
+    hyps = tuple(Hypothesis(names, normalize_text(" ".join(parts))) for names, parts in pending)
 
     goals: List[str] = []
     current: List[str] = []
-    for line in lines[idx:]:
-        k = _SUBGOAL_K.match(line)
-        if k:
+    for line in lines[sep + 1:]:
+        if _SUBGOAL_K.match(line):
             goals.append(" ".join(current))
             current = []
             continue
@@ -93,15 +95,10 @@ def parse_state(raw: str) -> ProofState:
         raise CoqatooError(error(
             "MALFORMED_STATE",
             f"header announces {count} subgoal(s) but {len(goals)} goal block(s) found"))
-    return ProofState(count, tuple(hyps), tuple(goals), raw)
+    return ProofState(count, hyps, tuple(goals), raw)
 
 
 def equal_states(a: ProofState, b: ProofState) -> bool:
     """Structural equality modulo whitespace normalization."""
-    if a.subgoal_count != b.subgoal_count:
-        return False
-    if tuple(normalize_text(g) for g in a.goals) != tuple(normalize_text(g) for g in b.goals):
-        return False
-    ah = [(h.names, normalize_text(h.type_expr)) for h in a.hypotheses]
-    bh = [(h.names, normalize_text(h.type_expr)) for h in b.hypotheses]
-    return ah == bh
+    return (a.subgoal_count == b.subgoal_count and a.hypotheses == b.hypotheses
+            and tuple(normalize_text(g) for g in a.goals) == tuple(normalize_text(g) for g in b.goals))

@@ -1,18 +1,18 @@
-"""Glue: script items + session trace -> diffs -> tree -> rendered proof."""
+"""Glue: script + session trace -> diffs -> tree -> rendered proof."""
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from .diagnostics import CoqatooError, error
+from .diagnostics import CoqatooError, Diagnostic, error
 from .diff_engine import diff_states
 from .rewriter import Annotation, OutputMode, TemplateSet, render, rewrite_step
-from .script_parser import ItemKind, ScriptItem
+from .script_parser import Script
 from .state_provider import SessionTrace
 from .tree_builder import AnalyzedStep, ProofNode, build_tree
 
 
-def analyze_trace(items: Sequence[ScriptItem], trace: SessionTrace) -> List[AnalyzedStep]:
+def analyze_trace(script: Script, trace: SessionTrace) -> List[AnalyzedStep]:
     """Pair each tactic with the states around it and the resulting diff."""
-    tactics = [it for it in items if it.kind is ItemKind.TACTIC]
+    tactics = script.tactics
     if len(tactics) != len(trace.steps):
         raise CoqatooError(error("FIXTURE_MISMATCH",
                                  f"script has {len(tactics)} tactics but trace has {len(trace.steps)} steps"))
@@ -30,20 +30,15 @@ def annotate_steps(steps: Sequence[AnalyzedStep], templates: TemplateSet) -> Dic
             for step in steps}
 
 
-def lemma_text(items: Sequence[ScriptItem]) -> str:
-    for it in items:
-        if it.kind is ItemKind.LEMMA_HEADER:
-            return it.original
-    raise CoqatooError(error("NO_LEMMA", "no lemma statement found"))
+def build_proof_tree(script: Script, trace: SessionTrace) -> ProofNode:
+    return build_tree(analyze_trace(script, trace))
 
 
-def build_proof_tree(items: Sequence[ScriptItem], trace: SessionTrace) -> ProofNode:
-    return build_tree(analyze_trace(items, trace))
-
-
-def generate(items: Sequence[ScriptItem], trace: SessionTrace,
-             templates: TemplateSet, mode: OutputMode) -> str:
-    steps = analyze_trace(items, trace)
+def generate(script: Script, trace: SessionTrace, templates: TemplateSet,
+             mode: OutputMode) -> Tuple[str, List[Diagnostic]]:
+    """The rendered proof, and the warnings its rewriting raised."""
+    steps = analyze_trace(script, trace)
     tree = build_tree(steps)
     annotations = annotate_steps(steps, templates)
-    return render(tree, annotations, mode, lemma_text(items), templates)
+    diagnostics = [d for annotation in annotations.values() for d in annotation.diagnostics]
+    return render(tree, annotations, mode, script.lemma.original, templates), diagnostics

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .diagnostics import CoqatooError, error
-from .diff_engine import Classification, StateDiff, classify_bindings
+from .diagnostics import CoqatooError, Diagnostic, error, warning
+from .diff_engine import Classification, StateDiff, classify_bindings, is_heuristic
 from .goal_parser import Hypothesis, ProofState, normalize_text
 from .script_parser import ItemKind, ScriptItem, SUPPORTED_TACTICS
 from .tree_builder import ProofNode
@@ -54,6 +54,7 @@ class OutputMode(Enum):
 class Annotation:
     sentences: tuple
     kind: AnnotationKind = AnnotationKind.EXPLAIN
+    diagnostics: Tuple[Diagnostic, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,8 @@ def _sentences(text: str) -> tuple:
     return tuple(s for s in _SENTENCE_SPLIT.split(text.strip()) if s)
 
 
-def split_implication(type_expr: str) -> List[str]:
-    """Split a displayed type on top-level "->", respecting brackets."""
-    text = normalize_text(type_expr)
+def split_implication(text: str) -> List[str]:
+    """Split a normalized type on top-level "->", respecting brackets."""
     parts: List[str] = []
     depth = 0
     start = 0
@@ -150,7 +150,7 @@ def _tactic_arg(command: str) -> Optional[str]:
 
 
 def _hyp_types_by_length(hyps: Sequence[Hypothesis]) -> List[str]:
-    types = [normalize_text(h.type_expr) for h in hyps for _ in h.names]
+    types = [h.type_expr for h in hyps for _ in h.names]
     return sorted(types, key=len)
 
 
@@ -187,7 +187,7 @@ def rewrite_step(item: ScriptItem, diff: StateDiff, ctx: ProofState,
     head = item.head
 
     if head in ("intros", "intro"):
-        return _rewrite_intros(diff, ctx, templates)
+        return _rewrite_intros(item, diff, ctx, templates)
     if head == "assumption":
         return Annotation(_sentences(templates.fill("assumption.default")))
     if head == "apply":
@@ -196,10 +196,13 @@ def rewrite_step(item: ScriptItem, diff: StateDiff, ctx: ProofState,
         return _rewrite_inversion(item, diff, ctx, templates)
     if head == "info_auto":
         sentences: List[str] = []
+        diagnostics: List[Diagnostic] = []
         for sub in _extract_auto_trace(response_raw):
             sub_item = ScriptItem(ItemKind.TACTIC, sub + ".", item.span, item.seq)
-            sentences.extend(rewrite_step(sub_item, diff, ctx, templates).sentences)
-        return Annotation(tuple(sentences))
+            annotation = rewrite_step(sub_item, diff, ctx, templates)
+            sentences.extend(annotation.sentences)
+            diagnostics.extend(annotation.diagnostics)
+        return Annotation(tuple(sentences), diagnostics=tuple(diagnostics))
     if head == "split" or diff.classification is Classification.BRANCH:
         return Annotation(())
     if head not in SUPPORTED_TACTICS:
@@ -207,27 +210,31 @@ def rewrite_step(item: ScriptItem, diff: StateDiff, ctx: ProofState,
     return Annotation(())
 
 
-def _rewrite_intros(diff: StateDiff, ctx: ProofState, templates: TemplateSet) -> Annotation:
+def _rewrite_intros(item: ScriptItem, diff: StateDiff, ctx: ProofState,
+                    templates: TemplateSet) -> Annotation:
     variables, hypotheses = classify_bindings(diff.added, ctx)
+    diagnostics = tuple(warning("HEURISTIC_CLASSIFICATION",
+                                f"treating {', '.join(h.names)} : {h.type_expr} as a hypothesis", item.span)
+                        for h in hypotheses if is_heuristic(h))
     goal = normalize_text(diff.goal_after or diff.goal_before)
     var_names = [n for h in variables for n in h.names]
     hyp_types = _hyp_types_by_length(hypotheses)
     if variables and hypotheses:
         text = templates.fill("intros.mixed",
                               list=templates.join(var_names),
-                              type=normalize_text(variables[0].type_expr),
+                              type=variables[0].type_expr,
                               hyp=templates.join(hyp_types),
                               goal=goal)
     elif variables:
         key = "intros.variables" if len(var_names) > 1 else "intros.variables_one"
         text = templates.fill(key, list=templates.join(var_names),
-                              type=normalize_text(variables[0].type_expr), goal=goal)
+                              type=variables[0].type_expr, goal=goal)
     elif hypotheses:
         key = "intros.hypotheses" if len(hyp_types) > 1 else "intros.hypotheses_one"
         text = templates.fill(key, list=templates.join(hyp_types), goal=goal)
     else:
         return Annotation(())
-    return Annotation(_sentences(text))
+    return Annotation(_sentences(text), diagnostics=diagnostics)
 
 
 def _rewrite_apply(item: ScriptItem, ctx: ProofState, templates: TemplateSet) -> Annotation:
@@ -236,7 +243,7 @@ def _rewrite_apply(item: ScriptItem, ctx: ProofState, templates: TemplateSet) ->
     if arg is None or arg not in types:
         # applying a global constant is rendered silently
         return Annotation(())
-    hyp_type = normalize_text(types[arg])
+    hyp_type = types[arg]
     segments = split_implication(hyp_type)
     if len(segments) < 2:
         return Annotation(())
@@ -252,8 +259,8 @@ def _rewrite_inversion(item: ScriptItem, diff: StateDiff, ctx: ProofState,
                        templates: TemplateSet) -> Annotation:
     arg = _tactic_arg(item.command)
     types = _binding_types(ctx)
-    subject = normalize_text(types.get(arg, arg or ""))
-    added_types = [normalize_text(h.type_expr) for h in diff.added for _ in h.names]
+    subject = types.get(arg, arg or "")
+    added_types = [h.type_expr for h in diff.added for _ in h.names]
     text = templates.fill("inversion.default", hyp=subject, list=", ".join(added_types))
     return Annotation(_sentences(text))
 

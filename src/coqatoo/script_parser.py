@@ -3,6 +3,8 @@
 Splits a script into lemma header, Proof/Qed markers, tactic sentences,
 comments and bullet glyphs.  A "." terminates a sentence only when followed
 by whitespace or end of input, so qualified names survive.  Comments nest.
+`parse_script` is the one place that selects the lemma and the tactics
+the later stages run; they take its `Script`, never the item list.
 """
 
 import dataclasses
@@ -193,3 +195,29 @@ def detect_unsupported(items: List[ScriptItem]) -> List[Diagnostic]:
             diags.append(warning("UNSUPPORTED_TACTIC", f'no rewriting rule for tactic "{it.head}"', it.span))
     return diags
 
+
+@dataclass(frozen=True)
+class Script:
+    """The first lemma of a source file and the tactics of its proof."""
+    lemma: ScriptItem
+    tactics: Tuple[ScriptItem, ...]
+
+
+def parse_script(source: str) -> Tuple[Script, List[Diagnostic]]:
+    """Tokenize, keep the first lemma through its proof end, check and
+    preprocess its tactics.
+
+    Raises CoqatooError with UNTERMINATED_COMMENT or NO_LEMMA.  The
+    diagnostics returned are MULTIPLE_LEMMAS and detect_unsupported's.
+    """
+    items = tokenize_script(source)
+    start = next(i for i, it in enumerate(items) if it.kind is ItemKind.LEMMA_HEADER)
+    end = next((i + 1 for i in range(start, len(items)) if items[i].kind is ItemKind.PROOF_END), len(items))
+    diags: List[Diagnostic] = []
+    rest = [it for it in items[end:] if it.kind is ItemKind.LEMMA_HEADER]
+    if rest:
+        diags.append(warning("MULTIPLE_LEMMAS", f"processing the first lemma only ({len(rest)} more ignored)",
+                             rest[0].span))
+    tactics = [it for it in items[start:end] if it.kind is ItemKind.TACTIC]
+    diags += detect_unsupported(tactics)
+    return Script(items[start], tuple(preprocess_auto(tactics))), diags

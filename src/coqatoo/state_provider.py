@@ -14,11 +14,11 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .diagnostics import CoqatooError, error
 from .goal_parser import ProofState, parse_state, normalize_text
-from .script_parser import ItemKind, ScriptItem
+from .script_parser import Script, ScriptItem
 
 DEFAULT_TIMEOUT_SECS = 10
 PROVER_ENV_VAR = "COQATOO_PROVER"
@@ -52,17 +52,6 @@ def _norm_tactic(text: str) -> str:
     return text[:-1].strip() if text.endswith(".") else text
 
 
-def _tactic_items(items: Sequence[ScriptItem]) -> List[ScriptItem]:
-    return [it for it in items if it.kind is ItemKind.TACTIC]
-
-
-def _lemma_item(items: Sequence[ScriptItem]) -> ScriptItem:
-    for it in items:
-        if it.kind is ItemKind.LEMMA_HEADER:
-            return it
-    raise CoqatooError(error("NO_LEMMA", "no lemma statement in the script"))
-
-
 def _fields(record, keys: Sequence[str], where: str) -> tuple:
     """The string values of `keys` in one decoded fixture record."""
     if not (isinstance(record, dict) and all(isinstance(record.get(k), str) for k in keys)):
@@ -71,7 +60,7 @@ def _fields(record, keys: Sequence[str], where: str) -> tuple:
     return tuple(record[k] for k in keys)
 
 
-def run_replay(items: Sequence[ScriptItem], fixture_path: str) -> SessionTrace:
+def run_replay(script: Script, fixture_path: str) -> SessionTrace:
     """Replay a recorded session, verifying it matches the script."""
     try:
         with open(fixture_path, encoding="utf-8") as fh:
@@ -87,12 +76,12 @@ def run_replay(items: Sequence[ScriptItem], fixture_path: str) -> SessionTrace:
     steps = tuple(TraceStep(*_fields(rec, ("tactic", "raw_state"), f"{fixture_path} record {i}"))
                   for i, rec in enumerate(records[1:], start=2))
 
-    script_lemma, fixture_lemma = normalize_text(_lemma_item(items).text), normalize_text(lemma)
+    script_lemma, fixture_lemma = normalize_text(script.lemma.text), normalize_text(lemma)
     if fixture_lemma != script_lemma:
         raise CoqatooError(error(
             "FIXTURE_MISMATCH",
             f"fixture records lemma {fixture_lemma!r}, script states {script_lemma!r}"))
-    script_tactics = [_norm_tactic(it.text) for it in _tactic_items(items)]
+    script_tactics = [_norm_tactic(it.text) for it in script.tactics]
     fixture_tactics = [_norm_tactic(s.tactic) for s in steps]
     for i, (a, b) in enumerate(zip_longest(script_tactics, fixture_tactics, fillvalue="(end of proof)")):
         if a != b:
@@ -187,7 +176,7 @@ def resolve_prover(cli_path: Optional[str] = None) -> Optional[str]:
     return shutil.which(candidate)
 
 
-def run_live(items: Sequence[ScriptItem], prover_path: str,
+def run_live(script: Script, prover_path: str,
              timeout_secs: float = DEFAULT_TIMEOUT_SECS) -> SessionTrace:
     """Execute the script against a live prover, capturing each response."""
     resolved = shutil.which(prover_path)
@@ -200,14 +189,14 @@ def run_live(items: Sequence[ScriptItem], prover_path: str,
     except (subprocess.SubprocessError, OSError, IndexError):
         pass
 
-    lemma = _lemma_item(items)
+    lemma = script.lemma
     session = _ProverSession(resolved, timeout_secs)
     try:
         session.read_response()  # the banner
         initial_raw = session.submit(lemma.text)
         _check_failure(initial_raw, lemma)
         steps = []
-        for it in _tactic_items(items):
+        for it in script.tactics:
             raw = session.submit(it.text)
             _check_failure(raw, it)
             steps.append(TraceStep(_norm_tactic(it.text), raw))

@@ -8,8 +8,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from coqatoo import (ItemKind, ProofState, ScriptItem, SessionTrace, load_templates,
-                     preprocess_auto, run_replay, tokenize_script)
+from coqatoo import (ItemKind, ProofState, Script, ScriptItem, SessionTrace, load_templates,
+                     parse_script, run_replay, tokenize_script)
 from coqatoo.pipeline import analyze_trace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,13 +42,14 @@ def fixture_path(name: str) -> Path:
     return FIXTURE_DIR / f"{name}.cqtrace"
 
 
-def load_items(name: str) -> List[ScriptItem]:
-    return preprocess_auto(tokenize_script(script_path(name).read_text(encoding="utf-8")))
+def load_script(name: str) -> Script:
+    script, _ = parse_script(script_path(name).read_text(encoding="utf-8"))
+    return script
 
 
-def load_trace(name: str) -> Tuple[List[ScriptItem], SessionTrace]:
-    items = load_items(name)
-    return items, run_replay(items, str(fixture_path(name)))
+def load_trace(name: str) -> Tuple[Script, SessionTrace]:
+    script = load_script(name)
+    return script, run_replay(script, str(fixture_path(name)))
 
 
 def all_fixture_states(name: str) -> List[ProofState]:
@@ -57,8 +58,7 @@ def all_fixture_states(name: str) -> List[ProofState]:
 
 
 def analyzed_steps(name: str):
-    items, trace = load_trace(name)
-    return analyze_trace(items, trace)
+    return analyze_trace(*load_trace(name))
 
 
 def normalize_rendering(text: str) -> str:

@@ -10,13 +10,12 @@ from coqatoo import (Classification, equal_states, load_templates, parse_state,
 from coqatoo.cli import main
 from coqatoo.pipeline import annotate_steps, generate
 from coqatoo.rewriter import OutputMode
-from coqatoo.script_parser import ItemKind
 from coqatoo.tree_builder import build_tree, flatten, leaves
 from coqatoo.diff_engine import classify_bindings, diff_states
 from coqatoo.goal_parser import Hypothesis
 
 from helpers import (CORPUS, GOLDEN_DIR, LISTING_1, LISTING_2, all_fixture_states,
-                     analyzed_steps, fixture_path, load_items, load_trace,
+                     analyzed_steps, fixture_path, load_script, load_trace,
                      normalize_rendering, roundtrip_tactics, script_path, tactic_commands)
 
 
@@ -64,8 +63,8 @@ def test_tree_shape():
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_round_trip(name):
-    items, trace = load_trace(name)
-    out = generate(items, trace, load_templates(), OutputMode.ANNOTATED)
+    script, trace = load_trace(name)
+    out, _ = generate(script, trace, load_templates(), OutputMode.ANNOTATED)
     source_tactics = tactic_commands(tokenize_script(script_path(name).read_text()))
     assert roundtrip_tactics(out) == source_tactics
     _report(f"round-trip tactic order ({name})")
@@ -95,8 +94,8 @@ def test_language_completeness():
     fr = load_templates(language="fr")
     en = load_templates(language="en")
     assert set(fr.entries) == set(en.entries)
-    items, trace = load_trace("conj_imp_equiv")
-    out = generate(items, trace, fr, OutputMode.ANNOTATED)
+    script, trace = load_trace("conj_imp_equiv")
+    out, _ = generate(script, trace, fr, OutputMode.ANNOTATED)
     assert "Supposons" in out
     _report("language completeness (fr renders the golden example)")
 
@@ -115,8 +114,8 @@ def test_unsupported_construct_handling(tmp_path, capsys):
     assert main([str(bad)]) == 1
     assert "UNSUPPORTED_CHAIN" in capsys.readouterr().err
 
-    items, trace = load_trace("modus_ponens")
-    assert "auto" not in [it.command for it in items if it.kind is ItemKind.TACTIC]
+    script, trace = load_trace("modus_ponens")
+    assert "auto" not in [it.command for it in script.tactics]
     recorded = tmp_path / "mp.cqtrace"
     record_session(trace, str(recorded))
     assert '"tactic": "info_auto"' in recorded.read_text()
@@ -125,11 +124,11 @@ def test_unsupported_construct_handling(tmp_path, capsys):
 
 
 def test_live_prover_integration(tmp_path, live_prover, corpus_name):
-    items = load_items(corpus_name)
-    trace = run_live(items, live_prover(fixture_path(corpus_name)))
+    script = load_script(corpus_name)
+    trace = run_live(script, live_prover(fixture_path(corpus_name)))
     out = tmp_path / "live.cqtrace"
     record_session(trace, str(out))
-    replayed = run_replay(items, str(out))
+    replayed = run_replay(script, str(out))
     assert equal_states(replayed.initial_state(), trace.initial_state())
     for a, b in zip(replayed.steps, trace.steps):
         assert equal_states(a.state_after(), b.state_after())

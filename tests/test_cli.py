@@ -126,6 +126,29 @@ def test_multiple_lemmas_warns(tmp_path, capsys):
     args = [str(src), "--provider", "replay", "--fixture", str(fixture_path("and_commutes"))]
     assert main(args) == 0
     assert "MULTIPLE_LEMMAS" in capsys.readouterr().err
+    assert main(args + ["--strict"]) == 1
+    captured = capsys.readouterr()
+    assert "warning[MULTIPLE_LEMMAS]" in captured.err
+    assert captured.out == ""
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    assert main(replay_args("conj_imp_equiv", "--out", str(tmp_path / "no-dir" / "proof.txt"))) == 2
+    assert capsys.readouterr().err.startswith("error[IO]: cannot write ")
+
+
+def test_heuristic_classification_is_a_diagnostic(tmp_path, capsys):
+    lemma = "Lemma t : forall p : nat * nat, True."
+    steps = [("intros", state(["p : nat * nat"], ["True"])), ("assumption", DONE)]
+    script, trace = write_replay_pair(tmp_path, lemma, state([], ["forall p : nat * nat, True"]), steps)
+    args = [str(script), "--provider", "replay", "--fixture", str(trace)]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning[HEURISTIC_CLASSIFICATION] at ")
+    assert "p : nat * nat" in captured.err
+    assert "Qed." in captured.out
+    assert main(args + ["--strict"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def _live_args(script, prover, *extra):

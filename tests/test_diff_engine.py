@@ -1,6 +1,7 @@
 from hypothesis import given, strategies as st
 
 from coqatoo import Classification, Hypothesis, classify_bindings, diff_states, parse_state
+from coqatoo.diff_engine import is_heuristic
 
 from helpers import LISTING_1, LISTING_2, all_fixture_states, analyzed_steps
 
@@ -21,6 +22,17 @@ def test_reflexive_diff_is_empty_transform(corpus_name):
         diff = diff_states(state, state)
         assert diff.is_empty
         assert diff.classification is Classification.TRANSFORM
+
+
+def test_rewrapped_hypotheses_give_an_empty_transform():
+    a = parse_state("1 subgoal\n\n  H : forall x : nat, x = x\n  HP : P  /\\ Q\n"
+                    "  ============================\n  P\n")
+    b = parse_state("1 subgoal\n\n  H : forall x : nat,\n        x   =  x\n  HP : P /\\\n   Q\n"
+                    "  ============================\n  P\n")
+    assert a.hypotheses == b.hypotheses
+    diff = diff_states(a, b)
+    assert diff.is_empty
+    assert diff.classification is Classification.TRANSFORM
 
 
 def test_split_branches():
@@ -84,6 +96,13 @@ def test_element_of_set_variable_is_a_variable():
     variables, hypotheses = classify_bindings([Hypothesis(("x",), "A")], before)
     assert [n for h in variables for n in h.names] == ["x"]
     assert hypotheses == []
+
+
+def test_unrecognized_type_is_a_heuristic_hypothesis():
+    odd = Hypothesis(("p",), "nat * nat")
+    assert classify_bindings([odd], parse_state(LISTING_1)) == ([], [odd])
+    assert is_heuristic(odd)
+    assert not any(is_heuristic(Hypothesis(("H",), t)) for t in ("P", "P /\\ Q", "x = y", "A -> B"))
 
 
 def test_classify_empty():

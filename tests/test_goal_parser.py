@@ -45,7 +45,12 @@ def test_wrapped_hypothesis_type():
            "  ============================\n  True\n")
     state = parse_state(raw)
     assert state.hypotheses[0].names == ("H",)
-    assert " ".join(state.hypotheses[0].type_expr.split()) == "forall x : nat, x = x"
+    assert state.hypotheses[0].type_expr == "forall x : nat, x = x"
+    # a continuation line may itself contain " : "
+    raw = ("1 subgoal\n\n  H : forall x : nat,\n      forall y : nat, x = y\n  n, m : nat\n"
+           "  ============================\n  True\n")
+    assert [(h.names, h.type_expr) for h in parse_state(raw).hypotheses] == [
+        (("H",), "forall x : nat, forall y : nat, x = y"), (("n", "m"), "nat")]
 
 
 def test_missing_separator_is_malformed():
@@ -55,9 +60,10 @@ def test_missing_separator_is_malformed():
 
 
 def test_bad_hypothesis_line():
-    with pytest.raises(CoqatooError) as exc:
-        parse_state("1 subgoal\n\n  12 bogus line\n  ============================\n  P\n")
-    assert exc.value.diagnostic.code == "MALFORMED_HYP"
+    for line in ("12 bogus line", "forall y : nat, y = y"):
+        with pytest.raises(CoqatooError) as exc:
+            parse_state(f"1 subgoal\n\n  {line}\n  ============================\n  P\n")
+        assert exc.value.diagnostic.code == "MALFORMED_HYP"
 
 
 def test_raw_is_retained(corpus_name):

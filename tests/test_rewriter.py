@@ -157,8 +157,9 @@ def test_mixed_intros_stays_within_two_sentences():
 # --- render ---
 
 def _generate(name, mode, lang="en"):
-    items, trace = load_trace(name)
-    return generate(items, trace, load_templates(language=lang), mode)
+    script, trace = load_trace(name)
+    output, _ = generate(script, trace, load_templates(language=lang), mode)
+    return output
 
 
 def test_annotated_golden_output():

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from coqatoo import CoqatooError, ItemKind, detect_unsupported, preprocess_auto, tokenize_script
+from coqatoo import (CoqatooError, ItemKind, detect_unsupported, parse_script, preprocess_auto,
+                     tokenize_script)
 from coqatoo.diagnostics import Severity
 
 from helpers import script_path, tactic_commands
@@ -131,6 +132,18 @@ def test_unknown_tactic_is_a_warning():
 def test_semicolon_inside_comment_or_string_is_fine():
     items = tokenize_script('Lemma t : True. Proof. (* a; b *) idtac "x; y". Qed.')
     assert [d.code for d in detect_unsupported(items)] == ["UNSUPPORTED_TACTIC"]
+
+
+# --- parse_script ---
+
+def test_parse_script_keeps_the_first_lemma_and_warns():
+    src = "Lemma a : True. Proof. auto. Qed.\nLemma b : True. Proof. ring. Qed.\nLemma c : True.\n"
+    script, diags = parse_script(src)
+    assert script.lemma.command == "Lemma a : True"
+    assert [(it.text, it.original) for it in script.tactics] == [("info_auto.", "auto.")]
+    assert [(d.code, d.severity) for d in diags] == [("MULTIPLE_LEMMAS", Severity.WARNING)]
+    assert "2 more ignored" in diags[0].message
+    assert diags[0].span[0] == src.index("Lemma b")
 
 
 # --- property-based lexing ---

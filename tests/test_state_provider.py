@@ -3,15 +3,15 @@ import threading
 
 import pytest
 
-from coqatoo import (CoqatooError, SessionTrace, equal_states, parse_state,
-                     record_session, run_live, run_replay, tokenize_script)
+from coqatoo import (CoqatooError, SessionTrace, equal_states, parse_script, parse_state,
+                     record_session, run_live, run_replay)
 from coqatoo.state_provider import resolve_prover
 
-from helpers import LISTING_1, LISTING_2, fixture_path, load_items, load_trace
+from helpers import LISTING_1, LISTING_2, fixture_path, load_script, load_trace
 
 
 def test_replay_golden_fixture():
-    items, trace = load_trace("conj_imp_equiv")
+    _, trace = load_trace("conj_imp_equiv")
     assert len(trace.steps) == 12
     assert equal_states(trace.initial_state(), parse_state(LISTING_1))
     assert equal_states(trace.steps[0].state_after(), parse_state(LISTING_2))
@@ -19,9 +19,9 @@ def test_replay_golden_fixture():
 
 
 def test_replay_determinism():
-    items = load_items("conj_imp_equiv")
-    t1 = run_replay(items, str(fixture_path("conj_imp_equiv")))
-    t2 = run_replay(items, str(fixture_path("conj_imp_equiv")))
+    script = load_script("conj_imp_equiv")
+    t1 = run_replay(script, str(fixture_path("conj_imp_equiv")))
+    t2 = run_replay(script, str(fixture_path("conj_imp_equiv")))
     assert equal_states(t1.initial_state(), t2.initial_state())
     for a, b in zip(t1.steps, t2.steps):
         assert a.tactic == b.tactic
@@ -34,7 +34,7 @@ def test_reordered_fixture_mismatch(tmp_path):
     path = tmp_path / "bad.cqtrace"
     path.write_text(reordered)
     with pytest.raises(CoqatooError) as exc:
-        run_replay(load_items("conj_imp_equiv"), str(path))
+        run_replay(load_script("conj_imp_equiv"), str(path))
     assert exc.value.diagnostic.code == "FIXTURE_MISMATCH"
     assert "tactic 0" in exc.value.diagnostic.message
 
@@ -44,7 +44,7 @@ def test_truncated_fixture_steps_mismatch(tmp_path):
     path = tmp_path / "short.cqtrace"
     path.write_text("\n".join(lines[:5]))
     with pytest.raises(CoqatooError) as exc:
-        run_replay(load_items("conj_imp_equiv"), str(path))
+        run_replay(load_script("conj_imp_equiv"), str(path))
     assert exc.value.diagnostic.code == "FIXTURE_MISMATCH"
 
 
@@ -53,7 +53,7 @@ def test_malformed_fixture(tmp_path):
     path = tmp_path / "cut.cqtrace"
     path.write_text("\n".join(lines[:3]) + '\n{"tactic": "apply H", "raw_st')
     with pytest.raises(CoqatooError) as exc:
-        run_replay(load_items("conj_imp_equiv"), str(path))
+        run_replay(load_script("conj_imp_equiv"), str(path))
     assert exc.value.diagnostic.code == "FIXTURE_PARSE"
 
 
@@ -66,7 +66,7 @@ def _rewrite_header(tmp_path, **fields):
 
 def test_fixture_for_another_lemma_mismatch(tmp_path):
     with pytest.raises(CoqatooError) as exc:
-        run_replay(load_items("conj_imp_equiv"), str(_rewrite_header(tmp_path, lemma="x")))
+        run_replay(load_script("conj_imp_equiv"), str(_rewrite_header(tmp_path, lemma="x")))
     assert exc.value.diagnostic.code == "FIXTURE_MISMATCH"
     assert "lemma" in exc.value.diagnostic.message
 
@@ -74,7 +74,7 @@ def test_fixture_for_another_lemma_mismatch(tmp_path):
 def test_fixture_lemma_compared_modulo_whitespace(tmp_path):
     lemma = json.loads(fixture_path("conj_imp_equiv").read_text().splitlines()[0])["lemma"]
     path = _rewrite_header(tmp_path, lemma="  " + lemma.replace(" ", "\n   "))
-    assert len(run_replay(load_items("conj_imp_equiv"), str(path)).steps) == 12
+    assert len(run_replay(load_script("conj_imp_equiv"), str(path)).steps) == 12
 
 
 @pytest.mark.parametrize("record", [
@@ -89,14 +89,14 @@ def test_fixture_step_of_wrong_type(tmp_path, record):
     path = tmp_path / "typed.cqtrace"
     path.write_text("\n".join(lines[:3] + [record] + lines[4:]))
     with pytest.raises(CoqatooError) as exc:
-        run_replay(load_items("conj_imp_equiv"), str(path))
+        run_replay(load_script("conj_imp_equiv"), str(path))
     assert exc.value.diagnostic.code == "FIXTURE_PARSE"
 
 
 @pytest.mark.parametrize("fields", [{"initial_raw_state": 5}, {"lemma": None}])
 def test_fixture_header_of_wrong_type(tmp_path, fields):
     with pytest.raises(CoqatooError) as exc:
-        run_replay(load_items("conj_imp_equiv"), str(_rewrite_header(tmp_path, **fields)))
+        run_replay(load_script("conj_imp_equiv"), str(_rewrite_header(tmp_path, **fields)))
     assert exc.value.diagnostic.code == "FIXTURE_PARSE"
 
 
@@ -110,15 +110,15 @@ def test_replay_decodes_each_line_once(monkeypatch):
 
 def test_missing_fixture_file(tmp_path):
     with pytest.raises(CoqatooError) as exc:
-        run_replay(load_items("conj_imp_equiv"), str(tmp_path / "nope.cqtrace"))
+        run_replay(load_script("conj_imp_equiv"), str(tmp_path / "nope.cqtrace"))
     assert exc.value.diagnostic.code == "IO"
 
 
 def test_record_then_replay_round_trip(tmp_path, corpus_name):
-    items, trace = load_trace(corpus_name)
+    script, trace = load_trace(corpus_name)
     out = tmp_path / f"{corpus_name}.cqtrace"
     record_session(trace, str(out))
-    replayed = run_replay(items, str(out))
+    replayed = run_replay(script, str(out))
     assert equal_states(replayed.initial_state(), trace.initial_state())
     for a, b in zip(replayed.steps, trace.steps):
         assert equal_states(a.state_after(), b.state_after())
@@ -128,8 +128,8 @@ def test_record_empty_trace(tmp_path):
     trace = SessionTrace("Lemma t : True.", "1 subgoal\n\n  ============================\n  True\n")
     out = tmp_path / "empty.cqtrace"
     record_session(trace, str(out))
-    items = tokenize_script("Lemma t : True. Proof. Qed.")
-    assert run_replay(items, str(out)).steps == ()
+    script, _ = parse_script("Lemma t : True. Proof. Qed.")
+    assert run_replay(script, str(out)).steps == ()
 
 
 def test_subgoal_count_sequence_of_golden():
@@ -139,7 +139,7 @@ def test_subgoal_count_sequence_of_golden():
 
 
 def test_auto_rewritten_in_recorded_command_stream(tmp_path):
-    items, trace = load_trace("modus_ponens")
+    _, trace = load_trace("modus_ponens")
     out = tmp_path / "mp.cqtrace"
     record_session(trace, str(out))
     tactics = [json.loads(ln)["tactic"] for ln in out.read_text().splitlines()[1:]]
@@ -148,18 +148,18 @@ def test_auto_rewritten_in_recorded_command_stream(tmp_path):
 
 
 def test_live_session_matches_replay(tmp_path, live_prover, corpus_name):
-    items = load_items(corpus_name)
-    trace = run_live(items, live_prover(fixture_path(corpus_name)))
+    script = load_script(corpus_name)
+    trace = run_live(script, live_prover(fixture_path(corpus_name)))
     out = tmp_path / "live.cqtrace"
     record_session(trace, str(out))
-    replayed = run_replay(items, str(out))
+    replayed = run_replay(script, str(out))
     assert equal_states(replayed.initial_state(), trace.initial_state())
     for a, b in zip(replayed.steps, trace.steps):
         assert equal_states(a.state_after(), b.state_after())
 
 
 def test_live_recording_has_no_banner(tmp_path, fake_prover):
-    trace = run_live(load_items("conj_imp_equiv"), fake_prover(fixture_path("conj_imp_equiv")))
+    trace = run_live(load_script("conj_imp_equiv"), fake_prover(fixture_path("conj_imp_equiv")))
     out = tmp_path / "live.cqtrace"
     record_session(trace, str(out))
     header = json.loads(out.read_text().splitlines()[0])
@@ -168,13 +168,13 @@ def test_live_recording_has_no_banner(tmp_path, fake_prover):
 
 def test_live_session_starts_no_thread(fake_prover):
     before = threading.active_count()
-    run_live(load_items("and_commutes"), fake_prover(fixture_path("and_commutes")))
+    run_live(load_script("and_commutes"), fake_prover(fixture_path("and_commutes")))
     assert threading.active_count() == before
 
 
 def test_prover_missing():
     with pytest.raises(CoqatooError) as exc:
-        run_live(load_items("conj_imp_equiv"), "definitely-not-a-prover")
+        run_live(load_script("conj_imp_equiv"), "definitely-not-a-prover")
     assert exc.value.diagnostic.code == "PROVER_MISSING"
 
 
