@@ -48,8 +48,13 @@ def diff_states(before: ProofState, after: ProofState) -> StateDiff:
     """Diff two consecutive states of the focused goal."""
     assert before.subgoal_count >= 1, "diff requires an open goal before the tactic"
     delta = after.subgoal_count - before.subgoal_count
-    added = _only_new(after.hypotheses, _binding_set(before))
-    removed = _only_new(before.hypotheses, _binding_set(after))
+    if before.hypotheses == after.hypotheses:
+        # the common case, a tactic that leaves the context as it was;
+        # states parsed together share the tuple, so this compares pointers
+        added = removed = ()
+    else:
+        added = _only_new(after.hypotheses, _binding_set(before))
+        removed = _only_new(before.hypotheses, _binding_set(after))
     goal_before = before.goals[0]
     if delta >= 1:
         classification = Classification.BRANCH

@@ -12,14 +12,12 @@ printed, so the stages that print or compare a goal normalize it there.
 
 import re
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .diagnostics import CoqatooError, error
 
 _HEADER = re.compile(r"^\s*(\d+)\s+(?:focused\s+)?subgoals?\b", re.M)
-_SEPARATOR = re.compile(r"^\s*={4,}\s*$")
 _SUBGOAL_K = re.compile(r"^\s*subgoal\s+(\d+)\s+is\s*:\s*$")
-_NO_MORE = re.compile(r"No more subgoals|Proof completed")
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_']*$")
 
 
@@ -42,48 +40,80 @@ class ProofState:
     raw: str
 
 
-def _parse_hypothesis_line(line: str, pending: List[Tuple[Tuple[str, ...], List[str]]]) -> None:
-    """Open a new (names, lines) entry, or continue the previous one.
+def _parse_context(block: str) -> Tuple[Hypothesis, ...]:
+    """Parse the "\n"-separated hypothesis lines above the separator.
 
-    A line opens a hypothesis only when the text before its first " : "
-    is a comma-separated identifier list; otherwise it is a wrapped
+    A line opens a hypothesis only when it is indented no deeper than the
+    block's first hypothesis line and the text before its first " : " is
+    a comma-separated identifier list; otherwise it is a wrapped
     continuation, which may itself contain " : " (as in a binder).
     """
-    names_part, sep, type_part = line.partition(" : ")
-    names = tuple(n.strip() for n in names_part.split(","))
-    if sep and all(_IDENT.match(n) for n in names):
-        pending.append((names, [type_part]))
-    elif pending:
-        pending[-1][1].append(line)
-    elif sep:
-        raise CoqatooError(error("MALFORMED_HYP", f"cannot parse hypothesis names in: {line!r}"))
-    else:
-        raise CoqatooError(error("MALFORMED_HYP", f"hypothesis line without ' : ': {line!r}"))
+    pending: List[Tuple[Tuple[str, ...], List[str]]] = []
+    indent = -1
+    for line in block.split("\n"):
+        text = line.lstrip()
+        if not text:
+            continue
+        depth = len(line) - len(text)
+        if indent < 0:
+            indent = depth
+        names_part, sep, type_part = line.partition(" : ")
+        names = tuple(n.strip() for n in names_part.split(","))
+        if sep and depth <= indent and all(_IDENT.match(n) for n in names):
+            pending.append((names, [type_part]))
+        elif pending:
+            pending[-1][1].append(line)
+        elif sep:
+            raise CoqatooError(error("MALFORMED_HYP", f"cannot parse hypothesis names in: {line!r}"))
+        else:
+            raise CoqatooError(error("MALFORMED_HYP", f"hypothesis line without ' : ': {line!r}"))
+    return tuple(Hypothesis(names, normalize_text(" ".join(parts))) for names, parts in pending)
 
 
-def parse_state(raw: str) -> ProofState:
-    """Parse one complete prover response block into a ProofState."""
-    if _NO_MORE.search(raw):
+def _find_separator(text: str) -> Tuple[int, int]:
+    """Start and end of the first line of `text` that is only "=" (four or
+    more) between blanks, or (-1, -1)."""
+    at = text.find("====")
+    while at >= 0:
+        start = text.rfind("\n", 0, at) + 1
+        end = text.find("\n", at)
+        if end < 0:
+            end = len(text)
+        if not text[start:end].strip().strip("="):
+            return start, end
+        at = text.find("====", end)
+    return -1, -1
+
+
+def parse_state(raw: str, contexts: Optional[Dict[str, Tuple[Hypothesis, ...]]] = None) -> ProofState:
+    """Parse one complete prover response block into a ProofState.
+
+    `contexts` maps a hypothesis block's text to its parsed hypotheses.
+    The caller owns it; a block already in it is not parsed again, so
+    states with the same block share one `hypotheses` tuple.
+    """
+    if "No more subgoals" in raw or "Proof completed" in raw:
         return ProofState(0, (), (), raw)
     m = _HEADER.search(raw)
     if not m:
         raise CoqatooError(error("MALFORMED_STATE", "no subgoal header found in prover output"))
     count = int(m.group(1))
-    lines = raw[m.end():].splitlines()
-
-    pending: List[Tuple[Tuple[str, ...], List[str]]] = []
-    for sep, line in enumerate(lines):
-        if _SEPARATOR.match(line):
-            break
-        if line.strip():
-            _parse_hypothesis_line(line, pending)
-    else:
+    # one line break, so that find() sees the lines str.splitlines() sees
+    text = "\n".join(raw[m.end():].splitlines())
+    start, end = _find_separator(text)
+    if start < 0:
+        _parse_context(text)  # a bad hypothesis line is reported before the missing separator
         raise CoqatooError(error("MALFORMED_STATE", "missing ==== separator in prover output"))
-    hyps = tuple(Hypothesis(names, normalize_text(" ".join(parts))) for names, parts in pending)
+    block = text[:start]
+    if contexts is None:
+        contexts = {}
+    hyps = contexts.get(block)
+    if hyps is None:
+        hyps = contexts[block] = _parse_context(block)
 
     goals: List[str] = []
     current: List[str] = []
-    for line in lines[sep + 1:]:
+    for line in text[end + 1:].split("\n"):
         if _SUBGOAL_K.match(line):
             goals.append(" ".join(current))
             current = []

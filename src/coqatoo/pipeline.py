@@ -16,7 +16,7 @@ def analyze_trace(script: Script, trace: SessionTrace) -> List[AnalyzedStep]:
     if len(tactics) != len(trace.steps):
         raise CoqatooError(error("FIXTURE_MISMATCH",
                                  f"script has {len(tactics)} tactics but trace has {len(trace.steps)} steps"))
-    states = [trace.initial_state()] + [s.state_after() for s in trace.steps]
+    states = trace.states()
     for item, before in zip(tactics, states):
         if before.subgoal_count == 0:
             raise CoqatooError(error("MALFORMED_TRACE", "tactic after the proof was complete", item.span))

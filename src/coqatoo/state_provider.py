@@ -14,10 +14,10 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .diagnostics import CoqatooError, error
-from .goal_parser import ProofState, parse_state, normalize_text
+from .goal_parser import Hypothesis, ProofState, parse_state, normalize_text
 from .script_parser import Script, ScriptItem
 
 DEFAULT_TIMEOUT_SECS = 10
@@ -32,9 +32,6 @@ class TraceStep:
     tactic: str
     raw_state: str
 
-    def state_after(self) -> ProofState:
-        return parse_state(self.raw_state)
-
 
 @dataclass(frozen=True)
 class SessionTrace:
@@ -43,8 +40,15 @@ class SessionTrace:
     steps: Sequence[TraceStep] = field(default_factory=tuple)
     prover_version: str = ""
 
-    def initial_state(self) -> ProofState:
-        return parse_state(self.initial_raw)
+    def states(self) -> List[ProofState]:
+        """The initial state, then the state after each step.
+
+        A hypothesis block is parsed once per call: states that print the
+        same block share one `hypotheses` tuple.
+        """
+        contexts: Dict[str, Tuple[Hypothesis, ...]] = {}
+        return [parse_state(raw, contexts)
+                for raw in (self.initial_raw, *(step.raw_state for step in self.steps))]
 
 
 def _norm_tactic(text: str) -> str:

@@ -54,7 +54,7 @@ def load_trace(name: str) -> Tuple[Script, SessionTrace]:
 
 def all_fixture_states(name: str) -> List[ProofState]:
     _, trace = load_trace(name)
-    return [trace.initial_state()] + [s.state_after() for s in trace.steps]
+    return trace.states()
 
 
 def analyzed_steps(name: str):

@@ -129,7 +129,6 @@ def test_live_prover_integration(tmp_path, live_prover, corpus_name):
     out = tmp_path / "live.cqtrace"
     record_session(trace, str(out))
     replayed = run_replay(script, str(out))
-    assert equal_states(replayed.initial_state(), trace.initial_state())
-    for a, b in zip(replayed.steps, trace.steps):
-        assert equal_states(a.state_after(), b.state_after())
+    for a, b in zip(replayed.states(), trace.states(), strict=True):
+        assert equal_states(a, b)
     _report(f"live prover record/replay agreement ({corpus_name})")

@@ -1,9 +1,10 @@
 from hypothesis import given, strategies as st
 
-from coqatoo import Classification, Hypothesis, classify_bindings, diff_states, parse_state
+from coqatoo import (Classification, Hypothesis, SessionTrace, StateDiff, TraceStep, classify_bindings,
+                     diff_states, parse_state)
 from coqatoo.diff_engine import is_heuristic
 
-from helpers import LISTING_1, LISTING_2, all_fixture_states, analyzed_steps
+from helpers import LISTING_1, LISTING_2, all_fixture_states, analyzed_steps, state
 
 
 def test_intros_diff_from_listings():
@@ -22,6 +23,21 @@ def test_reflexive_diff_is_empty_transform(corpus_name):
         diff = diff_states(state, state)
         assert diff.is_empty
         assert diff.classification is Classification.TRANSFORM
+
+
+def test_unchanged_context_is_shared_and_diffs_empty():
+    ctx = ["P, Q : Prop", "HP : P", "HQ : Q"]
+    steps = [("split", state(ctx, ["P", "Q"])), ("assumption", state(ctx, ["Q"])),
+             ("simpl", state(ctx, ["Q /\\ True"]))]
+    trace = SessionTrace("Lemma t : P /\\ Q.", state(ctx, ["P /\\ Q"]),
+                         tuple(TraceStep(t, raw) for t, raw in steps))
+    states = trace.states()
+    assert all(s.hypotheses is states[0].hypotheses for s in states)
+    assert [diff_states(a, b) for a, b in zip(states, states[1:])] == [
+        StateDiff((), (), "P /\\ Q", "P", 1, Classification.BRANCH, 2),
+        StateDiff((), (), "P", None, -1, Classification.CLOSE),
+        StateDiff((), (), "Q", "Q /\\ True", 0, Classification.TRANSFORM),
+    ]
 
 
 def test_rewrapped_hypotheses_give_an_empty_transform():

@@ -1,14 +1,26 @@
 import pytest
 
-from coqatoo import CoqatooError, equal_states, parse_state
+from coqatoo import CoqatooError, Hypothesis, equal_states, parse_state
 
 from helpers import LISTING_1, LISTING_2, all_fixture_states
 
 
-def test_initial_state_block():
-    state = parse_state(LISTING_1)
+SEPARATOR = "  ============================"
+
+
+@pytest.mark.parametrize("raw, hypotheses", [
+    (LISTING_1, ()),
+    (LISTING_1.replace("\n", "\r\n"), ()),
+    (LISTING_1.replace("\n", "\r"), ()),
+    (LISTING_1.replace("\n", "\x0c"), ()),
+    (LISTING_1.replace(SEPARATOR, SEPARATOR + "   "), ()),
+    (LISTING_1.replace(SEPARATOR, "  H : a ==== b\n  ====>\n" + SEPARATOR),
+     (Hypothesis(("H",), "a ==== b ====>"),)),
+], ids=["lf", "crlf", "cr", "formfeed", "trailing-blanks", "equals-in-type"])
+def test_initial_state_block(raw, hypotheses):
+    state = parse_state(raw)
     assert state.subgoal_count == 1
-    assert state.hypotheses == ()
+    assert state.hypotheses == hypotheses
     assert state.goals == ("forall P Q R : Prop, (P /\\ Q -> R) <-> (P -> Q -> R)",)
 
 
@@ -51,11 +63,26 @@ def test_wrapped_hypothesis_type():
            "  ============================\n  True\n")
     assert [(h.names, h.type_expr) for h in parse_state(raw).hypotheses] == [
         (("H",), "forall x : nat, forall y : nat, x = y"), (("n", "m"), "nat")]
+    # a deeper-indented line continues the hypothesis above, even when it
+    # reads like one
+    raw = ("1 subgoal\n\n  H : forall\n        x : nat, x = x\n  y : nat\n"
+           "  ============================\n  True\n")
+    assert [(h.names, h.type_expr) for h in parse_state(raw).hypotheses] == [
+        (("H",), "forall x : nat, x = x"), (("y",), "nat")]
 
 
-def test_missing_separator_is_malformed():
+@pytest.mark.parametrize("raw", [
+    "1 subgoal\n\n  H : P\n  P\n",
+    "1 subgoal\r\n\r\n  H : P\r\n  P\r\n",
+    "1 subgoal\r\r  H : P\r  P\r",
+    "1 subgoal\x0c\x0c  H : P\x0c  P\x0c",
+    "1 subgoal\n\n  H : P\n  ===\n  P\n",
+    "1 subgoal\n\n  H : P\n  ==== ====\n  P\n",
+    "1 subgoal\n\n  H : a ==== b\n  ==== P\n",
+], ids=["lf", "crlf", "cr", "formfeed", "three-equals", "split-run", "equals-in-lines"])
+def test_missing_separator_is_malformed(raw):
     with pytest.raises(CoqatooError) as exc:
-        parse_state("1 subgoal\n\n  H : P\n  P\n")
+        parse_state(raw)
     assert exc.value.diagnostic.code == "MALFORMED_STATE"
 
 

@@ -1,4 +1,6 @@
-"""Property test: any replay pair ends with exit status 0, 1 or 2, never a traceback."""
+"""Property tests over random replay pairs: any pair ends with exit status 0, 1
+or 2, never a traceback, and parsing a trace's states together gives what
+parsing each state alone gives."""
 
 import contextlib
 import io
@@ -7,6 +9,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from coqatoo import SessionTrace, TraceStep, parse_state
 from coqatoo.cli import main
 
 from helpers import DONE, state, write_replay_pair
@@ -45,3 +48,14 @@ def test_any_replay_pair_ends_in_an_exit_status(pair):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([str(script), "--provider", "replay", "--fixture", str(trace), *extra])
     assert code in (0, 1, 2)
+
+
+line_breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"])
+raw_states = st.tuples(open_states | st.just(DONE), line_breaks).map(lambda p: p[0].replace("\n", p[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_states, st.lists(raw_states, max_size=12))
+def test_states_equal_parsing_each_raw(initial, raws):
+    trace = SessionTrace(LEMMA, initial, tuple(TraceStep("split", raw) for raw in raws))
+    assert trace.states() == [parse_state(raw) for raw in [initial, *raws]]

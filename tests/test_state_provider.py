@@ -13,19 +13,20 @@ from helpers import LISTING_1, LISTING_2, fixture_path, load_script, load_trace
 def test_replay_golden_fixture():
     _, trace = load_trace("conj_imp_equiv")
     assert len(trace.steps) == 12
-    assert equal_states(trace.initial_state(), parse_state(LISTING_1))
-    assert equal_states(trace.steps[0].state_after(), parse_state(LISTING_2))
-    assert trace.steps[-1].state_after().subgoal_count == 0
+    states = trace.states()
+    assert len(states) == 13
+    assert equal_states(states[0], parse_state(LISTING_1))
+    assert equal_states(states[1], parse_state(LISTING_2))
+    assert states[-1].subgoal_count == 0
 
 
 def test_replay_determinism():
     script = load_script("conj_imp_equiv")
     t1 = run_replay(script, str(fixture_path("conj_imp_equiv")))
     t2 = run_replay(script, str(fixture_path("conj_imp_equiv")))
-    assert equal_states(t1.initial_state(), t2.initial_state())
-    for a, b in zip(t1.steps, t2.steps):
-        assert a.tactic == b.tactic
-        assert equal_states(a.state_after(), b.state_after())
+    assert [a.tactic for a in t1.steps] == [b.tactic for b in t2.steps]
+    for a, b in zip(t1.states(), t2.states(), strict=True):
+        assert equal_states(a, b)
 
 
 def test_reordered_fixture_mismatch(tmp_path):
@@ -119,9 +120,8 @@ def test_record_then_replay_round_trip(tmp_path, corpus_name):
     out = tmp_path / f"{corpus_name}.cqtrace"
     record_session(trace, str(out))
     replayed = run_replay(script, str(out))
-    assert equal_states(replayed.initial_state(), trace.initial_state())
-    for a, b in zip(replayed.steps, trace.steps):
-        assert equal_states(a.state_after(), b.state_after())
+    for a, b in zip(replayed.states(), trace.states(), strict=True):
+        assert equal_states(a, b)
 
 
 def test_record_empty_trace(tmp_path):
@@ -134,7 +134,7 @@ def test_record_empty_trace(tmp_path):
 
 def test_subgoal_count_sequence_of_golden():
     _, trace = load_trace("conj_imp_equiv")
-    counts = [s.state_after().subgoal_count for s in trace.steps]
+    counts = [s.subgoal_count for s in trace.states()[1:]]
     assert counts == [1, 2, 2, 2, 3, 2, 1, 1, 1, 2, 1, 0]
 
 
@@ -153,9 +153,8 @@ def test_live_session_matches_replay(tmp_path, live_prover, corpus_name):
     out = tmp_path / "live.cqtrace"
     record_session(trace, str(out))
     replayed = run_replay(script, str(out))
-    assert equal_states(replayed.initial_state(), trace.initial_state())
-    for a, b in zip(replayed.steps, trace.steps):
-        assert equal_states(a.state_after(), b.state_after())
+    for a, b in zip(replayed.states(), trace.states(), strict=True):
+        assert equal_states(a, b)
 
 
 def test_live_recording_has_no_banner(tmp_path, fake_prover):
