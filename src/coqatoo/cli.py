@@ -64,6 +64,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         parser.error("--provider replay requires --fixture")
     if config.record_path and config.provider != "live":
         parser.error("--record requires --provider live")
+    if config.timeout_secs <= 0:
+        parser.error("--timeout must be a positive number of seconds")
     return config
 
 

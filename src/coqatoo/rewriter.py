@@ -2,8 +2,9 @@
 
 Sentence templates live in data files (templates/<lang>.properties) so
 wording can change, or a new language can be added, without touching
-code.  The English file is the reference key set; every other language
-must define exactly the same keys.
+code.  `load_templates` requires every language to define each key of
+`REQUIRED_KEYS` and to use only the placeholders in `ALLOWED_PLACEHOLDERS`;
+further keys are allowed.
 """
 
 import re
@@ -17,7 +18,7 @@ from .diagnostics import CoqatooError, Diagnostic, error, warning
 from .diff_engine import Classification, StateDiff, classify_bindings, is_heuristic
 from .goal_parser import Hypothesis, ProofState, normalize_text
 from .script_parser import ItemKind, ScriptItem, SUPPORTED_TACTICS
-from .tree_builder import ProofNode
+from .tree_builder import ProofNode, walk
 
 REFERENCE_LANGUAGE = "en"
 
@@ -265,66 +266,43 @@ def _rewrite_inversion(item: ScriptItem, diff: StateDiff, ctx: ProofState,
     return Annotation(_sentences(text))
 
 
-def _case_comment(templates: TemplateSet, goal: str) -> str:
-    return templates.fill("case.label", goal=normalize_text(goal))
-
-
 def render(tree: ProofNode, annotations: Mapping[int, Annotation], mode: OutputMode,
            lemma: str, templates: TemplateSet) -> str:
     """Render the annotated, plain-text or LaTeX version of the proof."""
-    if mode is OutputMode.ANNOTATED:
-        return _render_annotated(tree, annotations, lemma, templates)
-    if mode is OutputMode.PLAIN:
-        return "\n".join(_render_plain(tree, annotations, templates)) + "\n"
-    body = "\n".join(_render_latex(tree, annotations, templates))
-    return "\\begin{proof}\n" + body + "\n\\end{proof}\n"
-
-
-def _render_annotated(tree: ProofNode, annotations: Mapping[int, Annotation],
-                      lemma: str, templates: TemplateSet) -> str:
-    lines = [normalize_text(lemma), "Proof."]
-
-    def emit(node: ProofNode) -> None:
+    annotated, latex = mode is OutputMode.ANNOTATED, mode is OutputMode.LATEX
+    lines = [normalize_text(lemma), "Proof."] if annotated else []
+    for entering, node in walk(tree):
+        if not entering:
+            if latex and node.children:
+                lines.append(r"\end{itemize}")
+            continue
+        indent = ""
         if node.case_goal is not None:
-            glyph = "-" * node.depth
-            bullet_indent = " " * (2 * node.depth)
-            lines.append(f"{bullet_indent}{glyph} (* {_case_comment(templates, node.case_goal)} *)")
-            indent = " " * (2 * node.depth + len(glyph) + 1)
-        else:
-            indent = ""
-        for item, _diff in node.steps:
-            ann = annotations.get(item.seq)
-            tactic = normalize_text(item.original)
-            if ann and ann.sentences:
-                lines.append(f"{indent}(* {' '.join(ann.sentences)} *) {tactic}")
+            label = templates.fill("case.label", goal=normalize_text(node.case_goal))
+            if annotated:
+                glyph = "-" * node.depth
+                lines.append(f"{' ' * (2 * node.depth)}{glyph} (* {label} *)")
+                indent = " " * (2 * node.depth + len(glyph) + 1)
             else:
-                lines.append(f"{indent}{tactic}")
-        for child in node.children:
-            emit(child)
-
-    emit(tree)
-    lines.append("Qed.")
-    return "\n".join(lines) + "\n"
-
-
-def _render_plain(tree: ProofNode, annotations: Mapping[int, Annotation],
-                  templates: TemplateSet) -> List[str]:
-    lines: List[str] = []
-
-    def emit(node: ProofNode) -> None:
-        if node.case_goal is not None:
-            lines.append(_case_comment(templates, node.case_goal))
+                lines.append(r"\item \textbf{" + latex_escape(label) + "}" if latex else label)
         for item, _diff in node.steps:
             ann = annotations.get(item.seq)
-            if ann and ann.sentences:
-                lines.append(" ".join(ann.sentences))
-            elif ann and ann.kind is AnnotationKind.OMITTED:
-                lines.append(templates.fill("plain.omitted"))
-        for child in node.children:
-            emit(child)
-
-    emit(tree)
-    return lines
+            text = " ".join(ann.sentences) if ann and ann.sentences else None
+            if annotated:
+                tactic = normalize_text(item.original)
+                lines.append(f"{indent}{tactic}" if text is None else f"{indent}(* {text} *) {tactic}")
+                continue
+            if text is None and ann and ann.kind is AnnotationKind.OMITTED:
+                text = templates.fill("plain.omitted")
+            if text is not None:
+                lines.append(latex_escape(text) if latex else text)
+        if latex and node.children:
+            lines.append(r"\begin{itemize}")
+    if annotated:
+        lines.append("Qed.")
+    if latex:
+        return "\\begin{proof}\n" + "\n".join(lines) + "\n\\end{proof}\n"
+    return "\n".join(lines) + "\n"
 
 
 _LATEX_SPECIALS = {
@@ -337,25 +315,3 @@ _LATEX_SPECIALS = {
 
 def latex_escape(text: str) -> str:
     return "".join(_LATEX_SPECIALS.get(ch, ch) for ch in text)
-
-
-def _render_latex(tree: ProofNode, annotations: Mapping[int, Annotation],
-                  templates: TemplateSet) -> List[str]:
-    lines: List[str] = []
-
-    def emit(node: ProofNode) -> None:
-        for item, _diff in node.steps:
-            ann = annotations.get(item.seq)
-            if ann and ann.sentences:
-                lines.append(latex_escape(" ".join(ann.sentences)))
-            elif ann and ann.kind is AnnotationKind.OMITTED:
-                lines.append(latex_escape(templates.fill("plain.omitted")))
-        if node.children:
-            lines.append(r"\begin{itemize}")
-            for child in node.children:
-                lines.append(r"\item \textbf{" + latex_escape(_case_comment(templates, child.case_goal or "")) + "}")
-                emit(child)
-            lines.append(r"\end{itemize}")
-
-    emit(tree)
-    return lines

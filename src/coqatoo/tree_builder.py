@@ -74,21 +74,31 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
     return root
 
 
+def walk(root: ProofNode) -> List[Tuple[bool, ProofNode]]:
+    """(True, node) on entering each node in pre-order, (False, node) after its subtree.
+
+    The only code that recurses over `children`, one Python frame per tree level,
+    so every output breaks at the same depth.
+    """
+    events: List[Tuple[bool, ProofNode]] = []
+
+    def visit(node: ProofNode) -> None:
+        events.append((True, node))
+        for child in node.children:
+            visit(child)
+        events.append((False, node))
+
+    visit(root)
+    return events
+
+
 def flatten(node: ProofNode) -> List[ScriptItem]:
     """Depth-first tactic order; must reproduce the input sequence."""
-    out = [item for item, _ in node.steps]
-    for child in node.children:
-        out.extend(flatten(child))
-    return out
+    return [item for entering, n in walk(node) if entering for item, _ in n.steps]
 
 
 def leaves(node: ProofNode) -> List[ProofNode]:
-    if not node.children:
-        return [node]
-    out = []
-    for child in node.children:
-        out.extend(leaves(child))
-    return out
+    return [n for entering, n in walk(node) if entering and not n.children]
 
 
 def case_labels(node: ProofNode) -> List[str]:
@@ -99,20 +109,19 @@ def case_labels(node: ProofNode) -> List[str]:
 def to_dot(root: ProofNode) -> str:
     """Render the tree as a DOT digraph for debugging."""
     lines = ["digraph proof {", "  node [shape=box];"]
-    counter = [0]
-
-    def visit(node: ProofNode) -> int:
-        nid = counter[0]
-        counter[0] += 1
+    open_ids: List[int] = []   # ids of the nodes entered and not yet left
+    count = 0
+    for entering, node in walk(root):
+        if not entering:
+            nid = open_ids.pop()
+            if open_ids:
+                lines.append(f"  n{open_ids[-1]} -> n{nid};")
+            continue
         first = node.steps[0][0].command if node.steps else "(empty)"
         label = first if node.case_goal is None else f"{first}\\ncase: {node.case_goal}"
         label = label.replace('"', '\\"')
-        lines.append(f'  n{nid} [label="{label}"];')
-        for child in node.children:
-            cid = visit(child)
-            lines.append(f"  n{nid} -> n{cid};")
-        return nid
-
-    visit(root)
+        lines.append(f'  n{count} [label="{label}"];')
+        open_ids.append(count)
+        count += 1
     lines.append("}")
     return "\n".join(lines)

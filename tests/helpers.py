@@ -111,18 +111,30 @@ def write_replay_pair(directory: Path, lemma: str, initial: str, steps: Sequence
     return script, trace
 
 
-def conjunction_chain(n: int) -> Tuple[str, str, List[Tuple[str, str]]]:
-    """Lemma, initial state and steps proving A1 /\\ ... /\\ An by split/assumption."""
-    atoms = [f"A{i}" for i in range(1, n + 1)]
-    ctx = [", ".join(atoms) + " : Prop"] + [f"H{i} : {a}" for i, a in enumerate(atoms, start=1)]
-    conj = [" /\\ ".join(atoms[i:]) for i in range(n)]  # conj[i] = A(i+1) /\\ ... /\\ An
-    statement = f"forall {' '.join(atoms)} : Prop, {' -> '.join(atoms)} -> {conj[0]}"
+def _split_chain(variables: List[str], names: List[str], atoms: List[str]
+                 ) -> Tuple[str, str, List[Tuple[str, str]]]:
+    """Lemma, initial state and steps proving atoms[0] /\\ ... /\\ atoms[-1] by intros,
+    then split/assumption, from one hypothesis names[i] : variables[i] per variable."""
+    ctx = [", ".join(variables) + " : Prop"] + [f"{h} : {v}" for h, v in zip(names, variables)]
+    conj = [" /\\ ".join(atoms[i:]) for i in range(len(atoms))]  # conj[i] = atoms[i] /\\ ...
+    statement = f"forall {' '.join(variables)} : Prop, {' -> '.join(variables)} -> {conj[0]}"
     steps = [("intros", state(ctx, [conj[0]]))]
-    for i in range(n - 1):
+    for i in range(len(atoms) - 1):
         steps.append(("split", state(ctx, [atoms[i], conj[i + 1]])))
         steps.append(("assumption", state(ctx, [conj[i + 1]])))
     steps.append(("assumption", DONE))
     return f"Lemma chain : {statement}.", state([], [statement]), steps
+
+
+def conjunction_chain(n: int) -> Tuple[str, str, List[Tuple[str, str]]]:
+    """A1 /\\ ... /\\ An from one hypothesis Hi : Ai per conjunct: the context grows with n."""
+    atoms = [f"A{i}" for i in range(1, n + 1)]
+    return _split_chain(atoms, [f"H{i}" for i in range(1, n + 1)], atoms)
+
+
+def narrow_chain(n: int) -> Tuple[str, str, List[Tuple[str, str]]]:
+    """P /\\ Q /\\ P ... of n conjuncts from HP : P and HQ : Q: a tree n - 1 cases deep."""
+    return _split_chain(["P", "Q"], ["HP", "HQ"], ["PQ"[i % 2] for i in range(n)])
 
 
 def write_prover(directory: Path, body: str) -> str:

@@ -1,11 +1,14 @@
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
 from coqatoo.cli import main, parse_args
 
-from helpers import (DONE, GOLDEN_DIR, conjunction_chain, fixture_path, normalize_rendering,
-                     script_path, state, write_prover, write_replay_pair)
+from helpers import (CORPUS, DONE, GOLDEN_DIR, ROOT, conjunction_chain, fixture_path, narrow_chain,
+                     normalize_rendering, script_path, state, write_prover, write_replay_pair)
 
 
 def replay_args(name, *extra):
@@ -48,12 +51,61 @@ def test_unknown_flag():
     assert exc.value.code != 0
 
 
+@pytest.mark.parametrize("timeout", ["0", "-3"])
+def test_non_positive_timeout_is_rejected_before_the_prover_starts(tmp_path, capsys, timeout):
+    prover = write_prover(tmp_path, f"touch {tmp_path / 'started'}")
+    with pytest.raises(SystemExit) as exc:
+        main([str(script_path("and_commutes")), "--prover", prover, "--timeout", timeout])
+    assert exc.value.code == 2
+    assert "--timeout" in capsys.readouterr().err
+    assert not (tmp_path / "started").exists()
+
+
 def test_golden_run(capsys):
     assert main(replay_args("conj_imp_equiv")) == 0
     captured = capsys.readouterr()
     golden = (GOLDEN_DIR / "conj_imp_equiv.annotated.en.txt").read_text()
     assert normalize_rendering(captured.out) == normalize_rendering(golden)
     assert captured.err == ""
+
+
+def three_cases_pair(directory):
+    """A three-way branch, an unsupported tactic and a case goal holding a LaTeX special."""
+    ctx = ["P, Q, R, S : Prop", "H : P -> Q -> ~ R -> S", "HP : P", "HQ : Q", "HR : ~ R"]
+    statement = "forall P Q R S : Prop, (P -> Q -> ~ R -> S) -> P -> Q -> ~ R -> S"
+    return write_replay_pair(directory, f"Lemma three_cases : {statement}.", state([], [statement]), [
+        ("intros P Q R S H HP HQ HR", state(ctx, ["S"])),
+        ("apply H", state(ctx, ["P", "Q", "~ R"])),
+        ("assumption", state(ctx, ["Q", "~ R"])),
+        ("simpl", state(ctx, ["Q", "~ R"])),
+        ("assumption", state(ctx, ["~ R"])),
+        ("assumption", DONE),
+    ])
+
+
+_PROSE = [(mode, lang) for mode in ("annotated", "plain", "latex") for lang in ("en", "fr")]
+# (proof, golden file stem, extra arguments); the space-normalized golden of
+# conj_imp_equiv.annotated.en is checked by test_golden_run instead
+GOLDEN_RUNS = [(name, f"{name}.{mode}.{lang}", ["--mode", mode, "--lang", lang])
+               for name in CORPUS for mode, lang in _PROSE
+               if (name, mode, lang) != ("conj_imp_equiv", "annotated", "en")]
+GOLDEN_RUNS += [(name, f"{name}.dot", ["--dot"]) for name in CORPUS]
+GOLDEN_RUNS += [("three_cases", f"three_cases.{mode}.en", ["--mode", mode])
+                for mode in ("annotated", "plain", "latex")]
+
+
+def golden_args(name, directory, extra):
+    if name == "three_cases":
+        script, trace = three_cases_pair(directory)
+        return [str(script), "--provider", "replay", "--fixture", str(trace), *extra]
+    return replay_args(name, *extra)
+
+
+@pytest.mark.parametrize("name, stem, extra", GOLDEN_RUNS, ids=[stem for _, stem, _ in GOLDEN_RUNS])
+def test_golden_output(tmp_path, capsys, name, stem, extra):
+    assert main(golden_args(name, tmp_path, extra)) == 0
+    golden = (GOLDEN_DIR / f"{stem}.txt").read_bytes().decode("utf-8")
+    assert capsys.readouterr().out == golden
 
 
 def test_chain_operator_exits_1(tmp_path, capsys):
@@ -207,3 +259,16 @@ def test_malformed_trace_exits_1(tmp_path, capsys, steps, dot):
     script, trace = write_replay_pair(tmp_path, "Lemma t : True /\\ True.", _GOAL, steps)
     assert main([str(script), "--provider", "replay", "--fixture", str(trace), *dot]) == 1
     assert "MALFORMED_TRACE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--mode", "annotated"], ["--mode", "plain"], ["--mode", "latex"], ["--dot"]],
+                         ids=["annotated", "plain", "latex", "dot"])
+def test_deep_narrow_chain_renders(tmp_path, extra):
+    """A tree 899 cases deep renders in every output: the tree walk uses one
+    stack frame per level.  A subprocess, so pytest's frames do not count."""
+    script, trace = write_replay_pair(tmp_path, *narrow_chain(900))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                                    os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "coqatoo.cli", str(script), "--provider", "replay",
+                          "--fixture", str(trace), *extra], capture_output=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr.decode()[-800:]
