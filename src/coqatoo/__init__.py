@@ -1,23 +1,23 @@
 """coqatoo: natural-language rendering of Coq proof scripts."""
 
 from .diagnostics import CoqatooError, Diagnostic, Severity
-from .goal_parser import Hypothesis, ProofState, equal_states, parse_state
+from .goal_parser import Hypothesis, ProofState, parse_state
 from .rewriter import OutputMode, TemplateSet, load_templates, render, rewrite_step
 from .script_parser import (ItemKind, Script, ScriptItem, detect_unsupported, parse_script, preprocess_auto,
                             tokenize_script)
 from .state_provider import SessionTrace, TraceStep, record_session, run_live, run_replay
 from .diff_engine import Classification, StateDiff, classify_bindings, diff_states
-from .tree_builder import ProofNode, build_tree, case_labels, flatten, leaves, to_dot
+from .tree_builder import ProofNode, build_tree, flatten, leaves, to_dot
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CoqatooError", "Diagnostic", "Severity",
-    "Hypothesis", "ProofState", "equal_states", "parse_state",
+    "Hypothesis", "ProofState", "parse_state",
     "OutputMode", "TemplateSet", "load_templates", "render", "rewrite_step",
     "ItemKind", "Script", "ScriptItem", "detect_unsupported", "parse_script", "preprocess_auto",
     "tokenize_script",
     "SessionTrace", "TraceStep", "record_session", "run_live", "run_replay",
     "Classification", "StateDiff", "classify_bindings", "diff_states",
-    "ProofNode", "build_tree", "case_labels", "flatten", "leaves", "to_dot",
+    "ProofNode", "build_tree", "flatten", "leaves", "to_dot",
 ]

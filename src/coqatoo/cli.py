@@ -2,7 +2,6 @@
 
 import argparse
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from . import pipeline, script_parser, state_provider
@@ -13,22 +12,6 @@ from .tree_builder import to_dot
 # diagnostic codes that mean "the prover or the filesystem failed", not
 # "the input was rejected"
 _EXIT2_CODES = {"PROVER_MISSING", "PROVER_TIMEOUT", "PROVER_EXITED", "TACTIC_FAILED", "IO"}
-
-
-@dataclass
-class RunConfig:
-    input_path: str
-    provider: str = "live"
-    prover_path: Optional[str] = None
-    fixture_path: Optional[str] = None
-    record_path: Optional[str] = None
-    language: str = "en"
-    mode: str = "annotated"
-    templates_dir: Optional[str] = None
-    out_path: Optional[str] = None
-    strict: bool = False
-    timeout_secs: int = state_provider.DEFAULT_TIMEOUT_SECS
-    dot: bool = False
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -57,9 +40,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: Sequence[str]) -> RunConfig:
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     parser = build_arg_parser()
-    config = RunConfig(**vars(parser.parse_args(list(argv))))
+    config = parser.parse_args(list(argv))
     if config.provider == "replay" and not config.fixture_path:
         parser.error("--provider replay requires --fixture")
     if config.record_path and config.provider != "live":
@@ -101,7 +84,7 @@ def _write_output(output: str, path: Optional[str]) -> None:
         raise CoqatooError(error("IO", f"cannot write {path}: {exc}"))
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     try:
         script, diags = script_parser.parse_script(_read_source(config.input_path))
         if _rejects(diags, config.strict):

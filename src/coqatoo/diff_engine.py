@@ -19,16 +19,11 @@ class Classification(Enum):
 @dataclass(frozen=True)
 class StateDiff:
     added: Tuple[Hypothesis, ...]
-    removed: Tuple[Hypothesis, ...]
     goal_before: str
     goal_after: Optional[str]
     subgoal_delta: int
     classification: Classification
     branch_width: Optional[int] = None
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.added and not self.removed and self.subgoal_delta == 0
 
 
 def _binding_set(state: ProofState):
@@ -51,10 +46,9 @@ def diff_states(before: ProofState, after: ProofState) -> StateDiff:
     if before.hypotheses == after.hypotheses:
         # the common case, a tactic that leaves the context as it was;
         # states parsed together share the tuple, so this compares pointers
-        added = removed = ()
+        added = ()
     else:
         added = _only_new(after.hypotheses, _binding_set(before))
-        removed = _only_new(before.hypotheses, _binding_set(after))
     goal_before = before.goals[0]
     if delta >= 1:
         classification = Classification.BRANCH
@@ -69,7 +63,7 @@ def diff_states(before: ProofState, after: ProofState) -> StateDiff:
         classification = Classification.INTRO if added else Classification.TRANSFORM
         width = None
         goal_after = after.goals[0] if after.goals else None
-    return StateDiff(added, removed, goal_before, goal_after, delta, classification, width)
+    return StateDiff(added, goal_before, goal_after, delta, classification, width)
 
 
 def classify_bindings(added: Sequence[Hypothesis],

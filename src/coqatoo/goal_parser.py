@@ -126,9 +126,3 @@ def parse_state(raw: str, contexts: Optional[Dict[str, Tuple[Hypothesis, ...]]] 
             "MALFORMED_STATE",
             f"header announces {count} subgoal(s) but {len(goals)} goal block(s) found"))
     return ProofState(count, hyps, tuple(goals), raw)
-
-
-def equal_states(a: ProofState, b: ProofState) -> bool:
-    """Structural equality modulo whitespace normalization."""
-    return (a.subgoal_count == b.subgoal_count and a.hypotheses == b.hypotheses
-            and tuple(normalize_text(g) for g in a.goals) == tuple(normalize_text(g) for g in b.goals))

@@ -1,38 +1,36 @@
 """Per-tactic rewriting rules and output rendering.
 
+`RULES` is the one table of tactics: it maps a tactic head to the rule
+that explains it and the template keys that rule fills.  The script
+parser warns about any head without a row, and `rewrite_step` looks the
+head up there.
+
 Sentence templates live in data files (templates/<lang>.properties) so
 wording can change, or a new language can be added, without touching
 code.  `load_templates` requires every language to define each key of
-`REQUIRED_KEYS` and to use only the placeholders in `ALLOWED_PLACEHOLDERS`;
-further keys are allowed.
+`REQUIRED_KEYS` (the table's keys plus those `render` fills) and to use
+only the placeholders in `ALLOWED_PLACEHOLDERS`; further keys are allowed.
 """
 
+from __future__ import annotations
+
+import dataclasses
 import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .diagnostics import CoqatooError, Diagnostic, error, warning
 from .diff_engine import Classification, StateDiff, classify_bindings, is_heuristic
 from .goal_parser import Hypothesis, ProofState, normalize_text
-from .script_parser import ItemKind, ScriptItem, SUPPORTED_TACTICS
 from .tree_builder import ProofNode, walk
 
-REFERENCE_LANGUAGE = "en"
+if TYPE_CHECKING:
+    from .script_parser import ScriptItem
 
-REQUIRED_KEYS = {
-    "list.joiner",
-    "intros.variables", "intros.variables_one",
-    "intros.hypotheses", "intros.hypotheses_one",
-    "intros.mixed",
-    "assumption.default",
-    "apply.hypothesis_one", "apply.hypothesis_many",
-    "inversion.default",
-    "case.label",
-    "plain.omitted",
-}
+REFERENCE_LANGUAGE = "en"
 
 ALLOWED_PLACEHOLDERS = {"list", "type", "goal", "hyp", "consequent", "antecedents"}
 
@@ -184,35 +182,35 @@ def rewrite_step(item: ScriptItem, diff: StateDiff, ctx: ProofState,
 
     ctx is the proof state just before the tactic ran.
     """
-    assert item.kind is ItemKind.TACTIC
-    head = item.head
-
-    if head in ("intros", "intro"):
-        return _rewrite_intros(item, diff, ctx, templates)
-    if head == "assumption":
-        return Annotation(_sentences(templates.fill("assumption.default")))
-    if head == "apply":
-        return _rewrite_apply(item, ctx, templates)
-    if head == "inversion":
-        return _rewrite_inversion(item, diff, ctx, templates)
-    if head == "info_auto":
-        sentences: List[str] = []
-        diagnostics: List[Diagnostic] = []
-        for sub in _extract_auto_trace(response_raw):
-            sub_item = ScriptItem(ItemKind.TACTIC, sub + ".", item.span, item.seq)
-            annotation = rewrite_step(sub_item, diff, ctx, templates)
-            sentences.extend(annotation.sentences)
-            diagnostics.extend(annotation.diagnostics)
-        return Annotation(tuple(sentences), diagnostics=tuple(diagnostics))
-    if head == "split" or diff.classification is Classification.BRANCH:
+    row = RULES.get(item.head)
+    if row is not None:
+        return row[0](item, diff, ctx, templates, response_raw)
+    if diff.classification is Classification.BRANCH:
         return Annotation(())
-    if head not in SUPPORTED_TACTICS:
-        return Annotation((), AnnotationKind.OMITTED)
+    return Annotation((), AnnotationKind.OMITTED)
+
+
+def _silent(item: ScriptItem, diff: StateDiff, ctx: ProofState, templates: TemplateSet,
+            response_raw: Optional[str]) -> Annotation:
     return Annotation(())
 
 
-def _rewrite_intros(item: ScriptItem, diff: StateDiff, ctx: ProofState,
-                    templates: TemplateSet) -> Annotation:
+def _rewrite_info_auto(item: ScriptItem, diff: StateDiff, ctx: ProofState, templates: TemplateSet,
+                       response_raw: Optional[str]) -> Annotation:
+    """Explain each tactic that info_auto reports it used."""
+    subs = [rewrite_step(dataclasses.replace(item, text=sub + "."), diff, ctx, templates)
+            for sub in _extract_auto_trace(response_raw)]
+    return Annotation(tuple(s for a in subs for s in a.sentences),
+                      diagnostics=tuple(d for a in subs for d in a.diagnostics))
+
+
+def _rewrite_assumption(item: ScriptItem, diff: StateDiff, ctx: ProofState, templates: TemplateSet,
+                        response_raw: Optional[str]) -> Annotation:
+    return Annotation(_sentences(templates.fill("assumption.default")))
+
+
+def _rewrite_intros(item: ScriptItem, diff: StateDiff, ctx: ProofState, templates: TemplateSet,
+                    response_raw: Optional[str]) -> Annotation:
     variables, hypotheses = classify_bindings(diff.added, ctx)
     diagnostics = tuple(warning("HEURISTIC_CLASSIFICATION",
                                 f"treating {', '.join(h.names)} : {h.type_expr} as a hypothesis", item.span)
@@ -238,7 +236,8 @@ def _rewrite_intros(item: ScriptItem, diff: StateDiff, ctx: ProofState,
     return Annotation(_sentences(text), diagnostics=diagnostics)
 
 
-def _rewrite_apply(item: ScriptItem, ctx: ProofState, templates: TemplateSet) -> Annotation:
+def _rewrite_apply(item: ScriptItem, diff: StateDiff, ctx: ProofState, templates: TemplateSet,
+                   response_raw: Optional[str]) -> Annotation:
     arg = _tactic_arg(item.command)
     types = _binding_types(ctx)
     if arg is None or arg not in types:
@@ -256,14 +255,34 @@ def _rewrite_apply(item: ScriptItem, ctx: ProofState, templates: TemplateSet) ->
     return Annotation(_sentences(text))
 
 
-def _rewrite_inversion(item: ScriptItem, diff: StateDiff, ctx: ProofState,
-                       templates: TemplateSet) -> Annotation:
+def _rewrite_inversion(item: ScriptItem, diff: StateDiff, ctx: ProofState, templates: TemplateSet,
+                       response_raw: Optional[str]) -> Annotation:
     arg = _tactic_arg(item.command)
     types = _binding_types(ctx)
     subject = types.get(arg, arg or "")
     added_types = [h.type_expr for h in diff.added for _ in h.names]
     text = templates.fill("inversion.default", hyp=subject, list=", ".join(added_types))
     return Annotation(_sentences(text))
+
+
+_INTROS_KEYS = ("intros.variables", "intros.variables_one", "intros.hypotheses", "intros.hypotheses_one",
+                "intros.mixed")
+
+# tactic head -> (rule, template keys the rule fills); `auto` reaches the
+# prover as `info_auto` (script_parser.preprocess_auto)
+RULES: Dict[str, Tuple[Callable[..., Annotation], Tuple[str, ...]]] = {
+    "intros": (_rewrite_intros, _INTROS_KEYS),
+    "intro": (_rewrite_intros, _INTROS_KEYS),
+    "split": (_silent, ()),
+    "apply": (_rewrite_apply, ("apply.hypothesis_one", "apply.hypothesis_many")),
+    "assumption": (_rewrite_assumption, ("assumption.default",)),
+    "inversion": (_rewrite_inversion, ("inversion.default",)),
+    "auto": (_silent, ()),
+    "info_auto": (_rewrite_info_auto, ()),
+}
+
+# the table's keys, the list joiner, and the keys `render` fills
+REQUIRED_KEYS = {"list.joiner", "case.label", "plain.omitted"} | {k for _, keys in RULES.values() for k in keys}
 
 
 def render(tree: ProofNode, annotations: Mapping[int, Annotation], mode: OutputMode,

@@ -1,8 +1,9 @@
 """Tokenizer for Coq vernacular proof scripts.
 
 Splits a script into lemma header, Proof/Qed markers, tactic sentences,
-comments and bullet glyphs.  A "." terminates a sentence only when followed
-by whitespace or end of input, so qualified names survive.  Comments nest.
+comments, bullet glyphs and focus braces.  A "." terminates a sentence
+only when followed by whitespace or end of input, so qualified names
+survive.  Comments nest.
 `parse_script` is the one place that selects the lemma and the tactics
 the later stages run; they take its `Script`, never the item list.
 """
@@ -14,6 +15,7 @@ from enum import Enum
 from typing import List, Tuple
 
 from .diagnostics import Diagnostic, CoqatooError, error, warning
+from .rewriter import RULES
 
 
 class ItemKind(Enum):
@@ -22,16 +24,16 @@ class ItemKind(Enum):
     TACTIC = "tactic"
     COMMENT = "comment"
     BULLET = "bullet"
+    FOCUS = "focus"
     PROOF_END = "proof_end"
 
 
 LEMMA_KEYWORDS = {"Lemma", "Theorem", "Corollary", "Fact", "Remark", "Proposition", "Example"}
 PROOF_END_KEYWORDS = {"Qed", "Defined", "Admitted", "Save"}
 
-# Tactics the rewriter has rules for; anything else degrades to a warning.
-SUPPORTED_TACTICS = {"intros", "intro", "split", "apply", "assumption", "inversion", "auto", "info_auto"}
-
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+# N:, N-M:, N, M:, all:, par:, !: and [name]: in front of a tactic
+_SELECTOR = re.compile(r"(?:\d[\d\s,-]*|all|par|!|\[\s*[\w']+\s*\])\s*:(?!=)")
 
 
 @dataclass(frozen=True)
@@ -119,13 +121,15 @@ def tokenize_script(source: str) -> List[ScriptItem]:
             i = _scan_comment(source, i)
             items.append(ScriptItem(ItemKind.COMMENT, source[start:i], (start, i), len(items)))
             continue
-        if source[i] in "-+*":
+        if source[i] in "-+*{}":
             glyph = source[i]
-            j = i
-            while j < n and source[j] == glyph:
+            focus = glyph in "{}"   # a brace is one glyph, and needs no blank after it
+            j = i + 1
+            while not focus and j < n and source[j] == glyph:
                 j += 1
-            if j >= n or source[j].isspace():
-                items.append(ScriptItem(ItemKind.BULLET, source[start:j], (start, j), len(items)))
+            if focus or j >= n or source[j].isspace():
+                kind = ItemKind.FOCUS if focus else ItemKind.BULLET
+                items.append(ScriptItem(kind, source[start:j], (start, j), len(items)))
                 i = j
                 continue
         # scan one sentence up to "." followed by whitespace/EOF
@@ -184,14 +188,17 @@ def _has_toplevel_semicolon(text: str) -> bool:
 
 
 def detect_unsupported(items: List[ScriptItem]) -> List[Diagnostic]:
-    """Flag chained tactics (fatal) and unknown tactic heads (warning)."""
+    """Flag chained tactics and goal selectors (fatal), and heads without a
+    rewriting rule (warning)."""
     diags: List[Diagnostic] = []
     for it in items:
         if it.kind is not ItemKind.TACTIC:
             continue
         if _has_toplevel_semicolon(it.text):
             diags.append(error("UNSUPPORTED_CHAIN", f'chained tactics are not supported: "{it.command}"', it.span))
-        elif it.head not in SUPPORTED_TACTICS:
+        elif _SELECTOR.match(it.command):
+            diags.append(error("UNSUPPORTED_SELECTOR", f'goal selectors are not supported: "{it.command}"', it.span))
+        elif it.head not in RULES:
             diags.append(warning("UNSUPPORTED_TACTIC", f'no rewriting rule for tactic "{it.head}"', it.span))
     return diags
 

@@ -5,13 +5,17 @@ nodes, a closing tactic pops back to the nearest ancestor that still has
 unfilled children.  Bullet depth falls out of the nesting.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .diagnostics import CoqatooError, error
 from .diff_engine import Classification, StateDiff
 from .goal_parser import ProofState
-from .script_parser import ScriptItem
+
+if TYPE_CHECKING:
+    from .script_parser import ScriptItem
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,7 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
         current.steps.append((step.item, step.diff))
         cls = step.diff.classification
         if cls is Classification.BRANCH:
-            width = step.diff.branch_width or 2
-            stack.append([current, width])
+            stack.append([current, step.diff.branch_width])
             child = ProofNode(depth=current.depth + 1, case_goal=step.after.goals[0])
             current.children.append(child)
             current = child
@@ -99,11 +102,6 @@ def flatten(node: ProofNode) -> List[ScriptItem]:
 
 def leaves(node: ProofNode) -> List[ProofNode]:
     return [n for entering, n in walk(node) if entering and not n.children]
-
-
-def case_labels(node: ProofNode) -> List[str]:
-    assert node.children, "case_labels is only defined on branching nodes"
-    return [child.case_goal or "" for child in node.children]
 
 
 def to_dot(root: ProofNode) -> str:

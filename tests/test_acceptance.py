@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from coqatoo import (Classification, equal_states, load_templates, parse_state,
+from coqatoo import (Classification, load_templates, parse_state,
                      record_session, run_live, run_replay, tokenize_script)
 from coqatoo.cli import main
 from coqatoo.pipeline import annotate_steps, generate
@@ -75,7 +75,8 @@ def test_diff_properties(name):
     for state in all_fixture_states(name):
         if state.subgoal_count:
             d = diff_states(state, state)
-            assert d.is_empty and d.classification is Classification.TRANSFORM
+            assert not d.added and d.subgoal_delta == 0
+            assert d.classification is Classification.TRANSFORM
     for step in analyzed_steps(name):
         d = step.diff
         if d.classification is Classification.BRANCH:
@@ -130,5 +131,5 @@ def test_live_prover_integration(tmp_path, live_prover, corpus_name):
     record_session(trace, str(out))
     replayed = run_replay(script, str(out))
     for a, b in zip(replayed.states(), trace.states(), strict=True):
-        assert equal_states(a, b)
+        assert a == b
     _report(f"live prover record/replay agreement ({corpus_name})")

@@ -108,6 +108,37 @@ def test_golden_output(tmp_path, capsys, name, stem, extra):
     assert capsys.readouterr().out == golden
 
 
+# the three cases of three_cases_pair after its "apply H", bulleted and braced
+_CASES = {"bullets": "  - assumption.\n  - simpl.\n    assumption.\n  - assumption.\n",
+          "braces": "  { assumption. }\n  { simpl.\n    assumption. }\n  {assumption. }\n"}
+
+
+@pytest.mark.parametrize("extra", [["--mode", "annotated"], ["--mode", "plain"], ["--mode", "latex"],
+                                   ["--mode", "annotated", "--lang", "fr"], ["--dot"]])
+def test_braced_cases_render_like_bulleted_ones(tmp_path, capsys, extra):
+    script, trace = three_cases_pair(tmp_path)
+    opening = script.read_text(encoding="utf-8").split("  assumption.\n")[0]
+    outputs = {}
+    for style, cases in _CASES.items():
+        script.write_text(opening + cases + "Qed.\n", encoding="utf-8")
+        assert main([str(script), "--provider", "replay", "--fixture", str(trace), *extra]) == 0
+        captured = capsys.readouterr()
+        outputs[style] = captured.out
+        assert captured.err.count("warning[UNSUPPORTED_TACTIC]") == 1   # simpl
+    assert outputs["braces"] == outputs["bullets"]
+    if extra[-1] in ("annotated", "plain", "latex"):
+        assert outputs["braces"] == (GOLDEN_DIR / f"three_cases.{extra[-1]}.en.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("tactic", ["2: assumption.", "all: assumption."])
+def test_goal_selector_exits_1(tmp_path, capsys, tactic):
+    bad = tmp_path / "bad.v"
+    bad.write_text(f"Lemma t : True. Proof. {tactic} Qed.")
+    assert main([str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert "error[UNSUPPORTED_SELECTOR]" in captured.err and captured.out == ""
+
+
 def test_chain_operator_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.v"
     bad.write_text("Lemma t : True. Proof. split; intros. Qed.")

@@ -10,7 +10,6 @@ from helpers import LISTING_1, LISTING_2, all_fixture_states, analyzed_steps, st
 def test_intros_diff_from_listings():
     diff = diff_states(parse_state(LISTING_1), parse_state(LISTING_2))
     assert diff.added == (Hypothesis(("P", "Q", "R"), "Prop"),)
-    assert diff.removed == ()
     assert diff.goal_after == "(P /\\ Q -> R) <-> (P -> Q -> R)"
     assert diff.subgoal_delta == 0
     assert diff.classification is Classification.INTRO
@@ -21,7 +20,7 @@ def test_reflexive_diff_is_empty_transform(corpus_name):
         if state.subgoal_count == 0:
             continue
         diff = diff_states(state, state)
-        assert diff.is_empty
+        assert not diff.added and diff.subgoal_delta == 0
         assert diff.classification is Classification.TRANSFORM
 
 
@@ -34,9 +33,9 @@ def test_unchanged_context_is_shared_and_diffs_empty():
     states = trace.states()
     assert all(s.hypotheses is states[0].hypotheses for s in states)
     assert [diff_states(a, b) for a, b in zip(states, states[1:])] == [
-        StateDiff((), (), "P /\\ Q", "P", 1, Classification.BRANCH, 2),
-        StateDiff((), (), "P", None, -1, Classification.CLOSE),
-        StateDiff((), (), "Q", "Q /\\ True", 0, Classification.TRANSFORM),
+        StateDiff((), "P /\\ Q", "P", 1, Classification.BRANCH, 2),
+        StateDiff((), "P", None, -1, Classification.CLOSE),
+        StateDiff((), "Q", "Q /\\ True", 0, Classification.TRANSFORM),
     ]
 
 
@@ -47,7 +46,7 @@ def test_rewrapped_hypotheses_give_an_empty_transform():
                     "  ============================\n  P\n")
     assert a.hypotheses == b.hypotheses
     diff = diff_states(a, b)
-    assert diff.is_empty
+    assert not diff.added and diff.subgoal_delta == 0
     assert diff.classification is Classification.TRANSFORM
 
 
@@ -73,21 +72,18 @@ def test_classification_matches_delta(corpus_name):
             assert d.subgoal_delta == 0
 
 
-def test_added_removed_disjoint(corpus_name):
-    for step in analyzed_steps(corpus_name):
-        added = {(n, h.type_expr) for h in step.diff.added for n in h.names}
-        removed = {(n, h.type_expr) for h in step.diff.removed for n in h.names}
-        assert not added & removed
-
-
 def test_antisymmetry(corpus_name):
+    def bindings(hyps):
+        return {(n, h.type_expr) for h in hyps for n in h.names}
+
     for step in analyzed_steps(corpus_name):
         if step.after.subgoal_count == 0:
             continue
         fwd = diff_states(step.before, step.after)
         bwd = diff_states(step.after, step.before)
-        assert fwd.added == bwd.removed
-        assert fwd.removed == bwd.added
+        assert fwd.subgoal_delta == -bwd.subgoal_delta
+        assert bindings(fwd.added) == bindings(step.after.hypotheses) - bindings(step.before.hypotheses)
+        assert bindings(bwd.added) == bindings(step.before.hypotheses) - bindings(step.after.hypotheses)
 
 
 # --- classify_bindings ---

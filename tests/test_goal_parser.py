@@ -1,6 +1,6 @@
 import pytest
 
-from coqatoo import CoqatooError, Hypothesis, equal_states, parse_state
+from coqatoo import CoqatooError, Hypothesis, parse_state
 
 from helpers import LISTING_1, LISTING_2, all_fixture_states
 
@@ -106,20 +106,3 @@ def test_parse_total_on_corpus(corpus_name):
 def test_hypothesis_name_multiplicity():
     state = parse_state(LISTING_2)
     assert sum(len(h.names) for h in state.hypotheses) == 3
-
-
-# --- equal_states ---
-
-def test_equal_states_reflexive(corpus_name):
-    for state in all_fixture_states(corpus_name):
-        assert equal_states(state, state)
-
-
-def test_listing_states_differ():
-    assert not equal_states(parse_state(LISTING_1), parse_state(LISTING_2))
-
-
-def test_equal_modulo_whitespace():
-    a = parse_state(LISTING_2)
-    b = parse_state(LISTING_2.replace("/\\ Q", "/\\   Q"))
-    assert equal_states(a, b)

@@ -1,9 +1,12 @@
+from dataclasses import dataclass, field
+
 import pytest
 
 from coqatoo import CoqatooError, load_templates, parse_state, render, rewrite_step
 from coqatoo.diff_engine import diff_states
 from coqatoo.pipeline import annotate_steps, generate
-from coqatoo.rewriter import AnnotationKind, OutputMode, latex_escape, split_implication
+from coqatoo.rewriter import (REQUIRED_KEYS, RULES, AnnotationKind, OutputMode, TemplateSet, latex_escape,
+                              split_implication)
 from coqatoo.script_parser import ItemKind, ScriptItem
 from coqatoo.tree_builder import ProofNode
 
@@ -31,13 +34,38 @@ def test_french_is_complete():
     assert set(fr.entries) == set(EN.entries)
 
 
-def test_missing_key_is_an_error(tmp_path):
-    src = "\n".join(f"{k} = {v}" for k, v in EN.entries.items() if k != "assumption.default")
+def test_templates_define_exactly_the_required_keys():
+    assert set(EN.entries) == REQUIRED_KEYS
+
+
+@pytest.mark.parametrize("key", sorted(REQUIRED_KEYS))
+def test_missing_key_is_an_error(tmp_path, key):
+    src = "\n".join(f"{k} = {v}" for k, v in EN.entries.items() if k != key)
     (tmp_path / "en.properties").write_text(src, encoding="utf-8")
     with pytest.raises(CoqatooError) as exc:
         load_templates(str(tmp_path), "en")
     assert exc.value.diagnostic.code == "TEMPLATE_MISSING_KEY"
-    assert "assumption.default" in exc.value.diagnostic.message
+    assert repr(key) in exc.value.diagnostic.message
+
+
+@dataclass(frozen=True)
+class _RecordingTemplates(TemplateSet):
+    filled: set = field(default_factory=set)
+
+    def fill(self, key, **values):
+        self.filled.add(key)
+        return super().fill(key, **values)
+
+
+def test_rules_fill_only_the_keys_of_their_row(corpus_name):
+    templates = _RecordingTemplates("en", EN.entries)
+    row_keys = {k for _, keys in RULES.values() for k in keys}
+    for step in analyzed_steps(corpus_name):
+        templates.filled.clear()
+        rewrite_step(step.item, step.diff, step.before, templates, response_raw=step.after.raw)
+        # info_auto explains the tactics auto used with their own rows
+        allowed = row_keys if step.item.head == "info_auto" else set(RULES[step.item.head][1])
+        assert templates.filled <= allowed, step.item.command
 
 
 def test_unknown_placeholder_is_an_error(tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from coqatoo import (CoqatooError, ItemKind, detect_unsupported, parse_script, preprocess_auto,
                      tokenize_script)
 from coqatoo.diagnostics import Severity
+from coqatoo.rewriter import RULES
 
 from helpers import script_path, tactic_commands
 
@@ -129,6 +130,25 @@ def test_unknown_tactic_is_a_warning():
     assert diags[0].severity is Severity.WARNING
 
 
+@pytest.mark.parametrize("head", sorted(RULES))
+def test_every_rule_head_is_supported(head):
+    items = tokenize_script(f"Lemma t : True. Proof. {head} H. Qed.")
+    assert detect_unsupported(items) == []
+
+
+@pytest.mark.parametrize("selector", ["2:", "1-2:", "1, 3:", "1,2-3:", "all:", "par:", "!:", "[H]:", "2 :"])
+def test_goal_selector_is_rejected(selector):
+    items = tokenize_script(f"Lemma t : True. Proof. {selector} assumption. Qed.")
+    diags = detect_unsupported(items)
+    assert [(d.code, d.severity) for d in diags] == [("UNSUPPORTED_SELECTOR", Severity.ERROR)]
+    assert diags[0].span == next(it.span for it in items if it.kind is ItemKind.TACTIC)
+
+
+def test_colon_equals_and_typed_binders_are_no_selectors():
+    items = tokenize_script("Lemma t : True. Proof. pose (x := 1). assert (H : True). Qed.")
+    assert [d.code for d in detect_unsupported(items)] == ["UNSUPPORTED_TACTIC"] * 2
+
+
 def test_semicolon_inside_comment_or_string_is_fine():
     items = tokenize_script('Lemma t : True. Proof. (* a; b *) idtac "x; y". Qed.')
     assert [d.code for d in detect_unsupported(items)] == ["UNSUPPORTED_TACTIC"]
@@ -146,6 +166,16 @@ def test_parse_script_keeps_the_first_lemma_and_warns():
     assert diags[0].span[0] == src.index("Lemma b")
 
 
+def test_focus_braces_are_their_own_items():
+    src = "Lemma t : True /\\ True.\nProof.\n  split.\n  { exact I. }\n  {split. {assumption. }\n}\nQed."
+    items = tokenize_script(src)
+    assert [it.text for it in items if it.kind is ItemKind.FOCUS] == ["{", "}", "{", "{", "}", "}"]
+    assert items[-1].kind is ItemKind.PROOF_END
+    script, diags = parse_script(src)
+    assert [it.command for it in script.tactics] == ["split", "exact I", "split", "assumption"]
+    assert [d.message for d in diags] == ['no rewriting rule for tactic "exact"']
+
+
 # --- property-based lexing ---
 
 _tactics = st.sampled_from(["intros", "apply H", "assumption", "split", "auto", "ring", "intros H HP"])
@@ -158,6 +188,8 @@ def _scripts(draw):
     for _ in range(draw(st.integers(0, 5))):
         if draw(st.booleans()):
             parts.append("(* note (* nested *) *)")
+        if draw(st.booleans()):
+            parts.append(draw(st.sampled_from(["{", "}", "-", "--", "+"])))
         parts.append(draw(_tactics) + ".")
     parts.append("Qed.")
     gaps = [draw(_gaps) for _ in parts]

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from coqatoo import Classification, CoqatooError, build_tree, case_labels, flatten, leaves, to_dot
+from coqatoo import Classification, CoqatooError, build_tree, flatten, leaves, to_dot
 
 from helpers import analyzed_steps
 
@@ -49,9 +49,10 @@ def test_every_leaf_ends_with_close(corpus_name):
 
 def test_case_labels_of_split_and_apply_conj():
     root = golden_tree()
-    assert case_labels(root) == ["(P /\\ Q -> R) -> P -> Q -> R", "(P -> Q -> R) -> P /\\ Q -> R"]
+    assert [c.case_goal for c in root.children] == ["(P /\\ Q -> R) -> P -> Q -> R",
+                                                    "(P -> Q -> R) -> P /\\ Q -> R"]
     branch_a = root.children[0]
-    assert case_labels(branch_a) == ["P", "Q"]
+    assert [c.case_goal for c in branch_a.children] == ["P", "Q"]
 
 
 def test_child_depth_is_parent_plus_one():
