@@ -5,7 +5,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import pipeline, script_parser, state_provider
-from .diagnostics import CoqatooError, Diagnostic, Severity, error
+from .diagnostics import CoqatooError, Diagnostic, Severity, decode_utf8, error
 from .rewriter import OutputMode, load_templates
 from .tree_builder import to_dot
 
@@ -64,13 +64,16 @@ def _rejects(diags: Sequence[Diagnostic], strict: bool) -> bool:
 
 
 def _read_source(path: str) -> str:
+    """The script's text, decoded as UTF-8.  A file's CR LF and CR line ends
+    become LF, as text-mode open() makes them; standard input's stay as read."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return decode_utf8(sys.stdin.buffer.read(), "standard input", "INPUT_ENCODING")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise CoqatooError(error("IO", f"cannot read {path}: {exc}"))
+    return decode_utf8(data, path, "INPUT_ENCODING").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write_output(output: str, path: Optional[str]) -> None:

@@ -1,8 +1,7 @@
 """Diagnostics shared by every pipeline stage."""
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 
 class Severity(Enum):
@@ -10,8 +9,7 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: Severity
     message: str
     code: str
@@ -36,3 +34,12 @@ def error(code: str, message: str, span: Optional[Tuple[int, int]] = None) -> Di
 
 def warning(code: str, message: str, span: Optional[Tuple[int, int]] = None) -> Diagnostic:
     return Diagnostic(Severity.WARNING, message, code, span)
+
+
+def decode_utf8(data: bytes, name: str, code: str) -> str:
+    """`data` as text; a byte that is not UTF-8 raises `code`, naming `name` and the byte's offset."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CoqatooError(error(code, f"{name} is not valid UTF-8: byte 0x{data[exc.start]:02x} "
+                                       f"at offset {exc.start} ({exc.reason})")) from None

@@ -1,8 +1,7 @@
 """State diffing: what did one tactic change between two proof states."""
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .goal_parser import Hypothesis, ProofState
 
@@ -16,8 +15,7 @@ class Classification(Enum):
     TRANSFORM = "transform"
 
 
-@dataclass(frozen=True)
-class StateDiff:
+class StateDiff(NamedTuple):
     added: Tuple[Hypothesis, ...]
     goal_before: str
     goal_after: Optional[str]

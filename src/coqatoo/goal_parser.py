@@ -11,8 +11,7 @@ printed, so the stages that print or compare a goal normalize it there.
 """
 
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .diagnostics import CoqatooError, error
 
@@ -26,14 +25,12 @@ def normalize_text(text: str) -> str:
     return " ".join(text.split())
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
     names: Tuple[str, ...]
     type_expr: str
 
 
-@dataclass(frozen=True)
-class ProofState:
+class ProofState(NamedTuple):
     subgoal_count: int
     hypotheses: Tuple[Hypothesis, ...]
     goals: Tuple[str, ...]

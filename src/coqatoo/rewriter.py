@@ -14,15 +14,12 @@ only the placeholders in `ALLOWED_PLACEHOLDERS`; further keys are allowed.
 
 from __future__ import annotations
 
-import dataclasses
 import re
-from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .diagnostics import CoqatooError, Diagnostic, error, warning
+from .diagnostics import CoqatooError, Diagnostic, decode_utf8, error, warning
 from .diff_engine import Classification, StateDiff, classify_bindings, is_heuristic
 from .goal_parser import Hypothesis, ProofState, normalize_text
 from .tree_builder import ProofNode, walk
@@ -49,15 +46,13 @@ class OutputMode(Enum):
     LATEX = "latex"
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(NamedTuple):
     sentences: tuple
     kind: AnnotationKind = AnnotationKind.EXPLAIN
     diagnostics: Tuple[Diagnostic, ...] = ()
 
 
-@dataclass(frozen=True)
-class TemplateSet:
+class TemplateSet(NamedTuple):
     language: str
     entries: Mapping[str, str]
 
@@ -77,12 +72,12 @@ class TemplateSet:
 
 
 def default_template_dir() -> Path:
-    return Path(resources.files("coqatoo") / "templates")
+    return Path(__file__).parent / "templates"
 
 
 def _parse_properties(path: Path) -> Dict[str, str]:
     entries: Dict[str, str] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in decode_utf8(path.read_bytes(), str(path), "TEMPLATE_PARSE").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -197,11 +192,20 @@ def _silent(item: ScriptItem, diff: StateDiff, ctx: ProofState, templates: Templ
 
 def _rewrite_info_auto(item: ScriptItem, diff: StateDiff, ctx: ProofState, templates: TemplateSet,
                        response_raw: Optional[str]) -> Annotation:
-    """Explain each tactic that info_auto reports it used."""
-    subs = [rewrite_step(dataclasses.replace(item, text=sub + "."), diff, ctx, templates)
-            for sub in _extract_auto_trace(response_raw)]
-    return Annotation(tuple(s for a in subs for s in a.sentences),
-                      diagnostics=tuple(d for a in subs for d in a.diagnostics))
+    """Explain each tactic that info_auto reports it used.
+
+    A reported tactic without a row in RULES makes the annotation OMITTED,
+    as that tactic would be if the script named it, and warns
+    UNSUPPORTED_TACTIC with the span of the `auto`.
+    """
+    subs = [item._replace(text=sub + ".") for sub in _extract_auto_trace(response_raw)]
+    annotations = [rewrite_step(sub, diff, ctx, templates) for sub in subs]
+    unruled = [warning("UNSUPPORTED_TACTIC", f'no rewriting rule for tactic "{sub.head}", which auto used',
+                       item.span)
+               for sub in subs if sub.head not in RULES]
+    return Annotation(tuple(s for a in annotations for s in a.sentences),
+                      AnnotationKind.OMITTED if unruled else AnnotationKind.EXPLAIN,
+                      tuple(d for a in annotations for d in a.diagnostics) + tuple(unruled))
 
 
 def _rewrite_assumption(item: ScriptItem, diff: StateDiff, ctx: ProofState, templates: TemplateSet,

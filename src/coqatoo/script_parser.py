@@ -8,11 +8,9 @@ survive.  Comments nest.
 the later stages run; they take its `Script`, never the item list.
 """
 
-import dataclasses
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .diagnostics import Diagnostic, CoqatooError, error, warning
 from .rewriter import RULES
@@ -36,17 +34,21 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _SELECTOR = re.compile(r"(?:\d[\d\s,-]*|all|par|!|\[\s*[\w']+\s*\])\s*:(?!=)")
 
 
-@dataclass(frozen=True)
-class ScriptItem:
+class _ScriptItemFields(NamedTuple):
     kind: ItemKind
     text: str
     span: Tuple[int, int]
     seq: int
     original: str = ""
 
-    def __post_init__(self):
-        if not self.original:
-            object.__setattr__(self, "original", self.text)
+
+class ScriptItem(_ScriptItemFields):
+    """One item of the script; `original` is the text as written, and
+    defaults to `text`."""
+    __slots__ = ()
+
+    def __new__(cls, kind: ItemKind, text: str, span: Tuple[int, int], seq: int, original: str = ""):
+        return super().__new__(cls, kind, text, span, seq, original or text)
 
     @property
     def command(self) -> str:
@@ -163,7 +165,7 @@ def preprocess_auto(items: List[ScriptItem]) -> List[ScriptItem]:
     for it in items:
         if it.kind is ItemKind.TACTIC and it.head == "auto":
             rewritten = it.text.replace("auto", "info_auto", 1)
-            out.append(dataclasses.replace(it, text=rewritten, original=it.original))
+            out.append(it._replace(text=rewritten))
         else:
             out.append(it)
     return out
@@ -203,8 +205,7 @@ def detect_unsupported(items: List[ScriptItem]) -> List[Diagnostic]:
     return diags
 
 
-@dataclass(frozen=True)
-class Script:
+class Script(NamedTuple):
     """The first lemma of a source file and the tactics of its proof."""
     lemma: ScriptItem
     tactics: Tuple[ScriptItem, ...]

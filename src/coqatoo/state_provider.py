@@ -4,19 +4,17 @@ Two providers share one output type: a live coqtop subprocess driver and
 a deterministic replay of a recorded `.cqtrace` fixture.  Fixtures are
 line-delimited JSON and store raw prover responses; parsing to
 ProofState happens lazily so recorded sessions survive parser changes.
+The live provider imports its process machinery (`subprocess`,
+`selectors`, `shutil`) where it uses it, so a replay never loads it.
 """
 
 import json
 import os
-import selectors
-import shutil
-import subprocess
 import time
-from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .diagnostics import CoqatooError, error
+from .diagnostics import CoqatooError, decode_utf8, error
 from .goal_parser import Hypothesis, ProofState, parse_state, normalize_text
 from .script_parser import Script, ScriptItem
 
@@ -27,17 +25,15 @@ _PROMPT_MARKER = b"</prompt>"
 _CHUNK_BYTES = 64 * 1024
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     tactic: str
     raw_state: str
 
 
-@dataclass(frozen=True)
-class SessionTrace:
+class SessionTrace(NamedTuple):
     lemma: str
     initial_raw: str
-    steps: Sequence[TraceStep] = field(default_factory=tuple)
+    steps: Sequence[TraceStep] = ()
     prover_version: str = ""
 
     def states(self) -> List[ProofState]:
@@ -67,10 +63,12 @@ def _fields(record, keys: Sequence[str], where: str) -> tuple:
 def run_replay(script: Script, fixture_path: str) -> SessionTrace:
     """Replay a recorded session, verifying it matches the script."""
     try:
-        with open(fixture_path, encoding="utf-8") as fh:
-            records = [json.loads(ln) for ln in fh.read().splitlines() if ln.strip()]
+        with open(fixture_path, "rb") as fh:
+            text = decode_utf8(fh.read(), f"fixture {fixture_path}", "FIXTURE_PARSE")
     except OSError as exc:
         raise CoqatooError(error("IO", f"cannot read fixture {fixture_path}: {exc}"))
+    try:
+        records = [json.loads(ln) for ln in text.splitlines() if ln.strip()]
     except json.JSONDecodeError as exc:
         raise CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {fixture_path}: {exc}"))
     if not records:
@@ -118,6 +116,8 @@ class _ProverSession:
     """
 
     def __init__(self, prover_path: str, timeout_secs: float):
+        import selectors
+        import subprocess
         self.timeout = timeout_secs
         self.proc = subprocess.Popen(
             [prover_path, "-emacs", "-q"],
@@ -176,6 +176,7 @@ def _exited(stderr: bytes) -> CoqatooError:
 
 def resolve_prover(cli_path: Optional[str] = None) -> Optional[str]:
     """CLI flag wins over COQATOO_PROVER; fall back to coqtop on PATH."""
+    import shutil
     candidate = cli_path or os.environ.get(PROVER_ENV_VAR) or "coqtop"
     return shutil.which(candidate)
 
@@ -183,6 +184,8 @@ def resolve_prover(cli_path: Optional[str] = None) -> Optional[str]:
 def run_live(script: Script, prover_path: str,
              timeout_secs: float = DEFAULT_TIMEOUT_SECS) -> SessionTrace:
     """Execute the script against a live prover, capturing each response."""
+    import shutil
+    import subprocess
     resolved = shutil.which(prover_path)
     if resolved is None:
         raise CoqatooError(error("PROVER_MISSING", f"prover executable not found: {prover_path}"))

@@ -7,8 +7,7 @@ unfilled children.  Bullet depth falls out of the nesting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .diagnostics import CoqatooError, error
 from .diff_engine import Classification, StateDiff
@@ -18,20 +17,22 @@ if TYPE_CHECKING:
     from .script_parser import ScriptItem
 
 
-@dataclass(frozen=True)
-class AnalyzedStep:
+class AnalyzedStep(NamedTuple):
     item: ScriptItem
     before: ProofState
     after: ProofState
     diff: StateDiff
 
 
-@dataclass
 class ProofNode:
-    depth: int
-    case_goal: Optional[str] = None
-    steps: List[Tuple[ScriptItem, StateDiff]] = field(default_factory=list)
-    children: List["ProofNode"] = field(default_factory=list)
+    """One case of the proof: its tactics in order, then its sub-cases."""
+    __slots__ = ("depth", "case_goal", "steps", "children")
+
+    def __init__(self, depth: int, case_goal: Optional[str] = None):
+        self.depth = depth
+        self.case_goal = case_goal
+        self.steps: List[Tuple[ScriptItem, StateDiff]] = []
+        self.children: List[ProofNode] = []
 
 
 def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:

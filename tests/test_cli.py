@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -303,3 +304,84 @@ def test_deep_narrow_chain_renders(tmp_path, extra):
     run = subprocess.run([sys.executable, "-m", "coqatoo.cli", str(script), "--provider", "replay",
                           "--fixture", str(trace), *extra], capture_output=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr.decode()[-800:]
+
+
+def test_auto_using_a_tactic_without_a_rule_is_omitted_and_warned(tmp_path, capsys):
+    """auto reports `simple exact I`, which has no row in rewriter.RULES."""
+    script, trace = write_replay_pair(tmp_path, "Lemma t : True.", state([], ["True"]), [
+        ("info_auto", "(* info auto: *)\nsimple exact I.\n\n" + DONE)])
+    script.write_text(script.read_text(encoding="utf-8").replace("info_auto.", "auto."), encoding="utf-8")
+    args = [str(script), "--provider", "replay", "--fixture", str(trace), "--mode", "plain"]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "(details omitted)\n"
+    auto_start = script.read_text(encoding="utf-8").index("auto.")
+    assert captured.err == (f"warning[UNSUPPORTED_TACTIC] at {auto_start}..{auto_start + 5}: "
+                            'no rewriting rule for tactic "exact", which auto used\n')
+    assert main(args + ["--strict"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def _undecodable_copy(source, target, marker):
+    """Copy `source` to `target` with a byte 0xff put in front of the first `marker`; the byte's offset."""
+    data = source.read_bytes()
+    at = data.index(marker)
+    target.write_bytes(data[:at] + b"\xff" + data[at:])
+    return at
+
+
+@pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+def test_undecodable_script_exits_1(tmp_path, capsys, monkeypatch, from_stdin):
+    bad = tmp_path / "bad.v"
+    at = _undecodable_copy(script_path("and_commutes"), bad, b"Proof.")
+    if from_stdin:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes())))
+    name = "standard input" if from_stdin else str(bad)
+    args = ["-" if from_stdin else str(bad), "--provider", "replay", "--fixture", str(fixture_path("and_commutes"))]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error[INPUT_ENCODING]: {name} is not valid UTF-8: byte 0xff at offset {at} ")
+
+
+def test_undecodable_fixture_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.cqtrace"
+    at = _undecodable_copy(fixture_path("and_commutes"), bad, b"intros")
+    assert main([str(script_path("and_commutes")), "--provider", "replay", "--fixture", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error[FIXTURE_PARSE]: fixture {bad} is not valid UTF-8: "
+                                   f"byte 0xff at offset {at} ")
+
+
+def test_undecodable_template_file_exits_1(tmp_path, capsys):
+    bad = tmp_path / "en.properties"
+    at = _undecodable_copy(ROOT / "src" / "coqatoo" / "templates" / "en.properties", bad, b"=")
+    assert main(replay_args("and_commutes", "--templates", str(tmp_path))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error[TEMPLATE_PARSE]: {bad} is not valid UTF-8: byte 0xff at offset {at} ")
+
+
+def _added_modules(code):
+    """The modules a fresh interpreter holds after running `code`, minus those of a bare one."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                                    os.environ.get("PYTHONPATH")])))
+    listing = "\nimport sys\nprint(' '.join(sys.modules))"
+
+    def modules(body):
+        run = subprocess.run([sys.executable, "-c", body + listing], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert run.returncode == 0, run.stderr[-800:]
+        return set(run.stdout.split())
+    return modules(code) - modules("pass")
+
+
+@pytest.mark.parametrize("code", [
+    "import coqatoo.cli",
+    "from coqatoo.cli import main\n"
+    f"assert main({replay_args('and_commutes', '--out', os.devnull)!r}) == 0",
+], ids=["import", "replay"])
+def test_cold_start_loads_no_process_machinery(code):
+    """Neither the import nor a replay run loads the live provider's modules, nor dataclasses."""
+    assert _added_modules(code) & {"dataclasses", "inspect", "subprocess", "selectors"} == set()

@@ -1,0 +1,33 @@
+"""The record types: defaults, copies with `_replace`, hashing and equality."""
+
+from coqatoo import ItemKind, ScriptItem, preprocess_auto, tokenize_script
+from coqatoo.tree_builder import ProofNode
+
+from helpers import load_trace
+
+
+def test_script_item_original_defaults_to_text():
+    item = ScriptItem(ItemKind.TACTIC, "intros.", (0, 7), 3)
+    assert item.original == "intros."
+    assert ScriptItem(ItemKind.TACTIC, "info_auto.", (0, 5), 3, "auto.").original == "auto."
+
+
+def test_preprocess_auto_keeps_the_written_text():
+    tactic = preprocess_auto(tokenize_script("Lemma t : True. Proof. auto with arith. Qed."))[2]
+    assert (tactic.text, tactic.original, tactic.head) == ("info_auto with arith.", "auto with arith.", "info_auto")
+    assert type(tactic) is ScriptItem
+
+
+def test_proof_nodes_share_no_lists():
+    first, second = ProofNode(depth=0), ProofNode(depth=1, case_goal="P")
+    first.steps.append("step")
+    first.children.append(second)
+    assert (second.steps, second.children) == ([], [])
+
+
+def test_states_are_hashable_and_compare_by_value():
+    _, trace = load_trace("conj_imp_equiv")
+    first, again = trace.states(), trace.states()
+    assert first == again
+    assert {hash(s) for s in first} == {hash(s) for s in again}
+    assert len(set(first + again)) == len(set(first))

@@ -1,5 +1,3 @@
-from dataclasses import dataclass, field
-
 import pytest
 
 from coqatoo import CoqatooError, load_templates, parse_state, render, rewrite_step
@@ -48,9 +46,11 @@ def test_missing_key_is_an_error(tmp_path, key):
     assert repr(key) in exc.value.diagnostic.message
 
 
-@dataclass(frozen=True)
 class _RecordingTemplates(TemplateSet):
-    filled: set = field(default_factory=set)
+    """A TemplateSet that notes each key it fills in `filled`."""
+
+    def __init__(self, *fields):
+        self.filled = set()
 
     def fill(self, key, **values):
         self.filled.add(key)
