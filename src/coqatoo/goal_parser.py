@@ -18,11 +18,25 @@ from .diagnostics import CoqatooError, error
 _HEADER = re.compile(r"^\s*(\d+)\s+(?:focused\s+)?subgoals?\b", re.M)
 _SUBGOAL_K = re.compile(r"^\s*subgoal\s+(\d+)\s+is\s*:\s*$")
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_']*$")
+# where str.splitlines() breaks a line besides "\n"
+_OTHER_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# below this length the normal-form check costs more than the split it saves
+_SHORT_TEXT = 16
 
 
 def normalize_text(text: str) -> str:
-    """Collapse all whitespace runs to single spaces."""
-    return " ".join(text.split())
+    """Collapse all whitespace runs to single spaces and strip the ends:
+    `" ".join(text.split())`.
+
+    Text already in that form comes back as it is, without a split.  The
+    only whitespace that `str.isprintable()` accepts is " ", so printable
+    text is in normal form when it has no double space and no blank at
+    either end.
+    """
+    if (len(text) < _SHORT_TEXT or not text.isprintable() or "  " in text
+            or text[0] == " " or text[-1] == " "):
+        return " ".join(text.split())
+    return text
 
 
 class Hypothesis(NamedTuple):
@@ -95,8 +109,10 @@ def parse_state(raw: str, contexts: Optional[Dict[str, Tuple[Hypothesis, ...]]] 
     if not m:
         raise CoqatooError(error("MALFORMED_STATE", "no subgoal header found in prover output"))
     count = int(m.group(1))
-    # one line break, so that find() sees the lines str.splitlines() sees
-    text = "\n".join(raw[m.end():].splitlines())
+    text = raw[m.end():]
+    if any(brk in text for brk in _OTHER_BREAKS):
+        # one line break, so that find() sees the lines str.splitlines() sees
+        text = "\n".join(text.splitlines())
     start, end = _find_separator(text)
     if start < 0:
         _parse_context(text)  # a bad hypothesis line is reported before the missing separator
@@ -111,12 +127,12 @@ def parse_state(raw: str, contexts: Optional[Dict[str, Tuple[Hypothesis, ...]]] 
     goals: List[str] = []
     current: List[str] = []
     for line in text[end + 1:].split("\n"):
-        if _SUBGOAL_K.match(line):
+        line = line.strip()
+        if line.startswith("subgoal") and _SUBGOAL_K.match(line):
             goals.append(" ".join(current))
             current = []
-            continue
-        if line.strip():
-            current.append(line.strip())
+        elif line:
+            current.append(line)
     goals.append(" ".join(current))
     if len(goals) != count:
         raise CoqatooError(error(

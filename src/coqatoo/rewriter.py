@@ -323,9 +323,11 @@ def render(tree: ProofNode, annotations: Mapping[int, Annotation], mode: OutputM
             lines.append(r"\begin{itemize}")
     if annotated:
         lines.append("Qed.")
+    body = lines or [""]   # an empty body prints as one empty line
     if latex:
-        return "\\begin{proof}\n" + "\n".join(lines) + "\n\\end{proof}\n"
-    return "\n".join(lines) + "\n"
+        body = [r"\begin{proof}", *body, r"\end{proof}"]
+    # one join, final "\n" included: a long proof's output is megabytes
+    return "\n".join([*body, ""])
 
 
 _LATEX_SPECIALS = {
@@ -337,4 +339,17 @@ _LATEX_SPECIALS = {
 
 
 def latex_escape(text: str) -> str:
-    return "".join(_LATEX_SPECIALS.get(ch, ch) for ch in text)
+    """`text` with each character of `_LATEX_SPECIALS` spelled as it says.
+
+    One `str.replace` per special character.  A backslash first becomes a
+    bare `\\textbackslash`, so that escaping the braces leaves its own `{}`
+    out; they are added after.  No later escape holds a character escaped
+    after it.
+    """
+    text = text.replace("\\", r"\textbackslash")
+    for ch in "{}":
+        text = text.replace(ch, _LATEX_SPECIALS[ch])
+    text = text.replace(r"\textbackslash", _LATEX_SPECIALS["\\"])
+    for ch in "_%&#$~^":
+        text = text.replace(ch, _LATEX_SPECIALS[ch])
+    return text

@@ -32,6 +32,11 @@ PROOF_END_KEYWORDS = {"Qed", "Defined", "Admitted", "Save"}
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 # N:, N-M:, N, M:, all:, par:, !: and [name]: in front of a tactic
 _SELECTOR = re.compile(r"(?:\d[\d\s,-]*|all|par|!|\[\s*[\w']+\s*\])\s*:(?!=)")
+_NON_SPACE = re.compile(r"\S")
+# what the scanners stop at: a string or comment opening, a comment end, ";"
+# and a sentence-ending "."; regex \s is exactly str.isspace(), so a "." ends
+# a sentence before whitespace or the end
+_TOKENS = re.compile(r'"|\(\*|\*\)|;|\.(?=\s|\Z)')
 
 
 class _ScriptItemFields(NamedTuple):
@@ -48,7 +53,7 @@ class ScriptItem(_ScriptItemFields):
     __slots__ = ()
 
     def __new__(cls, kind: ItemKind, text: str, span: Tuple[int, int], seq: int, original: str = ""):
-        return super().__new__(cls, kind, text, span, seq, original or text)
+        return tuple.__new__(cls, (kind, text, span, seq, original or text))
 
     @property
     def command(self) -> str:
@@ -57,45 +62,57 @@ class ScriptItem(_ScriptItemFields):
 
     @property
     def head(self) -> str:
-        m = _IDENT.match(self.command)
-        return m.group(0) if m else self.command
+        return _head(self.command)
+
+
+def _head(command: str) -> str:
+    """The tactic name a command starts with, or the whole command."""
+    m = _IDENT.match(command)
+    return m.group(0) if m else command
 
 
 def _scan_comment(source: str, i: int) -> int:
     """Return index just past the comment opening at i; raises if unterminated."""
-    start = i
     depth = 0
-    n = len(source)
-    while i < n:
-        if source.startswith("(*", i):
+    for m in _TOKENS.finditer(source, i):
+        token = m.group()
+        if token == "(*":
             depth += 1
-            i += 2
-        elif source.startswith("*)", i):
+        elif token == "*)":
             depth -= 1
-            i += 2
             if depth == 0:
-                return i
-        else:
-            i += 1
-    raise CoqatooError(error("UNTERMINATED_COMMENT", "comment opened here is never closed", (start, n)))
+                return m.end()
+    raise CoqatooError(error("UNTERMINATED_COMMENT", "comment opened here is never closed", (i, len(source))))
 
 
 def _scan_string(source: str, i: int) -> int:
     """Skip a Coq string literal starting at the quote; "" escapes a quote."""
-    n = len(source)
-    i += 1
-    while i < n:
-        if source[i] == '"':
-            if i + 1 < n and source[i + 1] == '"':
-                i += 2
-                continue
-            return i + 1
-        i += 1
-    return n
+    i = source.find('"', i + 1)
+    while i >= 0 and source.startswith('""', i):
+        i = source.find('"', i + 2)
+    return len(source) if i < 0 else i + 1
+
+
+def _find_stop(source: str, i: int, stop: str) -> int:
+    """Index of the first `stop` (";", or a "." that ends a sentence) at or
+    after i that lies outside string literals and comments, or -1."""
+    while True:
+        m = _TOKENS.search(source, i)
+        if m is None:
+            return -1
+        token = m.group()
+        if token == stop:
+            return m.start()
+        if token == '"':
+            i = _scan_string(source, m.start())
+        elif token == "(*":
+            i = _scan_comment(source, m.start())
+        else:
+            i = m.end()
 
 
 def _classify(sentence: str) -> ItemKind:
-    m = _IDENT.match(sentence.lstrip())
+    m = _IDENT.match(sentence)
     word = m.group(0) if m else ""
     if word in LEMMA_KEYWORDS:
         return ItemKind.LEMMA_HEADER
@@ -112,16 +129,14 @@ def tokenize_script(source: str) -> List[ScriptItem]:
     Raises CoqatooError with UNTERMINATED_COMMENT or NO_LEMMA.
     """
     items: List[ScriptItem] = []
-    i = 0
     n = len(source)
-    while i < n:
-        if source[i].isspace():
-            i += 1
-            continue
-        start = i
+    at = _NON_SPACE.search(source)
+    while at is not None:
+        start = i = at.start()
         if source.startswith("(*", i):
             i = _scan_comment(source, i)
             items.append(ScriptItem(ItemKind.COMMENT, source[start:i], (start, i), len(items)))
+            at = _NON_SPACE.search(source, i)
             continue
         if source[i] in "-+*{}":
             glyph = source[i]
@@ -132,24 +147,13 @@ def tokenize_script(source: str) -> List[ScriptItem]:
             if focus or j >= n or source[j].isspace():
                 kind = ItemKind.FOCUS if focus else ItemKind.BULLET
                 items.append(ScriptItem(kind, source[start:j], (start, j), len(items)))
-                i = j
+                at = _NON_SPACE.search(source, j)
                 continue
-        # scan one sentence up to "." followed by whitespace/EOF
-        j = i
-        while j < n:
-            if source[j] == '"':
-                j = _scan_string(source, j)
-                continue
-            if source.startswith("(*", j):
-                j = _scan_comment(source, j)
-                continue
-            if source[j] == "." and (j + 1 >= n or source[j + 1].isspace()):
-                j += 1
-                break
-            j += 1
+        stop = _find_stop(source, i, ".")
+        j = n if stop < 0 else stop + 1
         sentence = source[start:j]
         items.append(ScriptItem(_classify(sentence), sentence, (start, j), len(items)))
-        i = j
+        at = _NON_SPACE.search(source, j)
     if not any(it.kind is ItemKind.LEMMA_HEADER for it in items):
         raise CoqatooError(error("NO_LEMMA", "no lemma statement found in input"))
     return items
@@ -163,7 +167,7 @@ def preprocess_auto(items: List[ScriptItem]) -> List[ScriptItem]:
     """
     out = []
     for it in items:
-        if it.kind is ItemKind.TACTIC and it.head == "auto":
+        if it.kind is ItemKind.TACTIC and "auto" in it.text and it.head == "auto":
             rewritten = it.text.replace("auto", "info_auto", 1)
             out.append(it._replace(text=rewritten))
         else:
@@ -172,21 +176,12 @@ def preprocess_auto(items: List[ScriptItem]) -> List[ScriptItem]:
 
 
 def _has_toplevel_semicolon(text: str) -> bool:
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] == '"':
-            i = _scan_string(text, i)
-        elif text.startswith("(*", i):
-            try:
-                i = _scan_comment(text, i)
-            except CoqatooError:
-                return False
-        elif text[i] == ";":
-            return True
-        else:
-            i += 1
-    return False
+    if ";" not in text:
+        return False
+    try:
+        return _find_stop(text, 0, ";") >= 0
+    except CoqatooError:   # an unterminated comment hides the rest
+        return False
 
 
 def detect_unsupported(items: List[ScriptItem]) -> List[Diagnostic]:
@@ -196,12 +191,15 @@ def detect_unsupported(items: List[ScriptItem]) -> List[Diagnostic]:
     for it in items:
         if it.kind is not ItemKind.TACTIC:
             continue
+        command = it.command
         if _has_toplevel_semicolon(it.text):
-            diags.append(error("UNSUPPORTED_CHAIN", f'chained tactics are not supported: "{it.command}"', it.span))
-        elif _SELECTOR.match(it.command):
-            diags.append(error("UNSUPPORTED_SELECTOR", f'goal selectors are not supported: "{it.command}"', it.span))
-        elif it.head not in RULES:
-            diags.append(warning("UNSUPPORTED_TACTIC", f'no rewriting rule for tactic "{it.head}"', it.span))
+            diags.append(error("UNSUPPORTED_CHAIN", f'chained tactics are not supported: "{command}"', it.span))
+        elif ":" in command and _SELECTOR.match(command):   # every selector form ends in ":"
+            diags.append(error("UNSUPPORTED_SELECTOR", f'goal selectors are not supported: "{command}"', it.span))
+        else:
+            head = _head(command)
+            if head not in RULES:
+                diags.append(warning("UNSUPPORTED_TACTIC", f'no rewriting rule for tactic "{head}"', it.span))
     return diags
 
 

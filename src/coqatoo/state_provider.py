@@ -52,12 +52,14 @@ def _norm_tactic(text: str) -> str:
     return text[:-1].strip() if text.endswith(".") else text
 
 
-def _fields(record, keys: Sequence[str], where: str) -> tuple:
-    """The string values of `keys` in one decoded fixture record."""
-    if not (isinstance(record, dict) and all(isinstance(record.get(k), str) for k in keys)):
-        raise CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {where}: "
-                                 f"expected an object with string fields {', '.join(keys)}"))
-    return tuple(record[k] for k in keys)
+def _fields(record, first: str, second: str, fixture_path: str, number: int) -> Tuple[str, str]:
+    """The string values of `first` and `second` in one decoded fixture record."""
+    if isinstance(record, dict):
+        a, b = record.get(first), record.get(second)
+        if isinstance(a, str) and isinstance(b, str):
+            return a, b
+    raise CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {fixture_path} record {number}: "
+                             f"expected an object with string fields {first}, {second}"))
 
 
 def run_replay(script: Script, fixture_path: str) -> SessionTrace:
@@ -67,15 +69,18 @@ def run_replay(script: Script, fixture_path: str) -> SessionTrace:
             text = decode_utf8(fh.read(), f"fixture {fixture_path}", "FIXTURE_PARSE")
     except OSError as exc:
         raise CoqatooError(error("IO", f"cannot read fixture {fixture_path}: {exc}"))
+    if "\r" in text:   # a "\r\n" line end is one record end
+        text = text.replace("\r\n", "\n")
     try:
-        records = [json.loads(ln) for ln in text.splitlines() if ln.strip()]
+        # a record ends at "\n" only: a JSON string may hold U+2028 and the like raw
+        records = [json.loads(ln) for ln in text.split("\n") if ln and not ln.isspace()]
     except json.JSONDecodeError as exc:
         raise CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {fixture_path}: {exc}"))
     if not records:
         raise CoqatooError(error("FIXTURE_PARSE", f"fixture {fixture_path} is empty"))
-    lemma, initial = _fields(records[0], ("lemma", "initial_raw_state"), f"{fixture_path} record 1")
+    lemma, initial = _fields(records[0], "lemma", "initial_raw_state", fixture_path, 1)
     version = records[0].get("prover_version", "")
-    steps = tuple(TraceStep(*_fields(rec, ("tactic", "raw_state"), f"{fixture_path} record {i}"))
+    steps = tuple(TraceStep(*_fields(rec, "tactic", "raw_state", fixture_path, i))
                   for i, rec in enumerate(records[1:], start=2))
 
     script_lemma, fixture_lemma = normalize_text(script.lemma.text), normalize_text(lemma)

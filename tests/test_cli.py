@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -68,6 +69,19 @@ def test_golden_run(capsys):
     golden = (GOLDEN_DIR / "conj_imp_equiv.annotated.en.txt").read_text()
     assert normalize_rendering(captured.out) == normalize_rendering(golden)
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("version, line_end", [("Coq\u20288.9.1", "\n"), ("Coq\u2029\x858.9.1", "\n"),
+                                               ("Coq\u20288.9.1", "\r\n")], ids=["u2028", "u2029-nel", "crlf"])
+def test_fixture_with_a_raw_unicode_line_break_replays(tmp_path, capsys, version, line_end):
+    # records are separated by "\n" only: json.dumps(ensure_ascii=False) writes U+2028 raw in a string
+    lines = fixture_path("and_commutes").read_bytes().decode("utf-8").split("\n")
+    header = json.dumps(dict(json.loads(lines[0]), prover_version=version), ensure_ascii=False)
+    trace = tmp_path / "and_commutes.cqtrace"
+    trace.write_bytes(line_end.join([header] + lines[1:]).encode("utf-8"))
+    assert main([str(script_path("and_commutes")), "--provider", "replay", "--fixture", str(trace)]) == 0
+    golden = (GOLDEN_DIR / "and_commutes.annotated.en.txt").read_bytes().decode("utf-8")
+    assert capsys.readouterr().out == golden
 
 
 def three_cases_pair(directory):

@@ -1,6 +1,10 @@
+import sys
+
 import pytest
+from hypothesis import given, strategies as st
 
 from coqatoo import CoqatooError, Hypothesis, parse_state
+from coqatoo.goal_parser import _OTHER_BREAKS, normalize_text
 
 from helpers import LISTING_1, LISTING_2, all_fixture_states
 
@@ -106,3 +110,38 @@ def test_parse_total_on_corpus(corpus_name):
 def test_hypothesis_name_multiplicity():
     state = parse_state(LISTING_2)
     assert sum(len(h.names) for h in state.hypotheses) == 3
+
+
+def test_other_breaks_are_the_splitlines_breaks_but_lf():
+    # parse_state joins lines only when one of these is present
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert [ch for ch in every if len(f"a{ch}b".splitlines()) == 2 and ch != "\n"] == sorted(_OTHER_BREAKS)
+
+
+# --- normalize_text ---
+
+WHITESPACE = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
+_words = st.sampled_from(["P", "Q", "/\\", "->", "x_1", "é", "λ", "∀", "漢字"])
+
+
+def test_space_is_the_only_printable_whitespace():
+    # normalize_text returns printable text unsplit when " " is its only blank
+    assert len(WHITESPACE) == 29
+    assert [ch for ch in WHITESPACE if ch.isprintable()] == [" "]
+
+
+@st.composite
+def _texts(draw):
+    """Words joined by single spaces, short or long, then perhaps a few
+    blanks of any kind inserted anywhere."""
+    words = draw(st.lists(_words, max_size=draw(st.sampled_from([4, 300]))))
+    text = " ".join(words)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(WHITESPACE)) + text[at:]
+    return text
+
+
+@given(_texts() | st.text(st.sampled_from(WHITESPACE + ["a", "Z", "é", "漢", "/", "\\"])))
+def test_normalize_text_is_split_and_join(text):
+    assert normalize_text(text) == " ".join(text.split())

@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from coqatoo import CoqatooError, load_templates, parse_state, render, rewrite_step
 from coqatoo.diff_engine import diff_states
 from coqatoo.pipeline import annotate_steps, generate
-from coqatoo.rewriter import (REQUIRED_KEYS, RULES, AnnotationKind, OutputMode, TemplateSet, latex_escape,
-                              split_implication)
+from coqatoo.rewriter import (_LATEX_SPECIALS, REQUIRED_KEYS, RULES, AnnotationKind, OutputMode, TemplateSet,
+                              latex_escape, split_implication)
 from coqatoo.script_parser import ItemKind, ScriptItem
 from coqatoo.tree_builder import ProofNode
 
@@ -215,6 +216,11 @@ def test_latex_mode_escapes_and_wraps():
 def test_latex_escape_covers_specials():
     assert latex_escape("a_b%c&d#e$f{g}~h^i\\j") == (
         r"a\_b\%c\&d\#e\$f\{g\}\textasciitilde{}h\textasciicircum{}i\textbackslash{}j")
+
+
+@given(st.lists(st.sampled_from(sorted(_LATEX_SPECIALS) + ["a", " ", "é", "textbackslash", "\\{"])).map("".join))
+def test_latex_escape_is_the_table_applied_per_character(text):
+    assert latex_escape(text) == "".join(_LATEX_SPECIALS.get(ch, ch) for ch in text)
 
 
 def test_empty_proof_render():

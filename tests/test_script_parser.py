@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -178,12 +181,16 @@ def test_focus_braces_are_their_own_items():
 
 # --- property-based lexing ---
 
-_tactics = st.sampled_from(["intros", "apply H", "assumption", "split", "auto", "ring", "intros H HP"])
-_gaps = st.sampled_from([" ", "  ", "\n", "\n  ", "\t\n"])
+_tactics = st.sampled_from(["intros", "apply H", "assumption", "split", "auto", "ring", "intros H HP",
+                            # a ".", "(*" or ";" inside a string or a comment ends nothing
+                            'idtac "a. b"', 'idtac "x (* y"', 'idtac "p; q"', 'idtac "say ""hi"". "',
+                            "apply H (* why. (* nested; *) ok *)", "exact (conj I I) (* . *)"])
+_gaps = st.sampled_from([" ", "  ", "\n", "\n  ", "\t\n", "\x0c", "\xa0", "\u2028", "\u3000", "\x1c"])
 
 
 @st.composite
 def _scripts(draw):
+    """(source, the text of each item in order)."""
     parts = ["Lemma t : True.", "Proof."]
     for _ in range(draw(st.integers(0, 5))):
         if draw(st.booleans()):
@@ -192,13 +199,20 @@ def _scripts(draw):
             parts.append(draw(st.sampled_from(["{", "}", "-", "--", "+"])))
         parts.append(draw(_tactics) + ".")
     parts.append("Qed.")
+    unterminated = draw(st.booleans())
+    if unterminated:
+        parts.append(draw(_tactics))   # a sentence without its ".", which runs to the end
     gaps = [draw(_gaps) for _ in parts]
-    return "".join(g + p for g, p in zip(gaps, parts)) + draw(_gaps)
+    # the last item may end at the end of the input
+    end = "" if unterminated else draw(_gaps | st.just(""))
+    return "".join(g + p for g, p in zip(gaps, parts)) + end, parts
 
 
 @given(_scripts())
-def test_lossless_lexing(src):
+def test_lossless_lexing(drawn):
+    src, parts = drawn
     items = tokenize_script(src)
+    assert [it.text for it in items] == parts
     pos = 0
     rebuilt = []
     for it in items:
@@ -210,7 +224,13 @@ def test_lossless_lexing(src):
     assert "".join(rebuilt) == src
 
 
+def test_regex_whitespace_is_str_isspace():
+    # the tokenizer finds sentence ends and skips blanks with regex \s
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [ch for ch in every if ch.isspace()]
+
+
 @given(_scripts())
-def test_preprocess_idempotence_property(src):
-    once = preprocess_auto(tokenize_script(src))
+def test_preprocess_idempotence_property(drawn):
+    once = preprocess_auto(tokenize_script(drawn[0]))
     assert preprocess_auto(once) == once
