@@ -1,8 +1,9 @@
 """Command-line front end: parse -> states -> diffs -> tree -> rewrite -> render."""
 
 import argparse
+import os
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, TextIO
 
 from . import pipeline, script_parser, state_provider
 from .diagnostics import CoqatooError, Diagnostic, Severity, decode_utf8, error
@@ -76,15 +77,37 @@ def _read_source(path: str) -> str:
     return decode_utf8(data, path, "INPUT_ENCODING").replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _write_output(output: str, path: Optional[str]) -> None:
-    if not path:
-        sys.stdout.write(output)
+# characters per write: under PYTHONUNBUFFERED=1 each write to standard output is a system call
+_CHUNK_CHARS = 64 * 1024
+
+
+def _write_lines(lines: Sequence[str], fh: TextIO) -> None:
+    """Write each line and a "\n" after it, about `_CHUNK_CHARS` at a time."""
+    start = size = 0
+    for end, line in enumerate(lines, 1):
+        size += len(line) + 1
+        if size >= _CHUNK_CHARS or end == len(lines):
+            fh.write("\n".join(lines[start:end]) + "\n")
+            start, size = end, 0
+
+
+def _write_output(lines: Sequence[str], path: Optional[str]) -> None:
+    if path:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                _write_lines(lines, fh)
+        except OSError as exc:
+            raise CoqatooError(error("IO", f"cannot write {path}: {exc}"))
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(output)
+        _write_lines(lines, sys.stdout)
+        sys.stdout.flush()
     except OSError as exc:
-        raise CoqatooError(error("IO", f"cannot write {path}: {exc}"))
+        # the interpreter flushes standard output again at exit: that write goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise CoqatooError(error("IO", f"cannot write standard output: {exc}"))
 
 
 def run(config: argparse.Namespace) -> int:
@@ -105,13 +128,13 @@ def run(config: argparse.Namespace) -> int:
                 state_provider.record_session(trace, config.record_path)
 
         if config.dot:
-            output = to_dot(pipeline.build_proof_tree(script, trace)) + "\n"
+            lines = to_dot(pipeline.build_proof_tree(script, trace))
         else:
             templates = load_templates(config.templates_dir, config.language)
-            output, diags = pipeline.generate(script, trace, templates, OutputMode(config.mode))
+            lines, diags = pipeline.generate(script, trace, templates, OutputMode(config.mode))
             if _rejects(diags, config.strict):
                 return 1
-        _write_output(output, config.out_path)
+        _write_output(lines, config.out_path)
     except CoqatooError as exc:
         _print_diag(exc.diagnostic)
         return 2 if exc.diagnostic.code in _EXIT2_CODES else 1

@@ -36,10 +36,11 @@ def warning(code: str, message: str, span: Optional[Tuple[int, int]] = None) -> 
     return Diagnostic(Severity.WARNING, message, code, span)
 
 
-def decode_utf8(data: bytes, name: str, code: str) -> str:
-    """`data` as text; a byte that is not UTF-8 raises `code`, naming `name` and the byte's offset."""
+def decode_utf8(data: bytes, name: str, code: str, offset: int = 0) -> str:
+    """`data` as text; a byte that is not UTF-8 raises `code`, naming `name` and the byte's offset
+    in `name`, where `data` starts at `offset`."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CoqatooError(error(code, f"{name} is not valid UTF-8: byte 0x{data[exc.start]:02x} "
-                                       f"at offset {exc.start} ({exc.reason})")) from None
+                                       f"at offset {offset + exc.start} ({exc.reason})")) from None

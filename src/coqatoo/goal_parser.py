@@ -28,13 +28,17 @@ def normalize_text(text: str) -> str:
     """Collapse all whitespace runs to single spaces and strip the ends:
     `" ".join(text.split())`.
 
-    Text already in that form comes back as it is, without a split.  The
-    only whitespace that `str.isprintable()` accepts is " ", so printable
-    text is in normal form when it has no double space and no blank at
-    either end.
+    Text already in that form comes back as it is, without a split: text
+    whose only blank is " " is in normal form when it has no double space
+    and no blank at either end.  ASCII text is searched for the nine other
+    ASCII blanks, one `in` each, which is faster than `isprintable()`;
+    other text must be printable, since " " is the only whitespace that
+    `str.isprintable()` accepts.
     """
-    if (len(text) < _SHORT_TEXT or not text.isprintable() or "  " in text
-            or text[0] == " " or text[-1] == " "):
+    if (len(text) < _SHORT_TEXT or "  " in text or text[0] == " " or text[-1] == " "
+            or (("\n" in text or "\t" in text or "\r" in text or "\x0b" in text or "\x0c" in text
+                 or "\x1c" in text or "\x1d" in text or "\x1e" in text or "\x1f" in text)
+                if text.isascii() else not text.isprintable())):
         return " ".join(text.split())
     return text
 

@@ -35,8 +35,8 @@ def build_proof_tree(script: Script, trace: SessionTrace) -> ProofNode:
 
 
 def generate(script: Script, trace: SessionTrace, templates: TemplateSet,
-             mode: OutputMode) -> Tuple[str, List[Diagnostic]]:
-    """The rendered proof, and the warnings its rewriting raised."""
+             mode: OutputMode) -> Tuple[List[str], List[Diagnostic]]:
+    """The rendered proof's lines, and the warnings its rewriting raised."""
     steps = analyze_trace(script, trace)
     tree = build_tree(steps)
     annotations = annotate_steps(steps, templates)

@@ -60,7 +60,12 @@ class TemplateSet(NamedTuple):
         if key not in self.entries:
             raise CoqatooError(error("TEMPLATE_MISSING_KEY",
                                      f"template key {key!r} missing for language {self.language!r}"))
-        return _PLACEHOLDER.sub(lambda m: values.get(m.group(1), m.group(0)), self.entries[key])
+        template = self.entries[key]
+        if len(values) == 1:
+            # the pattern maps a placeholder without a value to itself, so one value is one replace
+            (name, value), = values.items()
+            return template.replace(f"{{{name}}}", value)
+        return _PLACEHOLDER.sub(lambda m: values.get(m.group(1), m.group(0)), template)
 
     def join(self, parts: Sequence[str]) -> str:
         """Build "A, B and C" with the language's joiner word."""
@@ -290,8 +295,9 @@ REQUIRED_KEYS = {"list.joiner", "case.label", "plain.omitted"} | {k for _, keys 
 
 
 def render(tree: ProofNode, annotations: Mapping[int, Annotation], mode: OutputMode,
-           lemma: str, templates: TemplateSet) -> str:
-    """Render the annotated, plain-text or LaTeX version of the proof."""
+           lemma: str, templates: TemplateSet) -> List[str]:
+    """The lines of the annotated, plain-text or LaTeX version of the proof,
+    each without its "\n"."""
     annotated, latex = mode is OutputMode.ANNOTATED, mode is OutputMode.LATEX
     lines = [normalize_text(lemma), "Proof."] if annotated else []
     for entering, node in walk(tree):
@@ -323,11 +329,12 @@ def render(tree: ProofNode, annotations: Mapping[int, Annotation], mode: OutputM
             lines.append(r"\begin{itemize}")
     if annotated:
         lines.append("Qed.")
-    body = lines or [""]   # an empty body prints as one empty line
+    if not lines:
+        lines.append("")   # an empty body prints as one empty line
     if latex:
-        body = [r"\begin{proof}", *body, r"\end{proof}"]
-    # one join, final "\n" included: a long proof's output is megabytes
-    return "\n".join([*body, ""])
+        lines.insert(0, r"\begin{proof}")
+        lines.append(r"\end{proof}")
+    return lines
 
 
 _LATEX_SPECIALS = {

@@ -12,7 +12,7 @@ import json
 import os
 import time
 from itertools import zip_longest
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import BinaryIO, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .diagnostics import CoqatooError, decode_utf8, error
 from .goal_parser import Hypothesis, ProofState, parse_state, normalize_text
@@ -62,26 +62,65 @@ def _fields(record, first: str, second: str, fixture_path: str, number: int) -> 
                              f"expected an object with string fields {first}, {second}"))
 
 
+def _header(record, fixture_path: str) -> Tuple[str, str, str]:
+    """Lemma, initial response and prover version of a decoded header record."""
+    lemma, initial = _fields(record, "lemma", "initial_raw_state", fixture_path, 1)
+    version = record.get("prover_version", "")
+    if not isinstance(version, str):
+        raise CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {fixture_path} record 1: "
+                                 "expected a string prover_version"))
+    return lemma, initial, version
+
+
+def _read_fixture(fh: BinaryIO, fixture_path: str) -> Tuple[str, str, str, Tuple[TraceStep, ...]]:
+    """Lemma, initial response, prover version and steps of an open fixture,
+    read one record at a time.
+
+    The diagnostics are those of decoding the whole file before any record:
+    the first byte that is not UTF-8, else the first record that is not
+    JSON, else the first record of the wrong shape.
+    """
+    name = f"fixture {fixture_path}"
+    header: Optional[Tuple[str, str, str]] = None
+    steps: List[TraceStep] = []
+    bad_json = bad_record = None   # raised once every byte has decoded
+    offset = number = 0
+    for raw in fh:   # a record ends at "\n" only: a JSON string may hold U+2028 and the like raw
+        text = decode_utf8(raw, name, "FIXTURE_PARSE", offset)
+        offset += len(raw)
+        if text.endswith("\n"):   # a "\r\n" line end is one record end
+            text = text[:-2] if text.endswith("\r\n") else text[:-1]
+        if bad_json or not text or text.isspace():
+            continue
+        number += 1
+        try:
+            record = json.loads(text)
+        except json.JSONDecodeError as exc:
+            bad_json = CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {fixture_path}: {exc}"))
+            continue
+        if bad_record:
+            continue
+        try:
+            if header is None:
+                header = _header(record, fixture_path)
+            else:
+                steps.append(TraceStep(*_fields(record, "tactic", "raw_state", fixture_path, number)))
+        except CoqatooError as exc:
+            bad_record = exc
+    if bad_json or bad_record:
+        raise bad_json or bad_record
+    if header is None:
+        raise CoqatooError(error("FIXTURE_PARSE", f"fixture {fixture_path} is empty"))
+    return (*header, tuple(steps))
+
+
 def run_replay(script: Script, fixture_path: str) -> SessionTrace:
     """Replay a recorded session, verifying it matches the script."""
     try:
         with open(fixture_path, "rb") as fh:
-            text = decode_utf8(fh.read(), f"fixture {fixture_path}", "FIXTURE_PARSE")
+            lemma, initial, version, steps = _read_fixture(fh, fixture_path)
     except OSError as exc:
         raise CoqatooError(error("IO", f"cannot read fixture {fixture_path}: {exc}"))
-    if "\r" in text:   # a "\r\n" line end is one record end
-        text = text.replace("\r\n", "\n")
-    try:
-        # a record ends at "\n" only: a JSON string may hold U+2028 and the like raw
-        records = [json.loads(ln) for ln in text.split("\n") if ln and not ln.isspace()]
-    except json.JSONDecodeError as exc:
-        raise CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {fixture_path}: {exc}"))
-    if not records:
-        raise CoqatooError(error("FIXTURE_PARSE", f"fixture {fixture_path} is empty"))
-    lemma, initial = _fields(records[0], "lemma", "initial_raw_state", fixture_path, 1)
-    version = records[0].get("prover_version", "")
-    steps = tuple(TraceStep(*_fields(rec, "tactic", "raw_state", fixture_path, i))
-                  for i, rec in enumerate(records[1:], start=2))
 
     script_lemma, fixture_lemma = normalize_text(script.lemma.text), normalize_text(lemma)
     if fixture_lemma != script_lemma:

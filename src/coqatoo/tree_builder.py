@@ -105,8 +105,8 @@ def leaves(node: ProofNode) -> List[ProofNode]:
     return [n for entering, n in walk(node) if entering and not n.children]
 
 
-def to_dot(root: ProofNode) -> str:
-    """Render the tree as a DOT digraph for debugging."""
+def to_dot(root: ProofNode) -> List[str]:
+    """The lines of the tree as a DOT digraph for debugging, each without its "\n"."""
     lines = ["digraph proof {", "  node [shape=box];"]
     open_ids: List[int] = []   # ids of the nodes entered and not yet left
     count = 0
@@ -123,4 +123,4 @@ def to_dot(root: ProofNode) -> str:
         open_ids.append(count)
         count += 1
     lines.append("}")
-    return "\n".join(lines)
+    return lines

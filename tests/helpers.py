@@ -73,6 +73,11 @@ def normalize_rendering(text: str) -> str:
     return "\n".join(out)
 
 
+def output_text(lines: Sequence[str]) -> str:
+    """Output lines as the CLI prints them: each followed by "\n"."""
+    return "".join(line + "\n" for line in lines)
+
+
 def tactic_commands(items: List[ScriptItem]) -> List[str]:
     return [" ".join(it.command.split()) for it in items if it.kind is ItemKind.TACTIC]
 

@@ -16,7 +16,7 @@ from coqatoo.goal_parser import Hypothesis
 
 from helpers import (CORPUS, GOLDEN_DIR, LISTING_1, LISTING_2, all_fixture_states,
                      analyzed_steps, fixture_path, load_script, load_trace,
-                     normalize_rendering, roundtrip_tactics, script_path, tactic_commands)
+                     normalize_rendering, output_text, roundtrip_tactics, script_path, tactic_commands)
 
 
 def _report(name):
@@ -64,9 +64,9 @@ def test_tree_shape():
 @pytest.mark.parametrize("name", CORPUS)
 def test_round_trip(name):
     script, trace = load_trace(name)
-    out, _ = generate(script, trace, load_templates(), OutputMode.ANNOTATED)
+    lines, _ = generate(script, trace, load_templates(), OutputMode.ANNOTATED)
     source_tactics = tactic_commands(tokenize_script(script_path(name).read_text()))
-    assert roundtrip_tactics(out) == source_tactics
+    assert roundtrip_tactics(output_text(lines)) == source_tactics
     _report(f"round-trip tactic order ({name})")
 
 
@@ -96,8 +96,8 @@ def test_language_completeness():
     en = load_templates(language="en")
     assert set(fr.entries) == set(en.entries)
     script, trace = load_trace("conj_imp_equiv")
-    out, _ = generate(script, trace, fr, OutputMode.ANNOTATED)
-    assert "Supposons" in out
+    lines, _ = generate(script, trace, fr, OutputMode.ANNOTATED)
+    assert "Supposons" in output_text(lines)
     _report("language completeness (fr renders the golden example)")
 
 

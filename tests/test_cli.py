@@ -7,10 +7,13 @@ import time
 
 import pytest
 
+from coqatoo import load_templates, parse_script, run_replay, to_dot
 from coqatoo.cli import main, parse_args
+from coqatoo.pipeline import build_proof_tree, generate
+from coqatoo.rewriter import OutputMode
 
 from helpers import (CORPUS, DONE, GOLDEN_DIR, ROOT, conjunction_chain, fixture_path, narrow_chain,
-                     normalize_rendering, script_path, state, write_prover, write_replay_pair)
+                     normalize_rendering, output_text, script_path, state, write_prover, write_replay_pair)
 
 
 def replay_args(name, *extra):
@@ -235,11 +238,16 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error[IO]: cannot write ")
 
 
-def test_heuristic_classification_is_a_diagnostic(tmp_path, capsys):
+def _heuristic_args(directory):
+    """Replay arguments of a proof whose `intros` raises HEURISTIC_CLASSIFICATION."""
     lemma = "Lemma t : forall p : nat * nat, True."
     steps = [("intros", state(["p : nat * nat"], ["True"])), ("assumption", DONE)]
-    script, trace = write_replay_pair(tmp_path, lemma, state([], ["forall p : nat * nat, True"]), steps)
-    args = [str(script), "--provider", "replay", "--fixture", str(trace)]
+    script, trace = write_replay_pair(directory, lemma, state([], ["forall p : nat * nat, True"]), steps)
+    return [str(script), "--provider", "replay", "--fixture", str(trace)]
+
+
+def test_heuristic_classification_is_a_diagnostic(tmp_path, capsys):
+    args = _heuristic_args(tmp_path)
     assert main(args) == 0
     captured = capsys.readouterr()
     assert captured.err.startswith("warning[HEURISTIC_CLASSIFICATION] at ")
@@ -307,17 +315,90 @@ def test_malformed_trace_exits_1(tmp_path, capsys, steps, dot):
     assert "MALFORMED_TRACE" in capsys.readouterr().err
 
 
+def _cli_env(**changes):
+    """This environment with src/ on PYTHONPATH and `changes` made; None removes a variable."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                                    os.environ.get("PYTHONPATH")])))
+    for name, value in changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def _cli_command(script, trace, *extra):
+    return [sys.executable, "-m", "coqatoo.cli", str(script), "--provider", "replay", "--fixture", str(trace),
+            *extra]
+
+
 @pytest.mark.parametrize("extra", [["--mode", "annotated"], ["--mode", "plain"], ["--mode", "latex"], ["--dot"]],
                          ids=["annotated", "plain", "latex", "dot"])
 def test_deep_narrow_chain_renders(tmp_path, extra):
     """A tree 899 cases deep renders in every output: the tree walk uses one
     stack frame per level.  A subprocess, so pytest's frames do not count."""
     script, trace = write_replay_pair(tmp_path, *narrow_chain(900))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                                    os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-m", "coqatoo.cli", str(script), "--provider", "replay",
-                          "--fixture", str(trace), *extra], capture_output=True, env=env, timeout=120)
+    run = subprocess.run(_cli_command(script, trace, *extra), capture_output=True, env=_cli_env(), timeout=120)
     assert run.returncode == 0, run.stderr.decode()[-800:]
+
+
+@pytest.mark.parametrize("dot", [False, True], ids=["annotated", "dot"])
+def test_output_over_64_kib_is_the_same_through_every_writer(tmp_path, dot):
+    """Standard output (a pipe here), unbuffered or not, and --out get the
+    bytes of the rendered lines, written in chunks of about 64 KiB."""
+    script, trace = write_replay_pair(tmp_path, *narrow_chain(250))
+    command = _cli_command(script, trace, *(["--dot"] if dot else []))
+    outputs = []
+    for unbuffered in ("1", None):
+        run = subprocess.run(command, capture_output=True, env=_cli_env(PYTHONUNBUFFERED=unbuffered), timeout=120)
+        assert (run.returncode, run.stderr) == (0, b"")
+        outputs.append(run.stdout)
+    out = tmp_path / "out.txt"
+    run = subprocess.run(command + ["--out", str(out)], capture_output=True, env=_cli_env(), timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, b"", b"")
+    outputs.append(out.read_bytes())
+
+    parsed, _ = parse_script(script.read_text(encoding="utf-8"))
+    replayed = run_replay(parsed, str(trace))
+    lines = (to_dot(build_proof_tree(parsed, replayed)) if dot
+             else generate(parsed, replayed, load_templates(), OutputMode.ANNOTATED)[0])
+    expected = output_text(lines).encode("utf-8")
+    assert len(expected) > 2 * 64 * 1024
+    assert outputs == [expected] * 3
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("target, reason", [("/dev/full", "[Errno 28] No space left on device"),
+                                            ("closed pipe", "[Errno 32] Broken pipe")],
+                         ids=["dev-full", "closed-pipe"])
+def test_failed_write_to_stdout_exits_2(target, reason, unbuffered):
+    """One IO diagnostic, as for --out; no traceback, and nothing at exit."""
+    if target == "/dev/full":
+        stdout = os.open(target, os.O_WRONLY)
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    try:
+        run = subprocess.run(_cli_command(script_path("and_commutes"), fixture_path("and_commutes")),
+                             stdout=stdout, stderr=subprocess.PIPE, env=_cli_env(PYTHONUNBUFFERED=unbuffered),
+                             timeout=60)
+    finally:
+        os.close(stdout)
+    assert run.returncode == 2
+    assert run.stderr.decode() == f"error[IO]: cannot write standard output: {reason}\n"
+
+
+@pytest.mark.parametrize("failing_args", [
+    lambda _: replay_args("and_commutes")[:-1] + [str(fixture_path("modus_ponens"))],
+    lambda directory: _heuristic_args(directory) + ["--strict"],
+], ids=["fixture-mismatch", "strict-warning"])
+def test_failed_run_writes_no_output(tmp_path, capsys, failing_args):
+    args = failing_args(tmp_path)
+    out = tmp_path / "out.txt"
+    assert main(args + ["--out", str(out)]) == 1
+    assert not out.exists()
+    assert main(args) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_auto_using_a_tactic_without_a_rule_is_omitted_and_warned(tmp_path, capsys):
@@ -379,8 +460,7 @@ def test_undecodable_template_file_exits_1(tmp_path, capsys):
 
 def _added_modules(code):
     """The modules a fresh interpreter holds after running `code`, minus those of a bare one."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                                    os.environ.get("PYTHONPATH")])))
+    env = _cli_env()
     listing = "\nimport sys\nprint(' '.join(sys.modules))"
 
     def modules(body):

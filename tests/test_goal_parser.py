@@ -122,6 +122,7 @@ def test_other_breaks_are_the_splitlines_breaks_but_lf():
 
 WHITESPACE = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
 _words = st.sampled_from(["P", "Q", "/\\", "->", "x_1", "é", "λ", "∀", "漢字"])
+_ascii_words = st.sampled_from(["P", "Q", "/\\", "->", "x_1", "~", "(", ")"])
 
 
 def test_space_is_the_only_printable_whitespace():
@@ -132,9 +133,10 @@ def test_space_is_the_only_printable_whitespace():
 
 @st.composite
 def _texts(draw):
-    """Words joined by single spaces, short or long, then perhaps a few
-    blanks of any kind inserted anywhere."""
-    words = draw(st.lists(_words, max_size=draw(st.sampled_from([4, 300]))))
+    """Words, some or all ASCII, joined by single spaces, short or long,
+    then perhaps a few blanks of any kind inserted anywhere."""
+    words = draw(st.lists(draw(st.sampled_from([_words, _ascii_words])),
+                          max_size=draw(st.sampled_from([4, 300]))))
     text = " ".join(words)
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(text)))
@@ -145,3 +147,10 @@ def _texts(draw):
 @given(_texts() | st.text(st.sampled_from(WHITESPACE + ["a", "Z", "é", "漢", "/", "\\"])))
 def test_normalize_text_is_split_and_join(text):
     assert normalize_text(text) == " ".join(text.split())
+
+
+def test_normalize_text_sees_one_blank_of_any_kind_in_long_text():
+    for word in ("x_1", "漢字"):   # ASCII text and other text take different checks
+        for blank in WHITESPACE:
+            text = f"P /\\ {word} ->{blank}Q /\\ R"
+            assert normalize_text(text) == " ".join(text.split()), repr(blank)

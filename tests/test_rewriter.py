@@ -4,13 +4,13 @@ from hypothesis import given, strategies as st
 from coqatoo import CoqatooError, load_templates, parse_state, render, rewrite_step
 from coqatoo.diff_engine import diff_states
 from coqatoo.pipeline import annotate_steps, generate
-from coqatoo.rewriter import (_LATEX_SPECIALS, REQUIRED_KEYS, RULES, AnnotationKind, OutputMode, TemplateSet,
-                              latex_escape, split_implication)
+from coqatoo.rewriter import (_LATEX_SPECIALS, _PLACEHOLDER, ALLOWED_PLACEHOLDERS, REQUIRED_KEYS, RULES,
+                              AnnotationKind, OutputMode, TemplateSet, latex_escape, split_implication)
 from coqatoo.script_parser import ItemKind, ScriptItem
 from coqatoo.tree_builder import ProofNode
 
 from helpers import (GOLDEN_DIR, LISTING_1, LISTING_2, analyzed_steps, load_trace,
-                     normalize_rendering, roundtrip_tactics, script_path, tactic_commands)
+                     normalize_rendering, output_text, roundtrip_tactics, script_path, tactic_commands)
 from coqatoo import tokenize_script
 
 EN = load_templates()
@@ -187,8 +187,8 @@ def test_mixed_intros_stays_within_two_sentences():
 
 def _generate(name, mode, lang="en"):
     script, trace = load_trace(name)
-    output, _ = generate(script, trace, load_templates(language=lang), mode)
-    return output
+    lines, _ = generate(script, trace, load_templates(language=lang), mode)
+    return output_text(lines)
 
 
 def test_annotated_golden_output():
@@ -223,10 +223,23 @@ def test_latex_escape_is_the_table_applied_per_character(text):
     assert latex_escape(text) == "".join(_LATEX_SPECIALS.get(ch, ch) for ch in text)
 
 
+_TEMPLATE_PIECES = ["{goal}", "{{goal}}", "{list}", "{hyp}", "{goal", "goal}", "{", "}", "{}", "{go al}", " ",
+                    "é"]
+_VALUE_PIECES = ["{goal}", "{list}", "{", "}", "x", "\\1", "\\g<0>", "é"]
+
+
+@given(st.lists(st.sampled_from(_TEMPLATE_PIECES)).map("".join), st.sampled_from(sorted(ALLOWED_PLACEHOLDERS)),
+       st.lists(st.sampled_from(_VALUE_PIECES)).map("".join))
+def test_fill_with_one_value_is_the_placeholder_pattern(template, name, value):
+    values = {name: value}
+    expected = _PLACEHOLDER.sub(lambda m: values.get(m.group(1), m.group(0)), template)
+    assert TemplateSet("en", {"k": template}).fill("k", **values) == expected
+
+
 def test_empty_proof_render():
     tree = ProofNode(depth=0)
     out = render(tree, {}, OutputMode.ANNOTATED, "Lemma t :\n  True.", EN)
-    assert out == "Lemma t : True.\nProof.\nQed.\n"
+    assert out == ["Lemma t : True.", "Proof.", "Qed."]
 
 
 def test_french_rendering_completes(corpus_name):

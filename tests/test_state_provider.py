@@ -2,10 +2,12 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coqatoo import (CoqatooError, SessionTrace, parse_script, parse_state,
                      record_session, run_live, run_replay)
-from coqatoo.state_provider import resolve_prover
+from coqatoo.diagnostics import decode_utf8, error
+from coqatoo.state_provider import TraceStep, _fields, _read_fixture, resolve_prover
 
 from helpers import LISTING_1, LISTING_2, fixture_path, load_script, load_trace
 
@@ -101,6 +103,92 @@ def test_fixture_header_of_wrong_type(tmp_path, fields):
     with pytest.raises(CoqatooError) as exc:
         run_replay(load_script("conj_imp_equiv"), str(_rewrite_header(tmp_path, **fields)))
     assert exc.value.diagnostic.code == "FIXTURE_PARSE"
+
+
+def test_fixture_prover_version_of_wrong_type(tmp_path):
+    with pytest.raises(CoqatooError) as exc:
+        run_replay(load_script("conj_imp_equiv"), str(_rewrite_header(tmp_path, prover_version=["x"])))
+    assert exc.value.diagnostic.code == "FIXTURE_PARSE"
+    assert "prover_version" in exc.value.diagnostic.message
+
+
+def _whole_file_reference(path):
+    """The fixture reader that decoded the whole file, then split it into records."""
+    text = decode_utf8(path.read_bytes(), f"fixture {path}", "FIXTURE_PARSE")
+    try:
+        records = [json.loads(ln) for ln in text.replace("\r\n", "\n").split("\n") if ln and not ln.isspace()]
+    except json.JSONDecodeError as exc:
+        raise CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {path}: {exc}"))
+    if not records:
+        raise CoqatooError(error("FIXTURE_PARSE", f"fixture {path} is empty"))
+    lemma, initial = _fields(records[0], "lemma", "initial_raw_state", str(path), 1)
+    steps = tuple(TraceStep(*_fields(rec, "tactic", "raw_state", str(path), i))
+                  for i, rec in enumerate(records[1:], start=2))
+    return lemma, initial, records[0].get("prover_version", ""), steps
+
+
+def _outcome(read, path):
+    """What `read` returns for the fixture at `path`, or its diagnostic's text."""
+    try:
+        return read(path)
+    except CoqatooError as exc:
+        return exc.diagnostic.format()
+
+
+def _streamed(path):
+    with open(path, "rb") as fh:
+        return _read_fixture(fh, str(path))
+
+
+_HEADER = '{"lemma": "Lemma t : True.", "initial_raw_state": "1 subgoal\\n\\n  ===\\n  True\\n"}'
+_STEP = '{"tactic": "exact I", "raw_state": "No more subgoals.\u2028\\r\\n"}'
+_STEP_CR = _STEP.replace(", ", ",\r ")
+
+
+@pytest.mark.parametrize("data", [
+    f"{_HEADER}\r\n{_STEP}\r\n".encode(),
+    f"{_HEADER}\n{_STEP_CR}\r\r\n{_STEP}\r".encode(),             # a bare "\r" inside a line
+    f"\n  \t\n{_HEADER}\n\u2028\n\n {_STEP} \n\x0c\n".encode(),     # blank and whitespace-only lines
+    f"{_HEADER}\n{_STEP}".encode(),                                 # no final newline
+    f"{_HEADER}\n{_STEP}\r\n\r\n".encode(),
+    f'{_HEADER[:-1]}, "prover_version": "8.9\u2028raw"}}\n{_STEP}\n'.encode(),
+    b"\xff" + f"{_HEADER}\n{_STEP}\n".encode(),                    # bad UTF-8 in the first record
+    f"{_HEADER}\n{_STEP[:20]}".encode() + b"\xe2\x80\n" + f"{_STEP}\n".encode(),   # ... in a middle record
+    f"{_HEADER}\n{_STEP}\n".encode() + b"\xe2\x80",                # ... as the last bytes, no final newline
+    f"{_HEADER}\n{_STEP}\n".encode() + b"\xc3",
+    f"{_HEADER}\nnot json\n{_STEP}\n".encode() + b"\xff\n",       # a bad byte after a bad record
+    f"{_HEADER}\n[1]\n{_STEP[:-1]}\n".encode(),                      # a wrong record before a bad one
+    f'{{"lemma": 1}}\n{_STEP}\n{{"tactic": 2}}\n'.encode(),
+    b"\n \r\n",
+    b"",
+], ids=["crlf", "bare-cr", "blank-lines", "no-final-newline", "crlf-blank-end", "raw-u2028", "bad-first",
+        "bad-middle", "bad-last-byte", "bad-last-byte-2", "bad-byte-after-bad-json", "bad-json-after-bad-shape",
+        "bad-header", "only-blank", "empty"])
+def test_streamed_reader_matches_whole_file_decode(tmp_path, data):
+    path = tmp_path / "t.cqtrace"
+    path.write_bytes(data)
+    assert _outcome(_streamed, path) == _outcome(_whole_file_reference, path)
+
+
+_PIECES = [_HEADER, _STEP, "", " ", "\t\u2028", "[1, 2]", '{"tactic": "x"}', "{", "\ufeff" + _STEP]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_PIECES), st.sampled_from([b"\n", b"\r\n", b"\r", b"\r\r\n"]),
+                          st.sampled_from([b"", b"\xff", b"\xe2\x80", b"\xed\xa0\x80"]),
+                          st.integers(0, 200)), max_size=6),
+       st.booleans())
+def test_streamed_reader_matches_whole_file_decode_on_any_lines(tmp_path_factory, lines, final_newline):
+    """Any records, breaks and bad bytes give the same records or the same diagnostic."""
+    data = b""
+    for piece, end, bad, at in lines:
+        raw = piece.encode()
+        at = min(at, len(raw))
+        data += raw[:at] + bad + raw[at:] + end
+    if not final_newline:
+        data = data.rstrip(b"\n")
+    path = tmp_path_factory.mktemp("fixtures") / "t.cqtrace"
+    path.write_bytes(data)
+    assert _outcome(_streamed, path) == _outcome(_whole_file_reference, path)
 
 
 def test_replay_decodes_each_line_once(monkeypatch):

@@ -78,7 +78,7 @@ def test_incomplete_proof_rejected():
 
 
 def test_dot_export_mentions_cases():
-    dot = to_dot(golden_tree())
+    dot = "\n".join(to_dot(golden_tree()))
     assert dot.startswith("digraph proof {")
     assert len(re.findall(r"n\d+ -> n\d+;", dot)) == 6  # 2 branches + 4 leaves
     assert "case: P" in dot
