@@ -46,6 +46,8 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     config = parser.parse_args(list(argv))
     if config.provider == "replay" and not config.fixture_path:
         parser.error("--provider replay requires --fixture")
+    if config.fixture_path and config.provider != "replay":
+        parser.error("--fixture requires --provider replay")
     if config.record_path and config.provider != "live":
         parser.error("--record requires --provider live")
     if config.timeout_secs <= 0:
@@ -119,11 +121,7 @@ def run(config: argparse.Namespace) -> int:
         if config.provider == "replay":
             trace = state_provider.run_replay(script, config.fixture_path)
         else:
-            prover = state_provider.resolve_prover(config.prover_path)
-            if prover is None:
-                raise CoqatooError(error("PROVER_MISSING", "no prover executable found (install coqtop, "
-                                         f"set ${state_provider.PROVER_ENV_VAR}, or pass --prover)"))
-            trace = state_provider.run_live(script, prover, config.timeout_secs)
+            trace = state_provider.run_live(script, config.prover_path, config.timeout_secs)
             if config.record_path:
                 state_provider.record_session(trace, config.record_path)
 

@@ -1,7 +1,7 @@
 """State diffing: what did one tactic change between two proof states."""
 
 from enum import Enum
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .goal_parser import Hypothesis, ProofState
 
@@ -17,11 +17,8 @@ class Classification(Enum):
 
 class StateDiff(NamedTuple):
     added: Tuple[Hypothesis, ...]
-    goal_before: str
-    goal_after: Optional[str]
     subgoal_delta: int
     classification: Classification
-    branch_width: Optional[int] = None
 
 
 def _binding_set(state: ProofState):
@@ -47,21 +44,13 @@ def diff_states(before: ProofState, after: ProofState) -> StateDiff:
         added = ()
     else:
         added = _only_new(after.hypotheses, _binding_set(before))
-    goal_before = before.goals[0]
     if delta >= 1:
         classification = Classification.BRANCH
-        width = delta + 1
-        goal_after = after.goals[0]
     elif delta <= -1:
-        # the focused goal was closed; after's focused goal belongs to a sibling
         classification = Classification.CLOSE
-        width = None
-        goal_after = None
     else:
         classification = Classification.INTRO if added else Classification.TRANSFORM
-        width = None
-        goal_after = after.goals[0] if after.goals else None
-    return StateDiff(added, goal_before, goal_after, delta, classification, width)
+    return StateDiff(added, delta, classification)
 
 
 def classify_bindings(added: Sequence[Hypothesis],

@@ -15,7 +15,9 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .diagnostics import CoqatooError, error
 
-_HEADER = re.compile(r"^\s*(\d+)\s+(?:focused\s+)?subgoals?\b", re.M)
+# where a state starts: its subgoal header, or a marker that the proof is finished
+SUBGOAL_HEADER = re.compile(r"^\s*(\d+)\s+(?:focused\s+)?subgoals?\b", re.M)
+FINISHED_MARKERS = ("No more subgoals", "Proof completed")
 _SUBGOAL_K = re.compile(r"^\s*subgoal\s+(\d+)\s+is\s*:\s*$")
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_']*$")
 # where str.splitlines() breaks a line besides "\n"
@@ -107,9 +109,9 @@ def parse_state(raw: str, contexts: Optional[Dict[str, Tuple[Hypothesis, ...]]] 
     The caller owns it; a block already in it is not parsed again, so
     states with the same block share one `hypotheses` tuple.
     """
-    if "No more subgoals" in raw or "Proof completed" in raw:
+    if any(marker in raw for marker in FINISHED_MARKERS):
         return ProofState(0, (), (), raw)
-    m = _HEADER.search(raw)
+    m = SUBGOAL_HEADER.search(raw)
     if not m:
         raise CoqatooError(error("MALFORMED_STATE", "no subgoal header found in prover output"))
     count = int(m.group(1))

@@ -25,9 +25,7 @@ def analyze_trace(script: Script, trace: SessionTrace) -> List[AnalyzedStep]:
 
 
 def annotate_steps(steps: Sequence[AnalyzedStep], templates: TemplateSet) -> Dict[int, Annotation]:
-    return {step.item.seq: rewrite_step(step.item, step.diff, step.before, templates,
-                                        response_raw=step.after.raw)
-            for step in steps}
+    return {step.item.seq: rewrite_step(step, templates) for step in steps}
 
 
 def build_proof_tree(script: Script, trace: SessionTrace) -> ProofNode:

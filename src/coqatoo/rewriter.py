@@ -17,15 +17,12 @@ from __future__ import annotations
 import re
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .diagnostics import CoqatooError, Diagnostic, decode_utf8, error, warning
-from .diff_engine import Classification, StateDiff, classify_bindings, is_heuristic
-from .goal_parser import Hypothesis, ProofState, normalize_text
-from .tree_builder import ProofNode, walk
-
-if TYPE_CHECKING:
-    from .script_parser import ScriptItem
+from .diff_engine import Classification, classify_bindings, is_heuristic
+from .goal_parser import FINISHED_MARKERS, SUBGOAL_HEADER, Hypothesis, ProofState, normalize_text
+from .tree_builder import AnalyzedStep, ProofNode, walk
 
 REFERENCE_LANGUAGE = "en"
 
@@ -153,20 +150,18 @@ def _hyp_types_by_length(hyps: Sequence[Hypothesis]) -> List[str]:
     return sorted(types, key=len)
 
 
-def _extract_auto_trace(response_raw: Optional[str]) -> List[str]:
-    """Pull the tactic sequence out of an info_auto response."""
-    if not response_raw:
-        return []
-    lines = response_raw.splitlines()
+def _extract_auto_trace(response_raw: str) -> List[str]:
+    """Pull the tactic sequence out of an info_auto response; it ends at a
+    blank line or where goal_parser sees a state start."""
     tactics: List[str] = []
     in_trace = False
-    for line in lines:
+    for line in response_raw.splitlines():
         stripped = line.strip()
         if re.match(r"\(\*\s*info\s+e?auto\s*:\s*\*\)", stripped):
             in_trace = True
             continue
         if in_trace:
-            if not stripped or re.match(r"(\d+\s+subgoals?|No more subgoals)", stripped):
+            if not stripped or SUBGOAL_HEADER.match(stripped) or stripped.startswith(FINISHED_MARKERS):
                 break
             tactic = stripped.rstrip(".")
             tactic = re.sub(r"\s*\(in \w+\)$", "", tactic)
@@ -176,55 +171,49 @@ def _extract_auto_trace(response_raw: Optional[str]) -> List[str]:
     return tactics
 
 
-def rewrite_step(item: ScriptItem, diff: StateDiff, ctx: ProofState,
-                 templates: TemplateSet, response_raw: Optional[str] = None) -> Annotation:
-    """Produce the explanatory sentences for one executed tactic.
-
-    ctx is the proof state just before the tactic ran.
-    """
-    row = RULES.get(item.head)
+def rewrite_step(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
+    """Produce the explanatory sentences for one executed tactic."""
+    row = RULES.get(step.item.head)
     if row is not None:
-        return row[0](item, diff, ctx, templates, response_raw)
-    if diff.classification is Classification.BRANCH:
+        return row[0](step, templates)
+    if step.diff.classification is Classification.BRANCH:
         return Annotation(())
     return Annotation((), AnnotationKind.OMITTED)
 
 
-def _silent(item: ScriptItem, diff: StateDiff, ctx: ProofState, templates: TemplateSet,
-            response_raw: Optional[str]) -> Annotation:
+def _silent(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
     return Annotation(())
 
 
-def _rewrite_info_auto(item: ScriptItem, diff: StateDiff, ctx: ProofState, templates: TemplateSet,
-                       response_raw: Optional[str]) -> Annotation:
+def _rewrite_info_auto(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
     """Explain each tactic that info_auto reports it used.
 
     A reported tactic without a row in RULES makes the annotation OMITTED,
     as that tactic would be if the script named it, and warns
     UNSUPPORTED_TACTIC with the span of the `auto`.
     """
-    subs = [item._replace(text=sub + ".") for sub in _extract_auto_trace(response_raw)]
-    annotations = [rewrite_step(sub, diff, ctx, templates) for sub in subs]
+    subs = [step.item._replace(text=sub + ".") for sub in _extract_auto_trace(step.after.raw)]
+    # a reported info_auto explains nothing; rewriting it would read this same trace again
+    annotations = [rewrite_step(step._replace(item=sub), templates) for sub in subs if sub.head != "info_auto"]
     unruled = [warning("UNSUPPORTED_TACTIC", f'no rewriting rule for tactic "{sub.head}", which auto used',
-                       item.span)
+                       step.item.span)
                for sub in subs if sub.head not in RULES]
     return Annotation(tuple(s for a in annotations for s in a.sentences),
                       AnnotationKind.OMITTED if unruled else AnnotationKind.EXPLAIN,
                       tuple(d for a in annotations for d in a.diagnostics) + tuple(unruled))
 
 
-def _rewrite_assumption(item: ScriptItem, diff: StateDiff, ctx: ProofState, templates: TemplateSet,
-                        response_raw: Optional[str]) -> Annotation:
+def _rewrite_assumption(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
     return Annotation(_sentences(templates.fill("assumption.default")))
 
 
-def _rewrite_intros(item: ScriptItem, diff: StateDiff, ctx: ProofState, templates: TemplateSet,
-                    response_raw: Optional[str]) -> Annotation:
-    variables, hypotheses = classify_bindings(diff.added, ctx)
+def _rewrite_intros(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
+    variables, hypotheses = classify_bindings(step.diff.added, step.before)
     diagnostics = tuple(warning("HEURISTIC_CLASSIFICATION",
-                                f"treating {', '.join(h.names)} : {h.type_expr} as a hypothesis", item.span)
+                                f"treating {', '.join(h.names)} : {h.type_expr} as a hypothesis", step.item.span)
                         for h in hypotheses if is_heuristic(h))
-    goal = normalize_text(diff.goal_after or diff.goal_before)
+    # the goal the tactic leaves, unless it closed its goal or left an empty one
+    goal = normalize_text(step.diff.subgoal_delta >= 0 and step.after.goals[0] or step.before.goals[0])
     var_names = [n for h in variables for n in h.names]
     hyp_types = _hyp_types_by_length(hypotheses)
     if variables and hypotheses:
@@ -245,10 +234,9 @@ def _rewrite_intros(item: ScriptItem, diff: StateDiff, ctx: ProofState, template
     return Annotation(_sentences(text), diagnostics=diagnostics)
 
 
-def _rewrite_apply(item: ScriptItem, diff: StateDiff, ctx: ProofState, templates: TemplateSet,
-                   response_raw: Optional[str]) -> Annotation:
-    arg = _tactic_arg(item.command)
-    types = _binding_types(ctx)
+def _rewrite_apply(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
+    arg = _tactic_arg(step.item.command)
+    types = _binding_types(step.before)
     if arg is None or arg not in types:
         # applying a global constant is rendered silently
         return Annotation(())
@@ -264,12 +252,11 @@ def _rewrite_apply(item: ScriptItem, diff: StateDiff, ctx: ProofState, templates
     return Annotation(_sentences(text))
 
 
-def _rewrite_inversion(item: ScriptItem, diff: StateDiff, ctx: ProofState, templates: TemplateSet,
-                       response_raw: Optional[str]) -> Annotation:
-    arg = _tactic_arg(item.command)
-    types = _binding_types(ctx)
+def _rewrite_inversion(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
+    arg = _tactic_arg(step.item.command)
+    types = _binding_types(step.before)
     subject = types.get(arg, arg or "")
-    added_types = [h.type_expr for h in diff.added for _ in h.names]
+    added_types = [h.type_expr for h in step.diff.added for _ in h.names]
     text = templates.fill("inversion.default", hyp=subject, list=", ".join(added_types))
     return Annotation(_sentences(text))
 
@@ -314,14 +301,14 @@ def render(tree: ProofNode, annotations: Mapping[int, Annotation], mode: OutputM
                 indent = " " * (2 * node.depth + len(glyph) + 1)
             else:
                 lines.append(r"\item \textbf{" + latex_escape(label) + "}" if latex else label)
-        for item, _diff in node.steps:
-            ann = annotations.get(item.seq)
-            text = " ".join(ann.sentences) if ann and ann.sentences else None
+        for step in node.steps:
+            ann = annotations[step.item.seq]
+            text = " ".join(ann.sentences) if ann.sentences else None
             if annotated:
-                tactic = normalize_text(item.original)
+                tactic = normalize_text(step.item.original)
                 lines.append(f"{indent}{tactic}" if text is None else f"{indent}(* {text} *) {tactic}")
                 continue
-            if text is None and ann and ann.kind is AnnotationKind.OMITTED:
+            if text is None and ann.kind is AnnotationKind.OMITTED:
                 text = templates.fill("plain.omitted")
             if text is not None:
                 lines.append(latex_escape(text) if latex else text)

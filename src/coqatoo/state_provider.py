@@ -225,14 +225,17 @@ def resolve_prover(cli_path: Optional[str] = None) -> Optional[str]:
     return shutil.which(candidate)
 
 
-def run_live(script: Script, prover_path: str,
+def run_live(script: Script, prover_path: Optional[str] = None,
              timeout_secs: float = DEFAULT_TIMEOUT_SECS) -> SessionTrace:
-    """Execute the script against a live prover, capturing each response."""
-    import shutil
+    """Execute the script against a live prover, capturing each response.
+
+    The prover is `prover_path`, else $COQATOO_PROVER, else coqtop (`resolve_prover`).
+    """
     import subprocess
-    resolved = shutil.which(prover_path)
+    resolved = resolve_prover(prover_path)
     if resolved is None:
-        raise CoqatooError(error("PROVER_MISSING", f"prover executable not found: {prover_path}"))
+        raise CoqatooError(error("PROVER_MISSING", "no prover executable found (install coqtop, "
+                                 f"set ${PROVER_ENV_VAR}, or pass --prover)"))
     version = ""
     try:
         version = subprocess.run([resolved, "--version"], capture_output=True, text=True,

@@ -18,6 +18,7 @@ if TYPE_CHECKING:
 
 
 class AnalyzedStep(NamedTuple):
+    """One tactic: its script item, the states around it and their diff."""
     item: ScriptItem
     before: ProofState
     after: ProofState
@@ -31,7 +32,7 @@ class ProofNode:
     def __init__(self, depth: int, case_goal: Optional[str] = None):
         self.depth = depth
         self.case_goal = case_goal
-        self.steps: List[Tuple[ScriptItem, StateDiff]] = []
+        self.steps: List[AnalyzedStep] = []
         self.children: List[ProofNode] = []
 
 
@@ -46,10 +47,10 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
         if current is None:
             raise CoqatooError(error("MALFORMED_TRACE", "tactic after the proof was already complete",
                                      step.item.span))
-        current.steps.append((step.item, step.diff))
+        current.steps.append(step)
         cls = step.diff.classification
         if cls is Classification.BRANCH:
-            stack.append([current, step.diff.branch_width])
+            stack.append([current, step.diff.subgoal_delta + 1])
             child = ProofNode(depth=current.depth + 1, case_goal=step.after.goals[0])
             current.children.append(child)
             current = child
@@ -71,8 +72,6 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
     if steps and steps[-1].after.subgoal_count != 0:
         raise CoqatooError(error("INCOMPLETE_PROOF",
                                  f"proof ends with {steps[-1].after.subgoal_count} open subgoal(s)"))
-    if stack or current is not None and current is not root:
-        raise CoqatooError(error("INCOMPLETE_PROOF", "proof tree has unfinished branches"))
     if not steps:
         raise CoqatooError(error("INCOMPLETE_PROOF", "no tactics were executed"))
     return root
@@ -98,7 +97,7 @@ def walk(root: ProofNode) -> List[Tuple[bool, ProofNode]]:
 
 def flatten(node: ProofNode) -> List[ScriptItem]:
     """Depth-first tactic order; must reproduce the input sequence."""
-    return [item for entering, n in walk(node) if entering for item, _ in n.steps]
+    return [step.item for entering, n in walk(node) if entering for step in n.steps]
 
 
 def leaves(node: ProofNode) -> List[ProofNode]:
@@ -116,7 +115,7 @@ def to_dot(root: ProofNode) -> List[str]:
             if open_ids:
                 lines.append(f"  n{open_ids[-1]} -> n{nid};")
             continue
-        first = node.steps[0][0].command if node.steps else "(empty)"
+        first = node.steps[0].item.command if node.steps else "(empty)"
         label = first if node.case_goal is None else f"{first}\\ncase: {node.case_goal}"
         label = label.replace('"', '\\"')
         lines.append(f'  n{count} [label="{label}"];')

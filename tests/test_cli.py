@@ -50,6 +50,12 @@ def test_record_requires_live():
     assert exc.value.code != 0
 
 
+def test_fixture_requires_replay():
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["proof.v", "--provider", "live", "--fixture", "t.cqtrace"])
+    assert exc.value.code != 0
+
+
 def test_unknown_flag():
     with pytest.raises(SystemExit) as exc:
         parse_args(["proof.v", "--frobnicate"])
@@ -305,14 +311,26 @@ _SPLIT = state([], ["True", "True"])
 
 
 @pytest.mark.parametrize("dot", [[], ["--dot"]])
-@pytest.mark.parametrize("steps", [
-    [("split", _SPLIT), ("assumption", state([], ["True"])), ("assumption", DONE), ("assumption", DONE)],
-    [("split", _SPLIT), ("assumption", DONE)],
-], ids=["tactic_after_done", "close_with_open_case"])
-def test_malformed_trace_exits_1(tmp_path, capsys, steps, dot):
-    script, trace = write_replay_pair(tmp_path, "Lemma t : True /\\ True.", _GOAL, steps)
+@pytest.mark.parametrize("initial, steps", [
+    (_GOAL, [("split", _SPLIT), ("assumption", state([], ["True"])), ("assumption", DONE), ("assumption", DONE)]),
+    (_GOAL, [("split", _SPLIT), ("assumption", DONE)]),
+    # the first tactic closes one of two initial goals: no case is open to take the next
+    (_SPLIT, [("assumption", state([], ["True"])), ("assumption", DONE)]),
+], ids=["tactic_after_done", "close_with_open_case", "two_initial_goals"])
+def test_malformed_trace_exits_1(tmp_path, capsys, initial, steps, dot):
+    script, trace = write_replay_pair(tmp_path, "Lemma t : True /\\ True.", initial, steps)
     assert main([str(script), "--provider", "replay", "--fixture", str(trace), *dot]) == 1
     assert "MALFORMED_TRACE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dot", [[], ["--dot"]])
+def test_proof_without_tactics_exits_1(tmp_path, capsys, dot):
+    script, trace = write_replay_pair(tmp_path, "Lemma t : True.", state([], ["True"]), [])
+    assert script.read_text() == "Lemma t : True.\nProof.\nQed.\n"
+    assert main([str(script), "--provider", "replay", "--fixture", str(trace), *dot]) == 1
+    captured = capsys.readouterr()
+    assert "INCOMPLETE_PROOF" in captured.err
+    assert captured.out == ""
 
 
 def _cli_env(**changes):

@@ -7,7 +7,7 @@ from coqatoo.pipeline import annotate_steps, generate
 from coqatoo.rewriter import (_LATEX_SPECIALS, _PLACEHOLDER, ALLOWED_PLACEHOLDERS, REQUIRED_KEYS, RULES,
                               AnnotationKind, OutputMode, TemplateSet, latex_escape, split_implication)
 from coqatoo.script_parser import ItemKind, ScriptItem
-from coqatoo.tree_builder import ProofNode
+from coqatoo.tree_builder import AnalyzedStep, ProofNode
 
 from helpers import (GOLDEN_DIR, LISTING_1, LISTING_2, analyzed_steps, load_trace,
                      normalize_rendering, output_text, roundtrip_tactics, script_path, tactic_commands)
@@ -18,6 +18,10 @@ EN = load_templates()
 
 def _tactic(text, seq=0):
     return ScriptItem(ItemKind.TACTIC, text, (0, len(text)), seq)
+
+
+def _step(text, before, after):
+    return AnalyzedStep(_tactic(text), before, after, diff_states(before, after))
 
 
 # --- load_templates ---
@@ -63,7 +67,7 @@ def test_rules_fill_only_the_keys_of_their_row(corpus_name):
     row_keys = {k for _, keys in RULES.values() for k in keys}
     for step in analyzed_steps(corpus_name):
         templates.filled.clear()
-        rewrite_step(step.item, step.diff, step.before, templates, response_raw=step.after.raw)
+        rewrite_step(step, templates)
         # info_auto explains the tactics auto used with their own rows
         allowed = row_keys if step.item.head == "info_auto" else set(RULES[step.item.head][1])
         assert templates.filled <= allowed, step.item.command
@@ -98,8 +102,7 @@ def test_split_implication(expr, parts):
 # --- rewrite_step rules ---
 
 def test_intros_variables_sentence():
-    diff = diff_states(parse_state(LISTING_1), parse_state(LISTING_2))
-    ann = rewrite_step(_tactic("intros."), diff, parse_state(LISTING_1), EN)
+    ann = rewrite_step(_step("intros.", parse_state(LISTING_1), parse_state(LISTING_2)), EN)
     assert " ".join(ann.sentences) == (
         "Assume that P, Q and R are arbitrary objects of type Prop. "
         "Let us show that (P /\\ Q -> R) <-> (P -> Q -> R) is true.")
@@ -108,7 +111,7 @@ def test_intros_variables_sentence():
 def test_intros_hypotheses_sentence():
     steps = analyzed_steps("conj_imp_equiv")
     step = steps[2]  # intros H HP HQ
-    ann = rewrite_step(step.item, step.diff, step.before, EN)
+    ann = rewrite_step(step, EN)
     assert " ".join(ann.sentences) == (
         "Suppose that P, Q and P /\\ Q -> R are true. Let us show that R is true.")
 
@@ -116,7 +119,7 @@ def test_intros_hypotheses_sentence():
 def test_apply_local_hypothesis_sentence():
     steps = analyzed_steps("conj_imp_equiv")
     step = steps[3]  # apply H with H : P /\ Q -> R
-    ann = rewrite_step(step.item, step.diff, step.before, EN)
+    ann = rewrite_step(step, EN)
     assert " ".join(ann.sentences) == (
         "By our hypothesis P /\\ Q -> R, we know that R is true if P /\\ Q is true.")
 
@@ -124,7 +127,7 @@ def test_apply_local_hypothesis_sentence():
 def test_apply_multi_antecedent_sentence():
     steps = analyzed_steps("conj_imp_equiv")
     step = steps[9]  # apply H with H : P -> Q -> R
-    ann = rewrite_step(step.item, step.diff, step.before, EN)
+    ann = rewrite_step(step, EN)
     assert " ".join(ann.sentences) == (
         "By our hypothesis P -> Q -> R, we know that R is true if P and Q are true.")
 
@@ -132,41 +135,60 @@ def test_apply_multi_antecedent_sentence():
 def test_apply_global_constant_is_silent():
     steps = analyzed_steps("conj_imp_equiv")
     step = steps[4]  # apply conj
-    assert rewrite_step(step.item, step.diff, step.before, EN).sentences == ()
+    assert rewrite_step(step, EN).sentences == ()
 
 
 def test_assumption_sentence():
     steps = analyzed_steps("conj_imp_equiv")
     step = steps[5]
-    ann = rewrite_step(step.item, step.diff, step.before, EN)
+    ann = rewrite_step(step, EN)
     assert ann.sentences == ("True, because it is one of our assumptions.",)
 
 
 def test_inversion_sentence():
     steps = analyzed_steps("conj_imp_equiv")
     step = steps[8]  # inversion HPQ
-    ann = rewrite_step(step.item, step.diff, step.before, EN)
+    ann = rewrite_step(step, EN)
     assert " ".join(ann.sentences) == "By inversion on P /\\ Q, we know that P, Q are also true."
 
 
 def test_split_is_silent():
     steps = analyzed_steps("conj_imp_equiv")
     step = steps[1]
-    assert rewrite_step(step.item, step.diff, step.before, EN).sentences == ()
+    assert rewrite_step(step, EN).sentences == ()
 
 
 def test_info_auto_expands_reported_tactics():
     steps = analyzed_steps("modus_ponens")
     step = steps[2]
-    ann = rewrite_step(step.item, step.diff, step.before, EN, response_raw=step.after.raw)
+    ann = rewrite_step(step, EN)
     assert " ".join(ann.sentences) == (
         "By our hypothesis P -> Q, we know that Q is true if P is true. "
         "True, because it is one of our assumptions.")
 
 
+@pytest.mark.parametrize("rest", [
+    "Proof completed.\n",
+    "1 focused subgoal\n\n  P, Q : Prop\n  HP : P\n  H : P -> Q\n  ============================\n  Q\n",
+], ids=["proof_completed", "focused_subgoal"])
+def test_auto_trace_ends_where_a_state_starts(rest):
+    step = analyzed_steps("modus_ponens")[2]
+    raw = "(* info auto: *)\nsimple apply H.\nassumption.\n" + rest
+    ann = rewrite_step(step._replace(after=step.after._replace(raw=raw)), EN)
+    assert ann == rewrite_step(step, EN)
+    assert ann.sentences and ann.diagnostics == ()
+
+
+def test_info_auto_reported_by_auto_explains_nothing():
+    step = analyzed_steps("modus_ponens")[2]
+    raw = "(* info auto: *)\ninfo_auto.\nassumption.\n\nNo more subgoals.\n"
+    ann = rewrite_step(step._replace(after=step.after._replace(raw=raw)), EN)
+    assert ann.sentences == ("True, because it is one of our assumptions.",)
+    assert ann.kind is AnnotationKind.EXPLAIN and ann.diagnostics == ()
+
+
 def test_unsupported_tactic_marked_omitted():
-    diff = diff_states(parse_state(LISTING_2), parse_state(LISTING_2))
-    ann = rewrite_step(_tactic("ring."), diff, parse_state(LISTING_2), EN)
+    ann = rewrite_step(_step("ring.", parse_state(LISTING_2), parse_state(LISTING_2)), EN)
     assert ann.sentences == ()
     assert ann.kind is AnnotationKind.OMITTED
 
@@ -176,8 +198,7 @@ def test_mixed_intros_stays_within_two_sentences():
     after = parse_state(
         "1 subgoal\n\n  P, Q, R : Prop\n  H : P\n  ============================\n"
         "  (P /\\ Q -> R) <-> (P -> Q -> R)\n")
-    diff = diff_states(before, after)
-    ann = rewrite_step(_tactic("intros P Q R H."), diff, before, EN)
+    ann = rewrite_step(_step("intros P Q R H.", before, after), EN)
     assert len(ann.sentences) == 2
     assert "P, Q and R" in ann.sentences[0]
     assert "suppose that P are true" in ann.sentences[0]

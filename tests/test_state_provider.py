@@ -265,6 +265,13 @@ def test_prover_missing():
     with pytest.raises(CoqatooError) as exc:
         run_live(load_script("conj_imp_equiv"), "definitely-not-a-prover")
     assert exc.value.diagnostic.code == "PROVER_MISSING"
+    assert all(way in exc.value.diagnostic.message for way in ("coqtop", "$COQATOO_PROVER", "--prover"))
+
+
+def test_live_prover_from_the_environment(monkeypatch, fake_prover):
+    monkeypatch.setenv("COQATOO_PROVER", fake_prover(fixture_path("and_commutes")))
+    script = load_script("and_commutes")
+    assert run_live(script).steps == run_replay(script, str(fixture_path("and_commutes"))).steps
 
 
 def test_resolve_prover_env_override(monkeypatch):

@@ -13,17 +13,17 @@ def golden_tree():
 
 def test_golden_tree_shape():
     root = golden_tree()
-    assert [item.command for item, _ in root.steps] == ["intros", "split"]
+    assert [step.item.command for step in root.steps] == ["intros", "split"]
     assert len(root.children) == 2
     branch_a, branch_b = root.children
-    assert [item.command for item, _ in branch_a.steps] == ["intros H HP HQ", "apply H", "apply conj"]
-    assert [item.command for item, _ in branch_b.steps] == ["intros H HPQ", "inversion HPQ", "apply H"]
+    assert [step.item.command for step in branch_a.steps] == ["intros H HP HQ", "apply H", "apply conj"]
+    assert [step.item.command for step in branch_b.steps] == ["intros H HPQ", "inversion HPQ", "apply H"]
     for branch in (branch_a, branch_b):
         assert branch.depth == 1
         assert len(branch.children) == 2
         for leaf in branch.children:
             assert leaf.depth == 2
-            assert [item.command for item, _ in leaf.steps] == ["assumption"]
+            assert [step.item.command for step in leaf.steps] == ["assumption"]
             assert not leaf.children
 
 
@@ -38,13 +38,13 @@ def test_leaf_count_equals_close_count(corpus_name):
     root = build_tree(steps)
     closes = sum(1 for s in steps if s.diff.classification is Classification.CLOSE)
     assert len(leaves(root)) == closes
-    branches = [s.diff.branch_width for s in steps if s.diff.classification is Classification.BRANCH]
-    assert sum(k - 1 for k in branches) + 1 == len(leaves(root))
+    branches = [s.diff.subgoal_delta for s in steps if s.diff.classification is Classification.BRANCH]
+    assert sum(branches) + 1 == len(leaves(root))
 
 
 def test_every_leaf_ends_with_close(corpus_name):
     for leaf in leaves(build_tree(analyzed_steps(corpus_name))):
-        assert leaf.steps[-1][1].classification is Classification.CLOSE
+        assert leaf.steps[-1].diff.classification is Classification.CLOSE
 
 
 def test_case_labels_of_split_and_apply_conj():
