@@ -156,16 +156,20 @@ class _ProverSession:
     `coqtop -emacs` writes each response to stdout and then a
     `<prompt>...</prompt>` to stderr.  One selector loop reads both pipes
     in chunks (POSIX only); the stdout read before the first prompt is the
-    banner and is discarded.
+    banner.
     """
 
     def __init__(self, prover_path: str, timeout_secs: float):
         import selectors
         import subprocess
         self.timeout = timeout_secs
-        self.proc = subprocess.Popen(
-            [prover_path, "-emacs", "-q"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
+        try:
+            self.proc = subprocess.Popen(
+                [prover_path, "-emacs", "-q"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
+        except OSError as exc:
+            raise CoqatooError(error("PROVER_MISSING",
+                                     f"cannot start prover {prover_path}: {exc.strerror}")) from None
         self._stdout = self.proc.stdout.fileno()
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._stdout, selectors.EVENT_READ)
@@ -230,23 +234,18 @@ def run_live(script: Script, prover_path: Optional[str] = None,
     """Execute the script against a live prover, capturing each response.
 
     The prover is `prover_path`, else $COQATOO_PROVER, else coqtop (`resolve_prover`).
+    The banner's first non-blank line is kept as the trace's `prover_version`.
     """
-    import subprocess
     resolved = resolve_prover(prover_path)
     if resolved is None:
         raise CoqatooError(error("PROVER_MISSING", "no prover executable found (install coqtop, "
                                  f"set ${PROVER_ENV_VAR}, or pass --prover)"))
-    version = ""
-    try:
-        version = subprocess.run([resolved, "--version"], capture_output=True, text=True,
-                                 timeout=timeout_secs).stdout.strip().splitlines()[0]
-    except (subprocess.SubprocessError, OSError, IndexError):
-        pass
 
     lemma = script.lemma
     session = _ProverSession(resolved, timeout_secs)
     try:
-        session.read_response()  # the banner
+        banner = session.read_response()
+        version = next((line.strip() for line in banner.splitlines() if line.strip()), "")
         initial_raw = session.submit(lemma.text)
         _check_failure(initial_raw, lemma)
         steps = []

@@ -16,10 +16,11 @@ def corpus_name(request):
 
 @pytest.fixture
 def fake_prover(tmp_path, monkeypatch):
-    """trace path -> the benchmark's fake coqtop, answering from that trace."""
-    def start(trace):
+    """trace path -> the benchmark's fake coqtop, answering from that trace;
+    `prelude` is shell run at each start of the prover."""
+    def start(trace, prelude=""):
         monkeypatch.setenv("FAKE_COQTOP_TRACE", str(trace))
-        return write_fake_coqtop(tmp_path)
+        return write_fake_coqtop(tmp_path, prelude)
     return start
 
 

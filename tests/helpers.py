@@ -15,6 +15,7 @@ from coqatoo.pipeline import analyze_trace
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 FAKE_COQTOP = ROOT / "perfbench" / "fake_coqtop.py"
+SPLIT_WRITES = Path(__file__).parent / "split_writes.py"
 GOLDEN_DIR = FIXTURE_DIR / "golden"
 CORPUS = ["conj_imp_equiv", "and_commutes", "modus_ponens"]
 
@@ -150,6 +151,16 @@ def write_prover(directory: Path, body: str) -> str:
     return str(path)
 
 
-def write_fake_coqtop(directory: Path) -> str:
-    """The benchmark's fake `coqtop -emacs`; it answers from $FAKE_COQTOP_TRACE."""
-    return write_prover(directory, "exec " + shlex.join([sys.executable, str(FAKE_COQTOP)]) + ' "$@"')
+def write_fake_coqtop(directory: Path, prelude: str = "") -> str:
+    """The benchmark's fake `coqtop -emacs`; it answers from $FAKE_COQTOP_TRACE.
+
+    `prelude` is shell run each time the prover starts, before the fake.
+    """
+    return write_prover(directory, prelude + "\nexec " + shlex.join([sys.executable, str(FAKE_COQTOP)])
+                        + ' "$@"')
+
+
+def write_split_coqtop(directory: Path, seed: int) -> str:
+    """The fake `coqtop -emacs` with each write cut into seeded 1-7-byte pieces (split_writes.py)."""
+    return write_prover(directory, "exec " + shlex.join([sys.executable, str(SPLIT_WRITES), str(seed)])
+                        + ' "$@"')

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -188,6 +189,18 @@ def test_prover_missing_exits_2(monkeypatch, capsys):
     assert "PROVER_MISSING" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"#!/nonexistent/interp\n", b"\x00\x01\x02 not a program\n"],
+                         ids=["missing_interpreter", "exec_format_error"])
+def test_prover_that_cannot_start_exits_2(tmp_path, capsys, content):
+    prover = tmp_path / "prover"
+    prover.write_bytes(content)
+    prover.chmod(0o755)
+    assert main(_live_args(script_path("and_commutes"), str(prover))) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error[PROVER_MISSING]")
+    assert str(prover) in err and "Traceback" not in err
+
+
 def test_out_file(tmp_path, capsys):
     out = tmp_path / "proof.txt"
     assert main(replay_args("conj_imp_equiv", "--out", str(out))) == 0
@@ -275,6 +288,23 @@ def test_live_chain_matches_replay(tmp_path, fake_prover, capsys):
     assert capsys.readouterr().out == live
 
 
+@pytest.mark.parametrize("record", [False, True], ids=["plain", "record"])
+def test_live_run_starts_the_prover_once(tmp_path, fake_prover, capsys, record):
+    starts = tmp_path / "starts.log"
+    prover = fake_prover(fixture_path("and_commutes"), prelude=f"echo start >> {shlex.quote(str(starts))}")
+    recorded = tmp_path / "live.cqtrace"
+    assert main(_live_args(script_path("and_commutes"), prover,
+                           *(["--record", str(recorded)] if record else []))) == 0
+    assert starts.read_text().splitlines() == ["start"]
+    if record:
+        header = json.loads(recorded.read_text().splitlines()[0])
+        assert header["prover_version"] == ("Welcome to Coq (The Coq Proof Assistant, version 8.9.1, "
+                                            "fake for benchmarking)")
+        live = capsys.readouterr().out
+        assert main([str(script_path("and_commutes")), "--provider", "replay", "--fixture", str(recorded)]) == 0
+        assert capsys.readouterr().out == live
+
+
 def test_live_rejected_sentence_exits_2(tmp_path, fake_prover, capsys):
     script = tmp_path / "wrong.v"
     script.write_text(script_path("and_commutes").read_text().replace("inversion H.", "destruct H."))
@@ -291,8 +321,7 @@ def test_prover_exiting_at_once_exits_2_without_waiting(tmp_path, capsys):
 
 
 def test_prover_closing_its_input_exits_2_without_waiting(tmp_path, capsys):
-    prover = write_prover(tmp_path, '[ "$1" = --version ] && exit 0\n'
-                                    'exec 0<&-\nprintf "<prompt>Coq < </prompt>" >&2\nexec sleep 10')
+    prover = write_prover(tmp_path, 'exec 0<&-\nprintf "<prompt>Coq < </prompt>" >&2\nexec sleep 10')
     start = time.monotonic()
     code = main(_live_args(script_path("and_commutes"), prover, "--timeout", "10"))
     assert time.monotonic() - start < 1.0
@@ -301,7 +330,7 @@ def test_prover_closing_its_input_exits_2_without_waiting(tmp_path, capsys):
 
 
 def test_prover_never_prompting_times_out(tmp_path, capsys):
-    prover = write_prover(tmp_path, '[ "$1" = --version ] && exit 0\nexec sleep 10')
+    prover = write_prover(tmp_path, "exec sleep 10")
     assert main(_live_args(script_path("and_commutes"), prover, "--timeout", "1")) == 2
     assert "PROVER_TIMEOUT" in capsys.readouterr().err
 

@@ -9,7 +9,8 @@ from coqatoo import (CoqatooError, SessionTrace, parse_script, parse_state,
 from coqatoo.diagnostics import decode_utf8, error
 from coqatoo.state_provider import TraceStep, _fields, _read_fixture, resolve_prover
 
-from helpers import LISTING_1, LISTING_2, fixture_path, load_script, load_trace
+from helpers import (LISTING_1, LISTING_2, fixture_path, load_script, load_trace, write_prover,
+                     write_split_coqtop)
 
 
 def test_replay_golden_fixture():
@@ -237,14 +238,25 @@ def test_auto_rewritten_in_recorded_command_stream(tmp_path):
     assert "auto" not in tactics
 
 
-def test_live_session_matches_replay(tmp_path, live_prover, corpus_name):
+def _assert_live_matches_replay(tmp_path, prover, corpus_name):
     script = load_script(corpus_name)
-    trace = run_live(script, live_prover(fixture_path(corpus_name)))
+    trace = run_live(script, prover)
     out = tmp_path / "live.cqtrace"
     record_session(trace, str(out))
     replayed = run_replay(script, str(out))
     for a, b in zip(replayed.states(), trace.states(), strict=True):
         assert a == b
+
+
+def test_live_session_matches_replay(tmp_path, live_prover, corpus_name):
+    _assert_live_matches_replay(tmp_path, live_prover(fixture_path(corpus_name)), corpus_name)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_live_session_matches_replay_through_split_writes(tmp_path, monkeypatch, corpus_name, seed):
+    """Responses and prompts arrive in 1-7-byte pieces, so one is read across several reads."""
+    monkeypatch.setenv("FAKE_COQTOP_TRACE", str(fixture_path(corpus_name)))
+    _assert_live_matches_replay(tmp_path, write_split_coqtop(tmp_path, seed), corpus_name)
 
 
 def test_live_recording_has_no_banner(tmp_path, fake_prover):
@@ -253,6 +265,18 @@ def test_live_recording_has_no_banner(tmp_path, fake_prover):
     record_session(trace, str(out))
     header = json.loads(out.read_text().splitlines()[0])
     assert header["initial_raw_state"].startswith("1 subgoal")
+
+
+def test_blank_banner_records_an_empty_prover_version(tmp_path):
+    prover = write_prover(tmp_path, "printf '\\n  \\n'\n"
+                                    "printf '<prompt>Coq < </prompt>' >&2\n"
+                                    "while read -r line; do\n"
+                                    "  echo 'No more subgoals.'\n"
+                                    "  printf '<prompt>Coq < </prompt>' >&2\n"
+                                    "done")
+    out = tmp_path / "live.cqtrace"
+    record_session(run_live(load_script("modus_ponens"), prover), str(out))
+    assert json.loads(out.read_text().splitlines()[0])["prover_version"] == ""
 
 
 def test_live_session_starts_no_thread(fake_prover):
