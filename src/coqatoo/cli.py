@@ -1,6 +1,7 @@
 """Command-line front end: parse -> states -> diffs -> tree -> rewrite -> render."""
 
 import argparse
+import gc
 import os
 import sys
 from typing import List, Optional, Sequence, TextIO
@@ -140,8 +141,20 @@ def run(config: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    config = parse_args(sys.argv[1:] if argv is None else argv)
-    return run(config)
+    """Run on `argv`, or on the command line when it is None.
+
+    A command-line run is the whole process and does no cyclic garbage
+    collection: the collector is off from entry, and every object is frozen
+    on any way out, so the collection at exit walks nothing.  Called with a
+    list, it leaves the collector alone.
+    """
+    if argv is not None:
+        return run(parse_args(argv))
+    gc.disable()
+    try:
+        return run(parse_args(sys.argv[1:]))
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -1,15 +1,19 @@
+import ast
+import gc
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
 from coqatoo import load_templates, parse_script, run_replay, to_dot
-from coqatoo.cli import main, parse_args
+from coqatoo.cli import _EXIT2_CODES, main, parse_args
 from coqatoo.pipeline import build_proof_tree, generate
 from coqatoo.rewriter import OutputMode
 
@@ -176,6 +180,29 @@ def test_mismatched_fixture_exits_1(capsys):
             "--fixture", str(fixture_path("conj_imp_equiv"))]
     assert main(args) == 1
     assert "FIXTURE_MISMATCH" in capsys.readouterr().err
+
+
+def _identity_pair(directory, a, b):
+    """A replay pair proving a -> a, with hypotheses named from `a` and `b`."""
+    directory.mkdir()
+    return write_replay_pair(directory, f"Lemma id_{a} : forall {a} {b} : Prop, {a} -> {a}.",
+                             state([], [f"forall {a} {b} : Prop, {a} -> {a}"]),
+                             [(f"intros {a} {b} H{a}", state([f"{a}, {b} : Prop", f"H{a} : {a}"], [a])),
+                              ("assumption", DONE)])
+
+
+@pytest.mark.parametrize("mode", ["annotated", "plain", "latex"])
+def test_unicode_hypothesis_names(tmp_path, capsys, mode):
+    """Named α, β and Hα, the proof reads as it does named p1, q1 and Hp1."""
+    outputs = []
+    for a, b in (("α", "β"), ("p1", "q1")):
+        script, trace = _identity_pair(tmp_path / a, a, b)
+        assert main([str(script), "--provider", "replay", "--fixture", str(trace), "--mode", mode]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert "β" in outputs[0]
+    assert outputs[0] == outputs[1].replace("p1", "α").replace("q1", "β")
 
 
 def test_missing_input_file_exits_2(capsys):
@@ -526,3 +553,96 @@ def _added_modules(code):
 def test_cold_start_loads_no_process_machinery(code):
     """Neither the import nor a replay run loads the live provider's modules, nor dataclasses."""
     assert _added_modules(code) & {"dataclasses", "inspect", "subprocess", "selectors"} == set()
+
+
+def _chained_script(directory):
+    script = directory / "chained.v"
+    script.write_text("Lemma t : True. Proof. split; intros. Qed.")
+    return str(script)
+
+
+# each way out of main: directory -> (argv, how main ends, exit status)
+_WAYS_OUT = {
+    "exit-0": lambda _: (replay_args("and_commutes"), "returns", 0),
+    "exit-1": lambda directory: ([_chained_script(directory)], "returns", 1),
+    "exit-2": lambda _: (["does-not-exist.v"], "returns", 2),
+    "usage-error": lambda _: ([str(script_path("and_commutes")), "--frobnicate"], "raises", 2),
+}
+
+
+def _main_in_process(argv):
+    try:
+        return "returns", main(argv)
+    except SystemExit as exc:
+        return "raises", exc.code
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("way_out", sorted(_WAYS_OUT))
+def test_main_with_a_list_leaves_the_collector_alone(tmp_path, capsys, way_out, enabled):
+    argv, ends, status = _WAYS_OUT[way_out](tmp_path)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert _main_in_process(argv) == (ends, status)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+# the console script's entry, then the collector's state on the way out
+_ENTRY = ("import gc, sys\nfrom coqatoo.cli import main\ntry:\n    sys.exit(main())\nfinally:\n"
+          "    print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)")
+
+
+@pytest.mark.parametrize("way_out", sorted(_WAYS_OUT))
+def test_the_command_line_runs_without_the_collector(tmp_path, capsys, way_out):
+    """main() disables the collector and freezes every object on each way
+    out; stdout, stderr and exit status are those of main(argv)."""
+    argv, ends, status = _WAYS_OUT[way_out](tmp_path)
+    run = subprocess.run([sys.executable, "-c", _ENTRY, *argv], capture_output=True, text=True,
+                         env=_cli_env(), timeout=60)
+    *err, collector = run.stderr.splitlines(keepends=True)
+    assert (run.returncode, collector) == (status, "False True\n")
+    assert _main_in_process(argv) == (ends, status)
+    captured = capsys.readouterr()
+    assert (run.stdout, "".join(err)) == (captured.out, captured.err)
+
+
+def test_no_resource_is_left_for_a_finalizer(tmp_path, fake_prover, capsys, monkeypatch):
+    """The command line skips the collection at exit, so a pipe, file or
+    process left in a reference cycle would never be closed: none is."""
+    gc.collect()
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    script = str(script_path("and_commutes"))
+    recorded, out = tmp_path / "live.cqtrace", tmp_path / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert main(_live_args(script, fake_prover(fixture_path("and_commutes")),
+                               "--record", str(recorded), "--out", str(out))) == 0
+        assert main([script, "--provider", "replay", "--fixture", str(recorded)]) == 0
+        gc.collect()
+    assert [(u.exc_type, str(u.exc_value), repr(u.object)) for u in unraisable] == []
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
+def _diagnostic_codes():
+    """Each diagnostic code the package raises -> "warning", or its exit status."""
+    codes = {}
+    for path in sorted((ROOT / "src" / "coqatoo").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("error", "warning", "decode_utf8"):
+                for arg in node.args:
+                    if isinstance(arg, ast.Constant) and re.fullmatch(r"[A-Z][A-Z0-9_]+", str(arg.value)):
+                        codes[arg.value] = ("warning" if node.func.id == "warning"
+                                            else "2" if arg.value in _EXIT2_CODES else "1")
+    return codes
+
+
+def test_every_diagnostic_code_is_in_the_readme():
+    """README lists each code as `CODE` (warning), (1) or (2)."""
+    codes = _diagnostic_codes()
+    assert {"INPUT_ENCODING", "IO", "MULTIPLE_LEMMAS", "NO_LEMMA", "TACTIC_FAILED"} <= codes.keys()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert sorted(code for code, kind in codes.items() if f"`{code}` ({kind})" not in readme) == []

@@ -1,10 +1,11 @@
+import re
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from coqatoo import CoqatooError, Hypothesis, parse_state
-from coqatoo.goal_parser import _OTHER_BREAKS, normalize_text
+from coqatoo.goal_parser import _IDENT, _OTHER_BREAKS, normalize_text
 
 from helpers import LISTING_1, LISTING_2, all_fixture_states
 
@@ -95,6 +96,21 @@ def test_bad_hypothesis_line():
         with pytest.raises(CoqatooError) as exc:
             parse_state(f"1 subgoal\n\n  {line}\n  ============================\n  P\n")
         assert exc.value.diagnostic.code == "MALFORMED_HYP"
+
+
+def test_unicode_hypothesis_names():
+    # Coq identifiers may start with a Unicode letter
+    state = parse_state("1 subgoal\n\n  α, β : Prop\n  Hα : α\n  ====\n  α\n")
+    assert state.hypotheses == (Hypothesis(("α", "β"), "Prop"), Hypothesis(("Hα",), "α"))
+    assert state.goals == ("α",)
+
+
+_ASCII_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_']*$")
+
+
+@given(st.text(st.sampled_from("aZ_09' -")) | st.text(st.characters(max_codepoint=127)))
+def test_identifier_pattern_is_unchanged_on_ascii(text):
+    assert bool(_IDENT.match(text)) == bool(_ASCII_IDENT.match(text))
 
 
 def test_raw_is_retained(corpus_name):
