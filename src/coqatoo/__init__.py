@@ -1,5 +1,7 @@
 """coqatoo: natural-language rendering of Coq proof scripts."""
 
+from __future__ import annotations
+
 from .diagnostics import CoqatooError, Diagnostic, Severity
 from .goal_parser import Hypothesis, ProofState, parse_state
 from .rewriter import OutputMode, TemplateSet, load_templates, render, rewrite_step

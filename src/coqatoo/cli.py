@@ -1,10 +1,13 @@
 """Command-line front end: parse -> states -> diffs -> tree -> rewrite -> render."""
 
-import argparse
+from __future__ import annotations
+
 import gc
+import getopt
 import os
 import sys
-from typing import List, Optional, Sequence, TextIO
+from types import SimpleNamespace
+from typing import List, NoReturn, Optional, Sequence, TextIO
 
 from . import pipeline, script_parser, state_provider
 from .diagnostics import CoqatooError, Diagnostic, Severity, decode_utf8, error
@@ -15,44 +18,94 @@ from .tree_builder import to_dot
 # "the input was rejected"
 _EXIT2_CODES = {"PROVER_MISSING", "PROVER_TIMEOUT", "PROVER_EXITED", "TACTIC_FAILED", "IO"}
 
-
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coqatoo",
-        description="Generate a natural-language version of a Coq proof script.")
-    parser.add_argument("input_path", metavar="input", help="path to a .v file, or - for standard input")
-    parser.add_argument("--provider", choices=["live", "replay"], default="live",
-                        help="run a live prover or replay a recorded session")
-    parser.add_argument("--prover", dest="prover_path",
-                        help=f"prover executable (overrides ${state_provider.PROVER_ENV_VAR})")
-    parser.add_argument("--fixture", dest="fixture_path",
-                        help="recorded session file (required with --provider replay)")
-    parser.add_argument("--record", dest="record_path",
-                        help="record the live session to this .cqtrace file")
-    parser.add_argument("--lang", dest="language", default="en", help="output language tag")
-    parser.add_argument("--mode", choices=["annotated", "plain", "latex"], default="annotated")
-    parser.add_argument("--templates", dest="templates_dir", help="template directory override")
-    parser.add_argument("--out", dest="out_path", help="write output here instead of stdout")
-    parser.add_argument("--strict", action="store_true", help="treat warnings as errors")
-    parser.add_argument("--timeout", dest="timeout_secs", type=int,
-                        default=state_provider.DEFAULT_TIMEOUT_SECS,
-                        help="per-sentence prover timeout in seconds")
-    parser.add_argument("--dot", action="store_true",
-                        help="emit the proof tree as a DOT graph instead of prose")
-    return parser
+# --name -> (setting, default, kind, help): the kind is bool for a flag, int or
+# str for a value, or the tuple of the values allowed
+_OPTIONS = {
+    "provider": ("provider", "live", ("live", "replay"), "run a live prover or replay a recorded session"),
+    "prover": ("prover_path", None, str, f"prover executable (overrides ${state_provider.PROVER_ENV_VAR})"),
+    "fixture": ("fixture_path", None, str, "recorded session file (required with --provider replay)"),
+    "record": ("record_path", None, str, "record the live session to this .cqtrace file"),
+    "lang": ("language", "en", str, "output language tag"),
+    "mode": ("mode", "annotated", ("annotated", "plain", "latex"), "output style"),
+    "templates": ("templates_dir", None, str, "template directory override"),
+    "out": ("out_path", None, str, "write output here instead of stdout"),
+    "strict": ("strict", False, bool, "treat warnings as errors"),
+    "timeout": ("timeout_secs", state_provider.DEFAULT_TIMEOUT_SECS, int, "per-sentence prover timeout in seconds"),
+    "dot": ("dot", False, bool, "emit the proof tree as a DOT graph instead of prose"),
+}
 
 
-def parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    parser = build_arg_parser()
-    config = parser.parse_args(list(argv))
+def _invocation(name: str) -> str:
+    setting, _, kind, _ = _OPTIONS[name]
+    value = "" if kind is bool else f" {{{','.join(kind)}}}" if isinstance(kind, tuple) else " " + setting.upper()
+    return f"--{name}{value}"
+
+
+def _usage() -> str:
+    """The usage lines, wrapped as argparse wraps them on 80 columns."""
+    lines, line = [], "usage: coqatoo [-h]"
+    for name in _OPTIONS:
+        part = f"[{_invocation(name)}]"
+        if len(line) + 1 + len(part) > 78:
+            lines.append(line)
+            line = " " * 14
+        line += " " + part
+    return "\n".join([*lines, line, " " * 15 + "input"]) + "\n"
+
+
+def _help() -> str:
+    rows = [("-h, --help", "show this help message and exit")]
+    rows += [(_invocation(name), text) for name, (_, _, _, text) in _OPTIONS.items()]
+    # each help text starts at column 24, under its option when the option is longer than 20
+    lines = [_usage(), "Generate a natural-language version of a Coq proof script.", "",
+             "positional arguments:", f"  {'input':<22}path to a .v file, or - for standard input", "", "options:"]
+    lines += [f"  {option:<22}{text}" if len(option) <= 20 else f"  {option}\n{'':<24}{text}"
+              for option, text in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _usage_error(message: str) -> NoReturn:
+    sys.stderr.write(f"{_usage()}coqatoo: error: {message}\n")
+    sys.exit(2)
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The settings of a run.  `--help` exits 0; a usage error prints the
+    usage and one `coqatoo: error:` line, and exits 2."""
+    try:
+        opts, inputs = getopt.gnu_getopt(list(argv), "h", ["help", *(
+            name if kind is bool else name + "=" for name, (_, _, kind, _) in _OPTIONS.items())])
+    except getopt.GetoptError as exc:
+        _usage_error(exc.msg)
+    config = SimpleNamespace(input_path=None, **{setting: default for setting, default, _, _ in _OPTIONS.values()})
+    for option, value in opts:
+        if option in ("-h", "--help"):
+            sys.stdout.write(_help())
+            sys.exit(0)
+        setting, _, kind, _ = _OPTIONS[option[2:]]
+        if kind is bool:
+            value = True
+        elif kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"argument {option}: invalid int value: {value!r}")
+        elif kind is not str and value not in kind:
+            _usage_error(f"argument {option}: invalid choice: {value!r} (choose from {', '.join(map(repr, kind))})")
+        setattr(config, setting, value)
+    if not inputs:
+        _usage_error("the following arguments are required: input")
+    if len(inputs) > 1:
+        _usage_error("unrecognized arguments: " + " ".join(inputs[1:]))
+    config.input_path = inputs[0]
     if config.provider == "replay" and not config.fixture_path:
-        parser.error("--provider replay requires --fixture")
+        _usage_error("--provider replay requires --fixture")
     if config.fixture_path and config.provider != "replay":
-        parser.error("--fixture requires --provider replay")
+        _usage_error("--fixture requires --provider replay")
     if config.record_path and config.provider != "live":
-        parser.error("--record requires --provider live")
+        _usage_error("--record requires --provider live")
     if config.timeout_secs <= 0:
-        parser.error("--timeout must be a positive number of seconds")
+        _usage_error("--timeout must be a positive number of seconds")
     return config
 
 
@@ -113,7 +166,7 @@ def _write_output(lines: Sequence[str], path: Optional[str]) -> None:
         raise CoqatooError(error("IO", f"cannot write standard output: {exc}"))
 
 
-def run(config: argparse.Namespace) -> int:
+def run(config: SimpleNamespace) -> int:
     try:
         script, diags = script_parser.parse_script(_read_source(config.input_path))
         if _rejects(diags, config.strict):

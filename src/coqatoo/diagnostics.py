@@ -1,5 +1,7 @@
 """Diagnostics shared by every pipeline stage."""
 
+from __future__ import annotations
+
 from enum import Enum
 from typing import NamedTuple, Optional, Tuple
 

@@ -1,5 +1,7 @@
 """State diffing: what did one tactic change between two proof states."""
 
+from __future__ import annotations
+
 from enum import Enum
 from typing import List, NamedTuple, Sequence, Tuple
 

@@ -10,6 +10,8 @@ Goals are only joined: they are most of a long proof's bytes and few are
 printed, so the stages that print or compare a goal normalize it there.
 """
 
+from __future__ import annotations
+
 import re
 from typing import Dict, List, NamedTuple, Optional, Tuple
 

@@ -1,5 +1,7 @@
 """Glue: script + session trace -> diffs -> tree -> rendered proof."""
 
+from __future__ import annotations
+
 from typing import Dict, List, Sequence, Tuple
 
 from .diagnostics import CoqatooError, Diagnostic, error

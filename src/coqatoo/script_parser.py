@@ -8,6 +8,8 @@ survive.  Comments nest.
 the later stages run; they take its `Script`, never the item list.
 """
 
+from __future__ import annotations
+
 import re
 from enum import Enum
 from typing import List, NamedTuple, Tuple

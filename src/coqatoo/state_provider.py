@@ -4,25 +4,24 @@ Two providers share one output type: a live coqtop subprocess driver and
 a deterministic replay of a recorded `.cqtrace` fixture.  Fixtures are
 line-delimited JSON and store raw prover responses; parsing to
 ProofState happens lazily so recorded sessions survive parser changes.
-The live provider imports its process machinery (`subprocess`,
-`selectors`, `shutil`) where it uses it, so a replay never loads it.
+The live provider is its own module, `live_session`, which `run_live`
+imports when it runs, so a replay never loads the process machinery
+(`subprocess`, `selectors`, `shutil`).
 """
+
+from __future__ import annotations
 
 import json
 import os
-import time
 from itertools import zip_longest
 from typing import BinaryIO, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .diagnostics import CoqatooError, decode_utf8, error
 from .goal_parser import Hypothesis, ProofState, parse_state, normalize_text
-from .script_parser import Script, ScriptItem
+from .script_parser import Script
 
 DEFAULT_TIMEOUT_SECS = 10
 PROVER_ENV_VAR = "COQATOO_PROVER"
-
-_PROMPT_MARKER = b"</prompt>"
-_CHUNK_BYTES = 64 * 1024
 
 
 class TraceStep(NamedTuple):
@@ -150,78 +149,6 @@ def record_session(trace: SessionTrace, out_path: str) -> None:
         raise CoqatooError(error("IO", f"cannot write fixture {out_path}: {exc}"))
 
 
-class _ProverSession:
-    """One strictly sequential conversation with a coqtop process.
-
-    `coqtop -emacs` writes each response to stdout and then a
-    `<prompt>...</prompt>` to stderr.  One selector loop reads both pipes
-    in chunks (POSIX only); the stdout read before the first prompt is the
-    banner.
-    """
-
-    def __init__(self, prover_path: str, timeout_secs: float):
-        import selectors
-        import subprocess
-        self.timeout = timeout_secs
-        try:
-            self.proc = subprocess.Popen(
-                [prover_path, "-emacs", "-q"],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
-        except OSError as exc:
-            raise CoqatooError(error("PROVER_MISSING",
-                                     f"cannot start prover {prover_path}: {exc.strerror}")) from None
-        self._stdout = self.proc.stdout.fileno()
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._stdout, selectors.EVENT_READ)
-        self._selector.register(self.proc.stderr.fileno(), selectors.EVENT_READ)
-
-    def read_response(self) -> str:
-        """Read up to the next prompt; return the stdout written before it."""
-        out, err = bytearray(), bytearray()
-        deadline = time.monotonic() + self.timeout
-        while _PROMPT_MARKER not in err:
-            ready = self._selector.select(max(deadline - time.monotonic(), 0))
-            if not ready:
-                raise CoqatooError(error("PROVER_TIMEOUT", f"no prompt within {self.timeout}s"))
-            for key, _ in ready:
-                chunk = os.read(key.fd, _CHUNK_BYTES)
-                if not chunk:
-                    raise _exited(err)
-                (out if key.fd == self._stdout else err).extend(chunk)
-        # the response was written before the prompt: take what is still in the pipe
-        while any(key.fd == self._stdout for key, _ in self._selector.select(0)):
-            chunk = os.read(self._stdout, _CHUNK_BYTES)
-            if not chunk:
-                break
-            out.extend(chunk)
-        text = out.decode("utf-8", errors="replace")
-        return text.replace("\r\n", "\n").replace("\r", "\n")
-
-    def submit(self, sentence: str) -> str:
-        """Send one sentence and return the full response."""
-        if not sentence.rstrip().endswith("."):
-            sentence = sentence.rstrip() + "."
-        data = (sentence + "\n").encode("utf-8")
-        try:
-            while data:
-                data = data[self.proc.stdin.write(data):]
-        except BrokenPipeError:
-            raise _exited(b"") from None
-        return self.read_response()
-
-    def close(self) -> None:
-        self._selector.close()
-        self.proc.kill()
-        with self.proc:  # closes the pipes and reaps the child
-            pass
-
-
-def _exited(stderr: bytes) -> CoqatooError:
-    detail = stderr.decode("utf-8", errors="replace").strip()[-200:]
-    return CoqatooError(error("PROVER_EXITED", "prover exited before its prompt"
-                              + (f": {detail}" if detail else "")))
-
-
 def resolve_prover(cli_path: Optional[str] = None) -> Optional[str]:
     """CLI flag wins over COQATOO_PROVER; fall back to coqtop on PATH."""
     import shutil
@@ -236,30 +163,5 @@ def run_live(script: Script, prover_path: Optional[str] = None,
     The prover is `prover_path`, else $COQATOO_PROVER, else coqtop (`resolve_prover`).
     The banner's first non-blank line is kept as the trace's `prover_version`.
     """
-    resolved = resolve_prover(prover_path)
-    if resolved is None:
-        raise CoqatooError(error("PROVER_MISSING", "no prover executable found (install coqtop, "
-                                 f"set ${PROVER_ENV_VAR}, or pass --prover)"))
-
-    lemma = script.lemma
-    session = _ProverSession(resolved, timeout_secs)
-    try:
-        banner = session.read_response()
-        version = next((line.strip() for line in banner.splitlines() if line.strip()), "")
-        initial_raw = session.submit(lemma.text)
-        _check_failure(initial_raw, lemma)
-        steps = []
-        for it in script.tactics:
-            raw = session.submit(it.text)
-            _check_failure(raw, it)
-            steps.append(TraceStep(_norm_tactic(it.text), raw))
-        return SessionTrace(normalize_text(lemma.text), initial_raw, tuple(steps), version)
-    finally:
-        session.close()
-
-
-def _check_failure(raw: str, item: ScriptItem) -> None:
-    for line in raw.splitlines():
-        if line.startswith(("Error", "Toplevel input")):
-            raise CoqatooError(error("TACTIC_FAILED",
-                                     f"prover rejected {item.command!r}: {raw.strip()}", item.span))
+    from . import live_session
+    return live_session.run_live(script, prover_path, timeout_secs)

@@ -80,19 +80,19 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
 def walk(root: ProofNode) -> List[Tuple[bool, ProofNode]]:
     """(True, node) on entering each node in pre-order, (False, node) after its subtree.
 
-    The only code that recurses over `children`, one Python frame per tree level,
-    so every output breaks at the same depth.
+    `_visit` is the only code that recurses over `children`, one Python frame
+    per tree level, so every output breaks at the same depth.
     """
     events: List[Tuple[bool, ProofNode]] = []
-
-    def visit(node: ProofNode) -> None:
-        events.append((True, node))
-        for child in node.children:
-            visit(child)
-        events.append((False, node))
-
-    visit(root)
+    _visit(root, events)
     return events
+
+
+def _visit(node: ProofNode, events: List[Tuple[bool, ProofNode]]) -> None:
+    events.append((True, node))
+    for child in node.children:
+        _visit(child, events)
+    events.append((False, node))
 
 
 def flatten(node: ProofNode) -> List[ScriptItem]:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -65,6 +66,57 @@ def test_unknown_flag():
     with pytest.raises(SystemExit) as exc:
         parse_args(["proof.v", "--frobnicate"])
     assert exc.value.code != 0
+
+
+def test_help_exits_0_with_the_usage_on_stdout(capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: coqatoo")
+    assert captured.err == ""
+
+
+_DEFAULT_CONFIG = {"input_path": "proof.v", "provider": "live", "prover_path": None, "fixture_path": None,
+                   "record_path": None, "language": "en", "mode": "annotated", "templates_dir": None,
+                   "out_path": None, "strict": False, "timeout_secs": 10, "dot": False}
+
+
+@pytest.mark.parametrize("argv, changes", [
+    (["proof.v"], {}),
+    (["--mode=plain", "proof.v"], {"mode": "plain"}),
+    (["proof.v", "--provider", "replay", "--fix", "t"], {"provider": "replay", "fixture_path": "t"}),
+    (["proof.v", "--strict", "--dot", "--timeout", "3", "--lang", "fr", "--out", "o", "--templates", "d",
+      "--prover", "p", "--record", "r"],
+     {"strict": True, "dot": True, "timeout_secs": 3, "language": "fr", "out_path": "o", "templates_dir": "d",
+      "prover_path": "p", "record_path": "r"}),
+], ids=["defaults", "equals-sign", "prefix", "every-option"])
+def test_command_line_settings(argv, changes):
+    assert vars(parse_args(argv)) == {**_DEFAULT_CONFIG, **changes}
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: input"),
+    (["a.v", "b.v"], "unrecognized arguments: b.v"),
+    (["a.v", "--mode", "bogus"],
+     "argument --mode: invalid choice: 'bogus' (choose from 'annotated', 'plain', 'latex')"),
+    (["a.v", "--timeout", "x"], "argument --timeout: invalid int value: 'x'"),
+    (["a.v", "--provider", "replay"], "--provider replay requires --fixture"),
+    (["a.v", "--fixture", "t"], "--fixture requires --provider replay"),
+    (["a.v", "--provider", "replay", "--fixture", "t", "--record", "o"], "--record requires --provider live"),
+    (["a.v", "--timeout", "0"], "--timeout must be a positive number of seconds"),
+], ids=["missing-input", "second-input", "bad-choice", "bad-int", "replay-without-fixture",
+        "fixture-without-replay", "record-without-live", "zero-timeout"])
+def test_usage_error_exits_2_after_the_usage(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: coqatoo")
+    usage, _, error_line = captured.err.rstrip("\n").rpartition("\n")
+    assert error_line == f"coqatoo: error: {message}"
+    assert "error" not in usage
 
 
 @pytest.mark.parametrize("timeout", ["0", "-3"])
@@ -551,8 +603,38 @@ def _added_modules(code):
     f"assert main({replay_args('and_commutes', '--out', os.devnull)!r}) == 0",
 ], ids=["import", "replay"])
 def test_cold_start_loads_no_process_machinery(code):
-    """Neither the import nor a replay run loads the live provider's modules, nor dataclasses."""
-    assert _added_modules(code) & {"dataclasses", "inspect", "subprocess", "selectors"} == set()
+    """Neither the import nor a replay run loads the live provider or its
+    modules, argparse and the locale module it looks up, nor dataclasses."""
+    assert _added_modules(code) & {"dataclasses", "inspect", "subprocess", "selectors", "shutil", "argparse",
+                                   "locale", "coqatoo.live_session"} == set()
+
+
+@pytest.mark.parametrize("extra", [["--mode", "annotated"], ["--mode", "plain"], ["--mode", "latex"], ["--dot"]],
+                         ids=["annotated", "plain", "latex", "dot"])
+@pytest.mark.parametrize("proof", ["and_commutes", "narrow_chain"])
+def test_a_replay_run_leaves_no_reference_cycle(tmp_path, capsys, proof, extra):
+    """Reference counting frees all that a run makes, so the command line,
+    which never collects, holds nothing until exit: after a first run has
+    filled the caches, a second leaves the collector nothing to find."""
+    if proof == "and_commutes":
+        args = replay_args("and_commutes", *extra)
+    else:
+        script, trace = write_replay_pair(tmp_path, *narrow_chain(300))
+        args = [str(script), "--provider", "replay", "--fixture", str(trace), *extra]
+    assert main(args) == 0
+    was_enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(args) == 0
+        found = gc.collect()
+        kinds = Counter(type(obj).__name__ for obj in gc.garbage).most_common(5)
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        (gc.enable if was_enabled else gc.disable)()
+    assert (found, kinds) == (0, [])
 
 
 def _chained_script(directory):
