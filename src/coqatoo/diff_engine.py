@@ -5,7 +5,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .goal_parser import Hypothesis, ProofState
+from .goal_parser import _IDENT, Hypothesis, ProofState
 
 SORT_KEYWORDS = {"Prop", "Set", "Type"}
 
@@ -79,5 +79,5 @@ def is_heuristic(h: Hypothesis) -> bool:
     """True when classify_bindings calls h a hypothesis only by default:
     its type is neither an identifier nor built from a logical connective."""
     t = h.type_expr
-    return not (t.replace(" ", "").isidentifier()
+    return not (_IDENT.match(t.replace(" ", ""))
                 or any(op in t for op in ("->", "/\\", "\\/", "<->", "~", "=", "forall", "exists")))

@@ -21,8 +21,10 @@ from .diagnostics import CoqatooError, error
 SUBGOAL_HEADER = re.compile(r"^\s*(\d+)\s+(?:focused\s+)?subgoals?\b", re.M)
 FINISHED_MARKERS = ("No more subgoals", "Proof completed")
 _SUBGOAL_K = re.compile(r"^\s*subgoal\s+(\d+)\s+is\s*:\s*$")
-# a Coq identifier: a letter (Unicode ones too) or "_", then letters, digits, "_" and "'"
-_IDENT = re.compile(r"^[^\W\d][\w']*$")
+# a Coq identifier: a letter (Unicode ones too) or "_", then letters, digits, "_" and "'";
+# the one definition every stage reads: IDENT.match() finds the name a text starts with
+IDENT = re.compile(r"[^\W\d][\w']*")
+_IDENT = re.compile(f"^{IDENT.pattern}$")   # match() checks a whole name
 # where str.splitlines() breaks a line besides "\n"
 _OTHER_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 # below this length the normal-form check costs more than the split it saves

@@ -108,9 +108,9 @@ def run_live(script: Script, prover_path: Optional[str], timeout_secs: float) ->
         _check_failure(initial_raw, lemma)
         steps = []
         for it in script.tactics:
-            raw = session.submit(it.text)
+            raw = session.submit(it.prover_text)
             _check_failure(raw, it)
-            steps.append(TraceStep(_norm_tactic(it.text), raw))
+            steps.append(TraceStep(_norm_tactic(it.prover_text), raw))
         return SessionTrace(normalize_text(lemma.text), initial_raw, tuple(steps), version)
     finally:
         session.close()

@@ -41,4 +41,4 @@ def generate(script: Script, trace: SessionTrace, templates: TemplateSet,
     tree = build_tree(steps)
     annotations = annotate_steps(steps, templates)
     diagnostics = [d for annotation in annotations.values() for d in annotation.diagnostics]
-    return render(tree, annotations, mode, script.lemma.original, templates), diagnostics
+    return render(tree, annotations, mode, script.lemma.text, templates), diagnostics

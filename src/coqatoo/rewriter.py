@@ -186,15 +186,16 @@ def _silent(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
 
 
 def _rewrite_info_auto(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
-    """Explain each tactic that info_auto reports it used.
+    """Explain each tactic that `auto`, run as info_auto, reports it used.
 
     A reported tactic without a row in RULES makes the annotation OMITTED,
     as that tactic would be if the script named it, and warns
     UNSUPPORTED_TACTIC with the span of the `auto`.
     """
     subs = [step.item._replace(text=sub + ".") for sub in _extract_auto_trace(step.after.raw)]
-    # a reported info_auto explains nothing; rewriting it would read this same trace again
-    annotations = [rewrite_step(step._replace(item=sub), templates) for sub in subs if sub.head != "info_auto"]
+    # a reported auto or info_auto explains nothing; rewriting it would read this same trace again
+    annotations = [rewrite_step(step._replace(item=sub), templates) for sub in subs
+                   if sub.head not in ("auto", "info_auto")]
     unruled = [warning("UNSUPPORTED_TACTIC", f'no rewriting rule for tactic "{sub.head}", which auto used',
                        step.item.span)
                for sub in subs if sub.head not in RULES]
@@ -265,7 +266,7 @@ _INTROS_KEYS = ("intros.variables", "intros.variables_one", "intros.hypotheses",
                 "intros.mixed")
 
 # tactic head -> (rule, template keys the rule fills); `auto` reaches the
-# prover as `info_auto` (script_parser.preprocess_auto)
+# prover as `info_auto` (ScriptItem.prover_text)
 RULES: Dict[str, Tuple[Callable[..., Annotation], Tuple[str, ...]]] = {
     "intros": (_rewrite_intros, _INTROS_KEYS),
     "intro": (_rewrite_intros, _INTROS_KEYS),
@@ -273,7 +274,7 @@ RULES: Dict[str, Tuple[Callable[..., Annotation], Tuple[str, ...]]] = {
     "apply": (_rewrite_apply, ("apply.hypothesis_one", "apply.hypothesis_many")),
     "assumption": (_rewrite_assumption, ("assumption.default",)),
     "inversion": (_rewrite_inversion, ("inversion.default",)),
-    "auto": (_silent, ()),
+    "auto": (_rewrite_info_auto, ()),
     "info_auto": (_rewrite_info_auto, ()),
 }
 
@@ -305,7 +306,7 @@ def render(tree: ProofNode, annotations: Mapping[int, Annotation], mode: OutputM
             ann = annotations[step.item.seq]
             text = " ".join(ann.sentences) if ann.sentences else None
             if annotated:
-                tactic = normalize_text(step.item.original)
+                tactic = normalize_text(step.item.text)
                 lines.append(f"{indent}{tactic}" if text is None else f"{indent}(* {text} *) {tactic}")
                 continue
             if text is None and ann.kind is AnnotationKind.OMITTED:

@@ -15,6 +15,7 @@ from enum import Enum
 from typing import List, NamedTuple, Tuple
 
 from .diagnostics import Diagnostic, CoqatooError, error, warning
+from .goal_parser import IDENT
 from .rewriter import RULES
 
 
@@ -31,7 +32,6 @@ class ItemKind(Enum):
 LEMMA_KEYWORDS = {"Lemma", "Theorem", "Corollary", "Fact", "Remark", "Proposition", "Example"}
 PROOF_END_KEYWORDS = {"Qed", "Defined", "Admitted", "Save"}
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 # N:, N-M:, N, M:, all:, par:, !: and [name]: in front of a tactic
 _SELECTOR = re.compile(r"(?:\d[\d\s,-]*|all|par|!|\[\s*[\w']+\s*\])\s*:(?!=)")
 _NON_SPACE = re.compile(r"\S")
@@ -41,21 +41,12 @@ _NON_SPACE = re.compile(r"\S")
 _TOKENS = re.compile(r'"|\(\*|\*\)|;|\.(?=\s|\Z)')
 
 
-class _ScriptItemFields(NamedTuple):
+class ScriptItem(NamedTuple):
+    """One item of the script, with its text as written."""
     kind: ItemKind
     text: str
     span: Tuple[int, int]
     seq: int
-    original: str = ""
-
-
-class ScriptItem(_ScriptItemFields):
-    """One item of the script; `original` is the text as written, and
-    defaults to `text`."""
-    __slots__ = ()
-
-    def __new__(cls, kind: ItemKind, text: str, span: Tuple[int, int], seq: int, original: str = ""):
-        return tuple.__new__(cls, (kind, text, span, seq, original or text))
 
     @property
     def command(self) -> str:
@@ -66,10 +57,18 @@ class ScriptItem(_ScriptItemFields):
     def head(self) -> str:
         return _head(self.command)
 
+    @property
+    def prover_text(self) -> str:
+        """The text the prover runs: an `auto` is run as `info_auto`, which
+        reports the tactics it used."""
+        if "auto" in self.text and self.head == "auto":
+            return self.text.replace("auto", "info_auto", 1)
+        return self.text
+
 
 def _head(command: str) -> str:
     """The tactic name a command starts with, or the whole command."""
-    m = _IDENT.match(command)
+    m = IDENT.match(command)
     return m.group(0) if m else command
 
 
@@ -114,7 +113,7 @@ def _find_stop(source: str, i: int, stop: str) -> int:
 
 
 def _classify(sentence: str) -> ItemKind:
-    m = _IDENT.match(sentence)
+    m = IDENT.match(sentence)
     word = m.group(0) if m else ""
     if word in LEMMA_KEYWORDS:
         return ItemKind.LEMMA_HEADER
@@ -161,22 +160,6 @@ def tokenize_script(source: str) -> List[ScriptItem]:
     return items
 
 
-def preprocess_auto(items: List[ScriptItem]) -> List[ScriptItem]:
-    """Rewrite the head of every `auto` tactic to `info_auto`.
-
-    The original text is kept on the item for round-trip rendering.
-    Idempotent.
-    """
-    out = []
-    for it in items:
-        if it.kind is ItemKind.TACTIC and "auto" in it.text and it.head == "auto":
-            rewritten = it.text.replace("auto", "info_auto", 1)
-            out.append(it._replace(text=rewritten))
-        else:
-            out.append(it)
-    return out
-
-
 def _has_toplevel_semicolon(text: str) -> bool:
     if ";" not in text:
         return False
@@ -212,8 +195,8 @@ class Script(NamedTuple):
 
 
 def parse_script(source: str) -> Tuple[Script, List[Diagnostic]]:
-    """Tokenize, keep the first lemma through its proof end, check and
-    preprocess its tactics.
+    """Tokenize, keep the first lemma through its proof end, and check its
+    tactics.
 
     Raises CoqatooError with UNTERMINATED_COMMENT or NO_LEMMA.  The
     diagnostics returned are MULTIPLE_LEMMAS and detect_unsupported's.
@@ -228,4 +211,4 @@ def parse_script(source: str) -> Tuple[Script, List[Diagnostic]]:
                              rest[0].span))
     tactics = [it for it in items[start:end] if it.kind is ItemKind.TACTIC]
     diags += detect_unsupported(tactics)
-    return Script(items[start], tuple(preprocess_auto(tactics))), diags
+    return Script(items[start], tuple(tactics)), diags

@@ -126,7 +126,7 @@ def run_replay(script: Script, fixture_path: str) -> SessionTrace:
         raise CoqatooError(error(
             "FIXTURE_MISMATCH",
             f"fixture records lemma {fixture_lemma!r}, script states {script_lemma!r}"))
-    script_tactics = [_norm_tactic(it.text) for it in script.tactics]
+    script_tactics = [_norm_tactic(it.prover_text) for it in script.tactics]
     fixture_tactics = [_norm_tactic(s.tactic) for s in steps]
     for i, (a, b) in enumerate(zip_longest(script_tactics, fixture_tactics, fillvalue="(end of proof)")):
         if a != b:

@@ -116,7 +116,7 @@ def test_unsupported_construct_handling(tmp_path, capsys):
     assert "UNSUPPORTED_CHAIN" in capsys.readouterr().err
 
     script, trace = load_trace("modus_ponens")
-    assert "auto" not in [it.command for it in script.tactics]
+    assert [(it.command, it.prover_text) for it in script.tactics if it.head == "auto"] == [("auto", "info_auto.")]
     recorded = tmp_path / "mp.cqtrace"
     record_session(trace, str(recorded))
     assert '"tactic": "info_auto"' in recorded.read_text()

@@ -257,6 +257,16 @@ def test_unicode_hypothesis_names(tmp_path, capsys, mode):
     assert outputs[0] == outputs[1].replace("p1", "α").replace("q1", "β")
 
 
+@pytest.mark.parametrize("a", ["P", "P'"])
+def test_a_hypothesis_of_a_primed_type_is_no_heuristic(tmp_path, capsys, a):
+    """`H{a} : {a}` is a hypothesis by its identifier type, so --strict has nothing to reject."""
+    script, trace = _identity_pair(tmp_path / "pair", a, "Q")
+    assert main([str(script), "--provider", "replay", "--fixture", str(trace), "--strict"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"intros {a} Q H{a}.\n" in captured.out and captured.out.endswith("Qed.\n")
+
+
 def test_missing_input_file_exits_2(capsys):
     assert main(["does-not-exist.v"]) == 2
     assert "IO" in capsys.readouterr().err
@@ -412,6 +422,81 @@ def test_prover_never_prompting_times_out(tmp_path, capsys):
     prover = write_prover(tmp_path, "exec sleep 10")
     assert main(_live_args(script_path("and_commutes"), prover, "--timeout", "1")) == 2
     assert "PROVER_TIMEOUT" in capsys.readouterr().err
+
+
+def test_live_run_ends_an_unterminated_last_tactic(tmp_path, fake_prover, capsys):
+    """The last tactic has no "." (no Qed. follows): the live session adds it."""
+    script, trace = write_replay_pair(tmp_path, "Lemma t : True /\\ True.", _GOAL,
+                                      [("split", _SPLIT), ("assumption", state([], ["True"])), ("assumption", DONE)])
+    text = script.read_text(encoding="utf-8")
+    assert text.count("assumption.\nQed.\n") == 1
+    script.write_text(text.replace("assumption.\nQed.\n", "assumption"), encoding="utf-8")
+    assert main(_live_args(script, fake_prover(trace))) == 0
+    live = capsys.readouterr()
+    assert main([str(script), "--provider", "replay", "--fixture", str(trace)]) == 0
+    assert capsys.readouterr() == live
+    assert live.err == "" and live.out.endswith(" assumption\nQed.\n")
+
+
+def test_live_rejected_auto_is_named_as_written(tmp_path, fake_prover, capsys):
+    """The prover hears info_auto; the message names the auto of the script."""
+    script = tmp_path / "wrong.v"
+    script.write_text(script_path("modus_ponens").read_text().replace("auto.", "auto with arith."))
+    assert main(_live_args(script, fake_prover(fixture_path("modus_ponens")))) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[TACTIC_FAILED]")
+    assert "prover rejected 'auto with arith'" in captured.err
+    assert "got 'info_auto with arith.'" in captured.err
+
+
+def _assert_one_error(captured, code):
+    assert captured.out == ""
+    assert captured.err.startswith(f"error[{code}]") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("initial, message", [
+    ("Welcome, no goals here\n", "no subgoal header found"),
+    ("2 subgoals\n\n  ============================\n  True\n", "header announces 2 subgoal(s) but 1 goal block(s)"),
+], ids=["no_header", "two_announced_one_found"])
+def test_malformed_state_exits_1(tmp_path, capsys, initial, message):
+    script, trace = write_replay_pair(tmp_path, "Lemma t : True.", initial, [("assumption", DONE)])
+    assert main([str(script), "--provider", "replay", "--fixture", str(trace)]) == 1
+    captured = capsys.readouterr()
+    _assert_one_error(captured, "MALFORMED_STATE")
+    assert message in captured.err
+
+
+def test_template_line_without_equals_exits_1(tmp_path, capsys):
+    english = (ROOT / "src" / "coqatoo" / "templates" / "en.properties").read_text(encoding="utf-8")
+    (tmp_path / "en.properties").write_text(english + "a line without an equals sign\n", encoding="utf-8")
+    assert main(replay_args("and_commutes", "--templates", str(tmp_path))) == 1
+    captured = capsys.readouterr()
+    _assert_one_error(captured, "TEMPLATE_PARSE")
+    assert "a line without an equals sign" in captured.err
+
+
+def test_record_into_a_missing_directory_exits_2(tmp_path, fake_prover, capsys):
+    recorded = tmp_path / "no-dir" / "live.cqtrace"
+    prover = fake_prover(fixture_path("and_commutes"))
+    assert main(_live_args(script_path("and_commutes"), prover, "--record", str(recorded))) == 2
+    captured = capsys.readouterr()
+    _assert_one_error(captured, "IO")
+    assert f"cannot write fixture {recorded}" in captured.err
+
+
+def test_dot_labels_an_auto_case_as_written(tmp_path, capsys):
+    """The prover runs each auto as info_auto; the DOT label is the tactic of the script."""
+    auto_used_i = "(* info auto: *)\nexact I.\n"
+    script, trace = write_replay_pair(tmp_path, "Lemma t : True /\\ True.", _GOAL, [
+        ("split", _SPLIT), ("info_auto", auto_used_i + state([], ["True"])), ("info_auto", auto_used_i + DONE)])
+    text = script.read_text(encoding="utf-8")
+    script.write_text(text.replace("info_auto.", "auto."), encoding="utf-8")
+    assert main([str(script), "--provider", "replay", "--fixture", str(trace), "--dot"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "digraph proof {", "  node [shape=box];", '  n0 [label="split"];',
+        '  n1 [label="auto\\ncase: True"];', "  n0 -> n1;",
+        '  n2 [label="auto\\ncase: True"];', "  n0 -> n2;", "}"]
 
 
 _GOAL = state([], ["True /\\ True"])

@@ -1,20 +1,20 @@
 """The record types: defaults, copies with `_replace`, hashing and equality."""
 
-from coqatoo import ItemKind, ScriptItem, preprocess_auto, tokenize_script
+from coqatoo import ItemKind, ScriptItem, tokenize_script
 from coqatoo.tree_builder import ProofNode
 
 from helpers import load_trace
 
 
-def test_script_item_original_defaults_to_text():
-    item = ScriptItem(ItemKind.TACTIC, "intros.", (0, 7), 3)
-    assert item.original == "intros."
-    assert ScriptItem(ItemKind.TACTIC, "info_auto.", (0, 5), 3, "auto.").original == "auto."
+def test_script_item_has_one_text():
+    item = ScriptItem(ItemKind.TACTIC, "auto.", (0, 5), 3)
+    assert item._fields == ("kind", "text", "span", "seq")
+    assert (item.text, item.prover_text) == ("auto.", "info_auto.")
 
 
-def test_preprocess_auto_keeps_the_written_text():
-    tactic = preprocess_auto(tokenize_script("Lemma t : True. Proof. auto with arith. Qed."))[2]
-    assert (tactic.text, tactic.original, tactic.head) == ("info_auto with arith.", "auto with arith.", "info_auto")
+def test_tokenized_auto_keeps_the_written_text():
+    tactic = tokenize_script("Lemma t : True. Proof. auto with arith. Qed.")[2]
+    assert (tactic.text, tactic.prover_text, tactic.head) == ("auto with arith.", "info_auto with arith.", "auto")
     assert type(tactic) is ScriptItem
 
 

@@ -68,8 +68,8 @@ def test_rules_fill_only_the_keys_of_their_row(corpus_name):
     for step in analyzed_steps(corpus_name):
         templates.filled.clear()
         rewrite_step(step, templates)
-        # info_auto explains the tactics auto used with their own rows
-        allowed = row_keys if step.item.head == "info_auto" else set(RULES[step.item.head][1])
+        # auto, which the prover runs as info_auto, explains the tactics it used with their own rows
+        allowed = row_keys if step.item.prover_text.startswith("info_auto") else set(RULES[step.item.head][1])
         assert templates.filled <= allowed, step.item.command
 
 
@@ -182,6 +182,15 @@ def test_auto_trace_ends_where_a_state_starts(rest):
 def test_info_auto_reported_by_auto_explains_nothing():
     step = analyzed_steps("modus_ponens")[2]
     raw = "(* info auto: *)\ninfo_auto.\nassumption.\n\nNo more subgoals.\n"
+    ann = rewrite_step(step._replace(after=step.after._replace(raw=raw)), EN)
+    assert ann.sentences == ("True, because it is one of our assumptions.",)
+    assert ann.kind is AnnotationKind.EXPLAIN and ann.diagnostics == ()
+
+
+def test_auto_reported_by_auto_explains_nothing():
+    step = analyzed_steps("modus_ponens")[2]
+    assert (step.item.text, step.item.prover_text) == ("auto.", "info_auto.")
+    raw = "(* info auto: *)\nauto.\nassumption.\n\nNo more subgoals.\n"
     ann = rewrite_step(step._replace(after=step.after._replace(raw=raw)), EN)
     assert ann.sentences == ("True, because it is one of our assumptions.",)
     assert ann.kind is AnnotationKind.EXPLAIN and ann.diagnostics == ()

@@ -4,10 +4,10 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from coqatoo import (CoqatooError, ItemKind, detect_unsupported, parse_script, preprocess_auto,
-                     tokenize_script)
+from coqatoo import CoqatooError, ItemKind, detect_unsupported, parse_script, tokenize_script
 from coqatoo.diagnostics import Severity
 from coqatoo.rewriter import RULES
+from coqatoo.script_parser import _head
 
 from helpers import script_path, tactic_commands
 
@@ -85,31 +85,41 @@ def test_tactic_dot_only_terminal(corpus_name):
             assert "." not in it.text[:-1]
 
 
-# --- preprocess_auto ---
+# --- prover_text: the prover runs auto as info_auto ---
+
+def _prover_spelled(item):
+    return item._replace(text=item.prover_text)
+
 
 def test_auto_head_rewritten():
     items = tokenize_script("Lemma t : True. Proof. auto. Qed.")
-    out = preprocess_auto(items)
-    tactic = [it for it in out if it.kind is ItemKind.TACTIC][0]
-    assert tactic.text == "info_auto."
-    assert tactic.original == "auto."
+    tactic = [it for it in items if it.kind is ItemKind.TACTIC][0]
+    assert tactic.prover_text == "info_auto."
+    assert tactic.text == "auto."
 
 
 def test_auto_with_arguments():
     items = tokenize_script("Lemma t : True. Proof. auto with arith. Qed.")
-    out = preprocess_auto(items)
-    assert [it.command for it in out if it.kind is ItemKind.TACTIC] == ["info_auto with arith"]
+    tactics = [it for it in items if it.kind is ItemKind.TACTIC]
+    assert [it.command for it in tactics] == ["auto with arith"]
+    assert [_prover_spelled(it).command for it in tactics] == ["info_auto with arith"]
 
 
 def test_non_auto_unchanged():
     items = tokenize_script("Lemma t : True. Proof. assumption. Qed.")
-    assert preprocess_auto(items) == items
+    assert [_prover_spelled(it) for it in items] == items
+
+
+@pytest.mark.parametrize("text", ["info_auto.", "assumption.", "autorewrite.", "eauto.", "apply auto."])
+def test_prover_text_of_a_tactic_not_led_by_auto_is_its_text(text):
+    item = tokenize_script(f"Lemma t : True. Proof. {text} Qed.")[2]
+    assert item.prover_text == item.text == text
 
 
 def test_preprocess_idempotent(corpus_name):
     items = tokenize_script(script_path(corpus_name).read_text())
-    once = preprocess_auto(items)
-    assert preprocess_auto(once) == once
+    once = [_prover_spelled(it) for it in items]
+    assert [_prover_spelled(it) for it in once] == once
 
 
 # --- detect_unsupported ---
@@ -139,6 +149,19 @@ def test_every_rule_head_is_supported(head):
     assert detect_unsupported(items) == []
 
 
+@pytest.mark.parametrize("command, head", [
+    ("apply H", "apply"), ("exact(I)", "exact"), ("intros H'", "intros"), ("τακτική H", "τακτική"),
+    ("rewrite_α' -> H", "rewrite_α'"), ("2: auto", "2: auto"),
+])
+def test_head_is_the_identifier_a_command_starts_with(command, head):
+    assert _head(command) == head
+
+
+def test_a_non_ascii_tactic_is_warned_by_its_name():
+    items = tokenize_script("Lemma t : True. Proof. τακτική H. Qed.")
+    assert [d.message for d in detect_unsupported(items)] == ['no rewriting rule for tactic "τακτική"']
+
+
 @pytest.mark.parametrize("selector", ["2:", "1-2:", "1, 3:", "1,2-3:", "all:", "par:", "!:", "[H]:", "2 :"])
 def test_goal_selector_is_rejected(selector):
     items = tokenize_script(f"Lemma t : True. Proof. {selector} assumption. Qed.")
@@ -163,7 +186,7 @@ def test_parse_script_keeps_the_first_lemma_and_warns():
     src = "Lemma a : True. Proof. auto. Qed.\nLemma b : True. Proof. ring. Qed.\nLemma c : True.\n"
     script, diags = parse_script(src)
     assert script.lemma.command == "Lemma a : True"
-    assert [(it.text, it.original) for it in script.tactics] == [("info_auto.", "auto.")]
+    assert [(it.text, it.prover_text) for it in script.tactics] == [("auto.", "info_auto.")]
     assert [(d.code, d.severity) for d in diags] == [("MULTIPLE_LEMMAS", Severity.WARNING)]
     assert "2 more ignored" in diags[0].message
     assert diags[0].span[0] == src.index("Lemma b")
@@ -232,5 +255,5 @@ def test_regex_whitespace_is_str_isspace():
 
 @given(_scripts())
 def test_preprocess_idempotence_property(drawn):
-    once = preprocess_auto(tokenize_script(drawn[0]))
-    assert preprocess_auto(once) == once
+    once = [_prover_spelled(it) for it in tokenize_script(drawn[0])]
+    assert [_prover_spelled(it) for it in once] == once
