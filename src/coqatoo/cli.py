@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import getopt
 import os
 import sys
 from types import SimpleNamespace
@@ -72,11 +71,28 @@ def _usage_error(message: str) -> NoReturn:
 def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     """The settings of a run.  `--help` exits 0; a usage error prints the
     usage and one `coqatoo: error:` line, and exits 2."""
-    try:
-        opts, inputs = getopt.gnu_getopt(list(argv), "h", ["help", *(
-            name if kind is bool else name + "=" for name, (_, _, kind, _) in _OPTIONS.items())])
-    except getopt.GetoptError as exc:
-        _usage_error(exc.msg)
+    opts, inputs, args = [], [], iter(argv)
+    for arg in args:   # as getopt.gnu_getopt scans, with its messages
+        if arg == "--":
+            inputs += args
+        elif arg.startswith("--"):
+            name, equals, value = arg[2:].partition("=")
+            names = [option for option in ("help", *_OPTIONS) if option.startswith(name)]
+            if len(names) != 1 and name not in names:
+                _usage_error(f"option --{name} {'not a unique prefix' if names else 'not recognized'}")
+            name = name if name in names else names[0]
+            flag = name == "help" or _OPTIONS[name][2] is bool
+            if flag and equals:
+                _usage_error(f"option --{name} must not have an argument")
+            elif not (flag or equals) and (value := next(args, None)) is None:
+                _usage_error(f"option --{name} requires argument")
+            opts.append(("--" + name, value))
+        elif arg.startswith("-") and arg != "-":
+            if unknown := arg[1:].lstrip("h"):
+                _usage_error(f"option -{unknown[0]} not recognized")
+            opts.append(("-h", ""))
+        else:
+            inputs.append(arg)
     config = SimpleNamespace(input_path=None, **{setting: default for setting, default, _, _ in _OPTIONS.values()})
     for option, value in opts:
         if option in ("-h", "--help"):
@@ -109,14 +125,10 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     return config
 
 
-def _print_diag(diag: Diagnostic) -> None:
-    print(diag.format(), file=sys.stderr)
-
-
 def _rejects(diags: Sequence[Diagnostic], strict: bool) -> bool:
     """Print every diagnostic; true when one is an error, or any is under --strict."""
     for diag in diags:
-        _print_diag(diag)
+        print(diag.format(), file=sys.stderr)
     return any(d.severity is Severity.ERROR or strict for d in diags)
 
 
@@ -188,7 +200,7 @@ def run(config: SimpleNamespace) -> int:
                 return 1
         _write_output(lines, config.out_path)
     except CoqatooError as exc:
-        _print_diag(exc.diagnostic)
+        print(exc.diagnostic.format(), file=sys.stderr)
         return 2 if exc.diagnostic.code in _EXIT2_CODES else 1
     return 0
 
@@ -196,18 +208,24 @@ def run(config: SimpleNamespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Run on `argv`, or on the command line when it is None.
 
-    A command-line run is the whole process and does no cyclic garbage
-    collection: the collector is off from entry, and every object is frozen
-    on any way out, so the collection at exit walks nothing.  Called with a
-    list, it leaves the collector alone.
+    A command-line run is the whole process: it runs without the cyclic
+    garbage collector, and once it has flushed its output it ends with
+    `os._exit`, skipping the interpreter's teardown.  Called with a list,
+    it returns the status and leaves the collector alone.
     """
     if argv is not None:
         return run(parse_args(argv))
     gc.disable()
     try:
-        return run(parse_args(sys.argv[1:]))
-    finally:
-        gc.freeze()
+        status = run(parse_args(sys.argv[1:]))
+    except SystemExit as exc:   # --help or a usage error
+        status = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        status = 120   # what the interpreter's own exit returns when its flush fails
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 
 class Severity(Enum):
@@ -11,11 +12,9 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-class Diagnostic(NamedTuple):
-    severity: Severity
-    message: str
-    code: str
-    span: Optional[Tuple[int, int]] = None
+class Diagnostic(namedtuple("Diagnostic", "severity message code span", defaults=(None,))):
+    """severity: Severity; message, code: str; span: Optional[Tuple[int, int]]."""
+    __slots__ = ()
 
     def format(self) -> str:
         loc = f" at {self.span[0]}..{self.span[1]}" if self.span else ""

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .goal_parser import _IDENT, Hypothesis, ProofState
 
@@ -17,10 +18,8 @@ class Classification(Enum):
     TRANSFORM = "transform"
 
 
-class StateDiff(NamedTuple):
-    added: Tuple[Hypothesis, ...]
-    subgoal_delta: int
-    classification: Classification
+# added: Tuple[Hypothesis, ...]; subgoal_delta: int; classification: Classification
+StateDiff = namedtuple("StateDiff", "added subgoal_delta classification")
 
 
 def _binding_set(state: ProofState):

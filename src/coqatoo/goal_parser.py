@@ -13,7 +13,8 @@ printed, so the stages that print or compare a goal normalize it there.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from collections import namedtuple
+from typing import Dict, List, Optional, Tuple
 
 from .diagnostics import CoqatooError, error
 
@@ -50,16 +51,10 @@ def normalize_text(text: str) -> str:
     return text
 
 
-class Hypothesis(NamedTuple):
-    names: Tuple[str, ...]
-    type_expr: str
-
-
-class ProofState(NamedTuple):
-    subgoal_count: int
-    hypotheses: Tuple[Hypothesis, ...]
-    goals: Tuple[str, ...]
-    raw: str
+# names: Tuple[str, ...]; type_expr: str
+Hypothesis = namedtuple("Hypothesis", "names type_expr")
+# subgoal_count: int; hypotheses: Tuple[Hypothesis, ...]; goals: Tuple[str, ...]; raw: str
+ProofState = namedtuple("ProofState", "subgoal_count hypotheses goals raw")
 
 
 def _parse_context(block: str) -> Tuple[Hypothesis, ...]:
@@ -114,9 +109,11 @@ def parse_state(raw: str, contexts: Optional[Dict[str, Tuple[Hypothesis, ...]]] 
     The caller owns it; a block already in it is not parsed again, so
     states with the same block share one `hypotheses` tuple.
     """
-    if any(marker in raw for marker in FINISHED_MARKERS):
-        return ProofState(0, (), (), raw)
     m = SUBGOAL_HEADER.search(raw)
+    # the proof is finished when a marker starts a line ahead of the first subgoal header
+    head = raw[:m.start()] if m else raw
+    if any(line.lstrip().startswith(FINISHED_MARKERS) for line in head.splitlines()):
+        return ProofState(0, (), (), raw)
     if not m:
         raise CoqatooError(error("MALFORMED_STATE", "no subgoal header found in prover output"))
     count = int(m.group(1))

@@ -15,13 +15,14 @@ only the placeholders in `ALLOWED_PLACEHOLDERS`; further keys are allowed.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .diagnostics import CoqatooError, Diagnostic, decode_utf8, error, warning
+from .diagnostics import CoqatooError, decode_utf8, error, warning
 from .diff_engine import Classification, classify_bindings, is_heuristic
-from .goal_parser import FINISHED_MARKERS, SUBGOAL_HEADER, Hypothesis, ProofState, normalize_text
+from .goal_parser import FINISHED_MARKERS, SUBGOAL_HEADER, ProofState, normalize_text
 from .tree_builder import AnalyzedStep, ProofNode, walk
 
 REFERENCE_LANGUAGE = "en"
@@ -43,15 +44,13 @@ class OutputMode(Enum):
     LATEX = "latex"
 
 
-class Annotation(NamedTuple):
-    sentences: tuple
-    kind: AnnotationKind = AnnotationKind.EXPLAIN
-    diagnostics: Tuple[Diagnostic, ...] = ()
+# sentences: tuple; kind: AnnotationKind; diagnostics: Tuple[Diagnostic, ...]
+Annotation = namedtuple("Annotation", "sentences kind diagnostics", defaults=(AnnotationKind.EXPLAIN, ()))
 
 
-class TemplateSet(NamedTuple):
-    language: str
-    entries: Mapping[str, str]
+class TemplateSet(namedtuple("TemplateSet", "language entries")):
+    """language: str; entries: Mapping[str, str]."""
+    __slots__ = ()
 
     def fill(self, key: str, **values: str) -> str:
         if key not in self.entries:
@@ -73,10 +72,6 @@ class TemplateSet(NamedTuple):
         return ", ".join(parts[:-1]) + f" {joiner} " + parts[-1]
 
 
-def default_template_dir() -> Path:
-    return Path(__file__).parent / "templates"
-
-
 def _parse_properties(path: Path) -> Dict[str, str]:
     entries: Dict[str, str] = {}
     for line in decode_utf8(path.read_bytes(), str(path), "TEMPLATE_PARSE").splitlines():
@@ -92,7 +87,7 @@ def _parse_properties(path: Path) -> Dict[str, str]:
 
 def load_templates(directory: Optional[str] = None, language: str = REFERENCE_LANGUAGE) -> TemplateSet:
     """Load one language's templates, checking completeness and placeholders."""
-    base = Path(directory) if directory else default_template_dir()
+    base = Path(directory) if directory else Path(__file__).parent / "templates"
     path = base / f"{language}.properties"
     if not path.is_file():
         raise CoqatooError(error("TEMPLATE_MISSING_KEY",
@@ -143,11 +138,6 @@ def _binding_types(ctx: ProofState) -> Dict[str, str]:
 def _tactic_arg(command: str) -> Optional[str]:
     tokens = command.split()
     return tokens[1] if len(tokens) > 1 else None
-
-
-def _hyp_types_by_length(hyps: Sequence[Hypothesis]) -> List[str]:
-    types = [h.type_expr for h in hyps for _ in h.names]
-    return sorted(types, key=len)
 
 
 def _extract_auto_trace(response_raw: str) -> List[str]:
@@ -216,9 +206,11 @@ def _rewrite_intros(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
     # the goal the tactic leaves, unless it closed its goal or left an empty one
     goal = normalize_text(step.diff.subgoal_delta >= 0 and step.after.goals[0] or step.before.goals[0])
     var_names = [n for h in variables for n in h.names]
-    hyp_types = _hyp_types_by_length(hypotheses)
+    hyp_types = sorted((h.type_expr for h in hypotheses for _ in h.names), key=len)
     if variables and hypotheses:
-        text = templates.fill("intros.mixed",
+        key = ("intros.mixed" + ("_one_variable" if len(var_names) == 1 else "")
+               + ("_one_hypothesis" if len(hyp_types) == 1 else ""))
+        text = templates.fill(key,
                               list=templates.join(var_names),
                               type=variables[0].type_expr,
                               hyp=templates.join(hyp_types),
@@ -263,7 +255,8 @@ def _rewrite_inversion(step: AnalyzedStep, templates: TemplateSet) -> Annotation
 
 
 _INTROS_KEYS = ("intros.variables", "intros.variables_one", "intros.hypotheses", "intros.hypotheses_one",
-                "intros.mixed")
+                "intros.mixed", "intros.mixed_one_variable", "intros.mixed_one_hypothesis",
+                "intros.mixed_one_variable_one_hypothesis")
 
 # tactic head -> (rule, template keys the rule fills); `auto` reaches the
 # prover as `info_auto` (ScriptItem.prover_text)

@@ -11,8 +11,9 @@ the later stages run; they take its `Script`, never the item list.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from enum import Enum
-from typing import List, NamedTuple, Tuple
+from typing import List, Tuple
 
 from .diagnostics import Diagnostic, CoqatooError, error, warning
 from .goal_parser import IDENT
@@ -41,12 +42,10 @@ _NON_SPACE = re.compile(r"\S")
 _TOKENS = re.compile(r'"|\(\*|\*\)|;|\.(?=\s|\Z)')
 
 
-class ScriptItem(NamedTuple):
-    """One item of the script, with its text as written."""
-    kind: ItemKind
-    text: str
-    span: Tuple[int, int]
-    seq: int
+class ScriptItem(namedtuple("ScriptItem", "kind text span seq")):
+    """One item of the script, with its text as written.
+    kind: ItemKind; text: str; span: Tuple[int, int]; seq: int."""
+    __slots__ = ()
 
     @property
     def command(self) -> str:
@@ -188,10 +187,10 @@ def detect_unsupported(items: List[ScriptItem]) -> List[Diagnostic]:
     return diags
 
 
-class Script(NamedTuple):
-    """The first lemma of a source file and the tactics of its proof."""
-    lemma: ScriptItem
-    tactics: Tuple[ScriptItem, ...]
+class Script(namedtuple("Script", "lemma tactics")):
+    """The first lemma of a source file and the tactics of its proof.
+    lemma: ScriptItem; tactics: Tuple[ScriptItem, ...]."""
+    __slots__ = ()
 
 
 def parse_script(source: str) -> Tuple[Script, List[Diagnostic]]:

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
 from itertools import zip_longest
-from typing import BinaryIO, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import BinaryIO, Dict, List, Optional, Tuple
 
 from .diagnostics import CoqatooError, decode_utf8, error
 from .goal_parser import Hypothesis, ProofState, parse_state, normalize_text
@@ -24,16 +25,13 @@ DEFAULT_TIMEOUT_SECS = 10
 PROVER_ENV_VAR = "COQATOO_PROVER"
 
 
-class TraceStep(NamedTuple):
-    tactic: str
-    raw_state: str
+# tactic, raw_state: str
+TraceStep = namedtuple("TraceStep", "tactic raw_state")
 
 
-class SessionTrace(NamedTuple):
-    lemma: str
-    initial_raw: str
-    steps: Sequence[TraceStep] = ()
-    prover_version: str = ""
+class SessionTrace(namedtuple("SessionTrace", "lemma initial_raw steps prover_version", defaults=((), ""))):
+    """lemma, initial_raw: str; steps: Sequence[TraceStep]; prover_version: str."""
+    __slots__ = ()
 
     def states(self) -> List[ProofState]:
         """The initial state, then the state after each step.

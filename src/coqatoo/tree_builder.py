@@ -7,22 +7,18 @@ unfilled children.  Bullet depth falls out of the nesting.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
+from collections import namedtuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .diagnostics import CoqatooError, error
-from .diff_engine import Classification, StateDiff
-from .goal_parser import ProofState
+from .diff_engine import Classification
 
 if TYPE_CHECKING:
     from .script_parser import ScriptItem
 
 
-class AnalyzedStep(NamedTuple):
-    """One tactic: its script item, the states around it and their diff."""
-    item: ScriptItem
-    before: ProofState
-    after: ProofState
-    diff: StateDiff
+# one tactic: its item: ScriptItem, the states around it, before and after: ProofState, and their diff: StateDiff
+AnalyzedStep = namedtuple("AnalyzedStep", "item before after diff")
 
 
 class ProofNode:

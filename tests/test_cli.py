@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import gc
+import getopt
 import io
 import json
 import os
@@ -12,9 +14,10 @@ import warnings
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coqatoo import load_templates, parse_script, run_replay, to_dot
-from coqatoo.cli import _EXIT2_CODES, main, parse_args
+from coqatoo.cli import _EXIT2_CODES, _OPTIONS, main, parse_args
 from coqatoo.pipeline import build_proof_tree, generate
 from coqatoo.rewriter import OutputMode
 
@@ -90,7 +93,11 @@ _DEFAULT_CONFIG = {"input_path": "proof.v", "provider": "live", "prover_path": N
       "--prover", "p", "--record", "r"],
      {"strict": True, "dot": True, "timeout_secs": 3, "language": "fr", "out_path": "o", "templates_dir": "d",
       "prover_path": "p", "record_path": "r"}),
-], ids=["defaults", "equals-sign", "prefix", "every-option"])
+    (["-", "--mode", "plain"], {"input_path": "-", "mode": "plain"}),
+    (["--dot", "--", "-x.v"], {"input_path": "-x.v", "dot": True}),
+    (["--out", "--", "--te=3", "proof.v"], {"out_path": "--", "templates_dir": "3"}),
+], ids=["defaults", "equals-sign", "prefix", "every-option", "standard-input", "end-of-options",
+        "dashes-as-a-value"])
 def test_command_line_settings(argv, changes):
     assert vars(parse_args(argv)) == {**_DEFAULT_CONFIG, **changes}
 
@@ -105,8 +112,15 @@ def test_command_line_settings(argv, changes):
     (["a.v", "--fixture", "t"], "--fixture requires --provider replay"),
     (["a.v", "--provider", "replay", "--fixture", "t", "--record", "o"], "--record requires --provider live"),
     (["a.v", "--timeout", "0"], "--timeout must be a positive number of seconds"),
+    (["a.v", "--frobnicate"], "option --frobnicate not recognized"),
+    (["a.v", "--t", "3"], "option --t not a unique prefix"),
+    (["a.v", "--mode"], "option --mode requires argument"),
+    (["a.v", "--dot=1"], "option --dot must not have an argument"),
+    (["a.v", "-x"], "option -x not recognized"),
+    (["-hx", "a.v"], "option -x not recognized"),
 ], ids=["missing-input", "second-input", "bad-choice", "bad-int", "replay-without-fixture",
-        "fixture-without-replay", "record-without-live", "zero-timeout"])
+        "fixture-without-replay", "record-without-live", "zero-timeout", "unknown-option", "ambiguous-prefix",
+        "missing-value", "value-for-a-flag", "unknown-short-option", "unknown-short-option-after-h"])
 def test_usage_error_exits_2_after_the_usage(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -117,6 +131,35 @@ def test_usage_error_exits_2_after_the_usage(capsys, argv, message):
     usage, _, error_line = captured.err.rstrip("\n").rpartition("\n")
     assert error_line == f"coqatoo: error: {message}"
     assert "error" not in usage
+
+
+def _outcome(argv):
+    """parse_args's settings, or its exit status and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@given(st.lists(st.sampled_from(["a.v", "b.v", "-", "--", "-h", "-hh", "-hx", "-x", "--help", "--h", "--help=1",
+                                 "--mode", "--mo", "--mode=latex", "--mode=", "plain", "--t", "--ti", "--timeout=3",
+                                 "3", "--dot", "--dot=1", "--d", "--p", "--pro", "--provider", "replay",
+                                 "--fixture=t", "--f", "--=x", "---x", "", "--frobnicate"]), max_size=6))
+def test_the_option_scan_reads_a_command_line_as_getopt_does(argv):
+    """Every command line reads as getopt.gnu_getopt reads it: its error
+    message, or the settings of the same options spelled out in full."""
+    longopts = ["help", *(name if kind is bool else name + "=" for name, (_, _, kind, _) in _OPTIONS.items())]
+    try:
+        opts, inputs = getopt.gnu_getopt(argv, "h", longopts)
+    except getopt.GetoptError as exc:
+        status, out, err = _outcome(argv)
+        assert (status, out, err.rstrip("\n").rpartition("\n")[2]) == (2, "", f"coqatoo: error: {exc.msg}")
+        return
+    spelled = [option if option == "-h" or option[2:] + "=" not in longopts else f"{option}={value}"
+               for option, value in opts]
+    assert _outcome(argv) == _outcome([*spelled, "--", *inputs])
 
 
 @pytest.mark.parametrize("timeout", ["0", "-3"])
@@ -578,25 +621,38 @@ def test_output_over_64_kib_is_the_same_through_every_writer(tmp_path, dot):
     assert outputs == [expected] * 3
 
 
-@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("target, reason", [("/dev/full", "[Errno 28] No space left on device"),
-                                            ("closed pipe", "[Errno 32] Broken pipe")],
-                         ids=["dev-full", "closed-pipe"])
-def test_failed_write_to_stdout_exits_2(target, reason, unbuffered):
-    """One IO diagnostic, as for --out; no traceback, and nothing at exit."""
+def _run_on_unwritable_stdout(command, target, unbuffered):
+    """Run `command` with standard output on /dev/full or on a pipe whose read end is closed."""
     if target == "/dev/full":
         stdout = os.open(target, os.O_WRONLY)
     else:
         read_end, stdout = os.pipe()
         os.close(read_end)
     try:
-        run = subprocess.run(_cli_command(script_path("and_commutes"), fixture_path("and_commutes")),
-                             stdout=stdout, stderr=subprocess.PIPE, env=_cli_env(PYTHONUNBUFFERED=unbuffered),
-                             timeout=60)
+        return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE,
+                              env=_cli_env(PYTHONUNBUFFERED=unbuffered), timeout=60)
     finally:
         os.close(stdout)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("target, reason", [("/dev/full", "[Errno 28] No space left on device"),
+                                            ("closed pipe", "[Errno 32] Broken pipe")],
+                         ids=["dev-full", "closed-pipe"])
+def test_failed_write_to_stdout_exits_2(target, reason, unbuffered):
+    """One IO diagnostic, as for --out; no traceback, and nothing at exit."""
+    run = _run_on_unwritable_stdout(_cli_command(script_path("and_commutes"), fixture_path("and_commutes")),
+                                    target, unbuffered)
     assert run.returncode == 2
     assert run.stderr.decode() == f"error[IO]: cannot write standard output: {reason}\n"
+
+
+@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+def test_help_that_cannot_be_flushed_exits_120_without_a_traceback(target):
+    """Buffered --help reaches standard output only at the flush before
+    os._exit; when that fails the status is the interpreter's own, 120."""
+    run = _run_on_unwritable_stdout([sys.executable, "-m", "coqatoo.cli", "--help"], target, None)
+    assert (run.returncode, run.stderr) == (120, b"")
 
 
 @pytest.mark.parametrize("failing_args", [
@@ -689,9 +745,10 @@ def _added_modules(code):
 ], ids=["import", "replay"])
 def test_cold_start_loads_no_process_machinery(code):
     """Neither the import nor a replay run loads the live provider or its
-    modules, argparse and the locale module it looks up, nor dataclasses."""
+    modules, argparse and the locale module it looks up, getopt and the
+    gettext it imports, nor dataclasses."""
     assert _added_modules(code) & {"dataclasses", "inspect", "subprocess", "selectors", "shutil", "argparse",
-                                   "locale", "coqatoo.live_session"} == set()
+                                   "locale", "getopt", "gettext", "coqatoo.live_session"} == set()
 
 
 @pytest.mark.parametrize("extra", [["--mode", "annotated"], ["--mode", "plain"], ["--mode", "latex"], ["--dot"]],
@@ -734,6 +791,7 @@ _WAYS_OUT = {
     "exit-1": lambda directory: ([_chained_script(directory)], "returns", 1),
     "exit-2": lambda _: (["does-not-exist.v"], "returns", 2),
     "usage-error": lambda _: ([str(script_path("and_commutes")), "--frobnicate"], "raises", 2),
+    "help": lambda _: (["--help"], "raises", 0),
 }
 
 
@@ -757,23 +815,26 @@ def test_main_with_a_list_leaves_the_collector_alone(tmp_path, capsys, way_out, 
         (gc.enable if was_enabled else gc.disable)()
 
 
-# the console script's entry, then the collector's state on the way out
-_ENTRY = ("import gc, sys\nfrom coqatoo.cli import main\ntry:\n    sys.exit(main())\nfinally:\n"
-          "    print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)")
+# the console script's entry, after an exit handler and a hook on every collection
+_ENTRY = ("import atexit, gc, os, sys\nfrom coqatoo.cli import main\n"
+          "atexit.register(os.write, 2, b'exit handler\\n')\n"
+          "gc.callbacks.append(lambda phase, info: phase == 'start' and os.write(2, b'collection\\n'))\n"
+          "sys.exit(main())")
 
 
 @pytest.mark.parametrize("way_out", sorted(_WAYS_OUT))
 def test_the_command_line_runs_without_the_collector(tmp_path, capsys, way_out):
-    """main() disables the collector and freezes every object on each way
-    out; stdout, stderr and exit status are those of main(argv)."""
+    """main() runs without the collector and ends the process with
+    os._exit, after flushing what it wrote to the pipes, so no exit handler
+    runs; stdout, stderr and exit status are those of main(argv), with
+    standard output unbuffered and block-buffered."""
     argv, ends, status = _WAYS_OUT[way_out](tmp_path)
-    run = subprocess.run([sys.executable, "-c", _ENTRY, *argv], capture_output=True, text=True,
-                         env=_cli_env(), timeout=60)
-    *err, collector = run.stderr.splitlines(keepends=True)
-    assert (run.returncode, collector) == (status, "False True\n")
     assert _main_in_process(argv) == (ends, status)
     captured = capsys.readouterr()
-    assert (run.stdout, "".join(err)) == (captured.out, captured.err)
+    for unbuffered in ("1", None):
+        run = subprocess.run([sys.executable, "-c", _ENTRY, *argv], capture_output=True, text=True,
+                             env=_cli_env(PYTHONUNBUFFERED=unbuffered), timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (status, captured.out, captured.err), unbuffered
 
 
 def test_no_resource_is_left_for_a_finalizer(tmp_path, fake_prover, capsys, monkeypatch):

@@ -44,6 +44,19 @@ def test_no_more_subgoals():
     assert state.goals == ()
 
 
+@pytest.mark.parametrize("goal", ['s = "Proof completed"', '"No more subgoals" = s', "P ->\n  Proof completed"])
+def test_a_marker_in_a_goal_is_no_finished_proof(goal):
+    """A marker counts only where it starts a line ahead of the subgoal header."""
+    state = parse_state(f"1 subgoal\n\n  s : string\n  ============================\n  {goal}\n")
+    assert (state.subgoal_count, state.goals) == (1, (" ".join(goal.split("\n  ")),))
+
+
+@pytest.mark.parametrize("raw", ["(* info auto: *)\nsimple exact I.\n\nNo more subgoals.\n",
+                                 "  Proof completed.\n", "No more subgoals.\r\n"])
+def test_a_marker_that_starts_a_line_finishes_the_proof(raw):
+    assert parse_state(raw) == (0, (), (), raw)
+
+
 def test_multiple_subgoals():
     raw = ("3 subgoals\n\n  H : P\n  ============================\n  P\n\n"
            "subgoal 2 is:\n Q\nsubgoal 3 is:\n R\n")

@@ -210,7 +210,35 @@ def test_mixed_intros_stays_within_two_sentences():
     ann = rewrite_step(_step("intros P Q R H.", before, after), EN)
     assert len(ann.sentences) == 2
     assert "P, Q and R" in ann.sentences[0]
-    assert "suppose that P are true" in ann.sentences[0]
+    assert "suppose that P is true" in ann.sentences[0]
+
+
+_ONE_VARIABLE = {"en": "Assume that {} is an arbitrary object of type Prop",
+                 "fr": "Supposons que {} est un objet arbitraire de type Prop"}
+_VARIABLES = {"en": "Assume that {} are arbitrary objects of type Prop",
+              "fr": "Supposons que {} sont des objets arbitraires de type Prop"}
+_ONE_HYPOTHESIS = {"en": " and suppose that {} is true.", "fr": " et que {} est vraie."}
+_HYPOTHESES = {"en": " and suppose that {} are true.", "fr": " et que {} sont vraies."}
+
+
+@pytest.mark.parametrize("lang", ["en", "fr"])
+@pytest.mark.parametrize("names, hyps, variables, hypotheses", [
+    ("x", ["Hx : x"], _ONE_VARIABLE, _ONE_HYPOTHESIS),
+    ("x", ["Hx : x", "Hy : ~ x"], _ONE_VARIABLE, _HYPOTHESES),
+    ("a, b", ["Ha : a"], _VARIABLES, _ONE_HYPOTHESIS),
+    ("a, b", ["Ha : a", "Hb : b"], _VARIABLES, _HYPOTHESES),
+], ids=["one-one", "one-many", "many-one", "many-many"])
+def test_mixed_intros_agree_in_number(lang, names, hyps, variables, hypotheses):
+    """Each half of the mixed sentence takes the singular for one name, as
+    intros.variables_one and intros.hypotheses_one do."""
+    before = parse_state("1 subgoal\n\n  ============================\n  G\n")
+    after = parse_state("1 subgoal\n\n  " + "\n  ".join([f"{names} : Prop", *hyps])
+                        + "\n  ============================\n  G\n")
+    templates = load_templates(language=lang)
+    sentence = rewrite_step(_step("intros.", before, after), templates).sentences[0]
+    hyp_types = templates.join(sorted((h.split(" : ")[1] for h in hyps), key=len))
+    names = templates.join(names.split(", "))
+    assert sentence == variables[lang].format(names) + hypotheses[lang].format(hyp_types)
 
 
 # --- render ---
