@@ -8,7 +8,7 @@ from .rewriter import OutputMode, TemplateSet, load_templates, render, rewrite_s
 from .script_parser import ItemKind, Script, ScriptItem, detect_unsupported, parse_script, tokenize_script
 from .state_provider import SessionTrace, TraceStep, record_session, run_live, run_replay
 from .diff_engine import Classification, StateDiff, classify_bindings, diff_states
-from .tree_builder import ProofNode, build_tree, flatten, leaves, to_dot
+from .tree_builder import ProofNode, build_tree, to_dot
 
 __version__ = "0.1.0"
 
@@ -19,5 +19,5 @@ __all__ = [
     "ItemKind", "Script", "ScriptItem", "detect_unsupported", "parse_script", "tokenize_script",
     "SessionTrace", "TraceStep", "record_session", "run_live", "run_replay",
     "Classification", "StateDiff", "classify_bindings", "diff_states",
-    "ProofNode", "build_tree", "flatten", "leaves", "to_dot",
+    "ProofNode", "build_tree", "to_dot",
 ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import os
 import sys
@@ -52,19 +53,18 @@ def _usage() -> str:
     return "\n".join([*lines, line, " " * 15 + "input"]) + "\n"
 
 
-def _help() -> str:
+def _help() -> List[str]:
     rows = [("-h, --help", "show this help message and exit")]
     rows += [(_invocation(name), text) for name, (_, _, _, text) in _OPTIONS.items()]
     # each help text starts at column 24, under its option when the option is longer than 20
     lines = [_usage(), "Generate a natural-language version of a Coq proof script.", "",
              "positional arguments:", f"  {'input':<22}path to a .v file, or - for standard input", "", "options:"]
-    lines += [f"  {option:<22}{text}" if len(option) <= 20 else f"  {option}\n{'':<24}{text}"
-              for option, text in rows]
-    return "\n".join(lines) + "\n"
+    return lines + [f"  {option:<22}{text}" if len(option) <= 20 else f"  {option}\n{'':<24}{text}"
+                    for option, text in rows]
 
 
 def _usage_error(message: str) -> NoReturn:
-    sys.stderr.write(f"{_usage()}coqatoo: error: {message}\n")
+    _write([f"{_usage()}coqatoo: error: {message}"], "stderr")
     sys.exit(2)
 
 
@@ -96,7 +96,7 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     config = SimpleNamespace(input_path=None, **{setting: default for setting, default, _, _ in _OPTIONS.values()})
     for option, value in opts:
         if option in ("-h", "--help"):
-            sys.stdout.write(_help())
+            _write(_help())
             sys.exit(0)
         setting, _, kind, _ = _OPTIONS[option[2:]]
         if kind is bool:
@@ -127,9 +127,15 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
 
 def _rejects(diags: Sequence[Diagnostic], strict: bool) -> bool:
     """Print every diagnostic; true when one is an error, or any is under --strict."""
-    for diag in diags:
-        print(diag.format(), file=sys.stderr)
+    _write([diag.format() for diag in diags], "stderr")
     return any(d.severity is Severity.ERROR or strict for d in diags)
+
+
+def _standard(name: str) -> TextIO:
+    """sys.`name` as it is now; None, a standard stream closed when the process started, is EBADF."""
+    if (stream := getattr(sys, name)) is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return stream
 
 
 def _read_source(path: str) -> str:
@@ -137,7 +143,7 @@ def _read_source(path: str) -> str:
     become LF, as text-mode open() makes them; standard input's stay as read."""
     try:
         if path == "-":
-            return decode_utf8(sys.stdin.buffer.read(), "standard input", "INPUT_ENCODING")
+            return decode_utf8(_standard("stdin").buffer.read(), "standard input", "INPUT_ENCODING")
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
@@ -149,37 +155,35 @@ def _read_source(path: str) -> str:
 _CHUNK_CHARS = 64 * 1024
 
 
-def _write_lines(lines: Sequence[str], fh: TextIO) -> None:
-    """Write each line and a "\n" after it, about `_CHUNK_CHARS` at a time."""
-    start = size = 0
-    for end, line in enumerate(lines, 1):
-        size += len(line) + 1
-        if size >= _CHUNK_CHARS or end == len(lines):
-            fh.write("\n".join(lines[start:end]) + "\n")
-            start, size = end, 0
-
-
-def _write_output(lines: Sequence[str], path: Optional[str]) -> None:
-    if path:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                _write_lines(lines, fh)
-        except OSError as exc:
-            raise CoqatooError(error("IO", f"cannot write {path}: {exc}"))
-        return
+def _write(lines: Sequence[str], stream: str = "stdout", path: Optional[str] = None) -> None:
+    """Write each line and a "\n" after it, about `_CHUNK_CHARS` at a time, to the file `path`, else to
+    sys.`stream` as it is now, and flush.  A failure is IO, unless it is standard error's."""
+    fh = None
     try:
-        _write_lines(lines, sys.stdout)
-        sys.stdout.flush()
+        fh = open(path, "w", encoding="utf-8") if path else _standard(stream)
+        start = size = 0
+        for end, line in enumerate(lines, 1):
+            size += len(line) + 1
+            if size >= _CHUNK_CHARS or end == len(lines):
+                fh.write("\n".join(lines[start:end]) + "\n")
+                start, size = end, 0
+        fh.flush()
     except OSError as exc:
-        # the interpreter flushes standard output again at exit: that write goes nowhere
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        raise CoqatooError(error("IO", f"cannot write standard output: {exc}"))
+        if fh is not None:   # the stream is flushed again, at close or at exit: that write goes nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fh.fileno())
+            os.close(devnull)
+        if stream == "stdout":
+            raise CoqatooError(error("IO", f"cannot write {path or 'standard output'}: {exc}"))
+    finally:
+        if path and fh is not None:
+            fh.close()
 
 
-def run(config: SimpleNamespace) -> int:
+def run(argv: Sequence[str]) -> int:
+    """The exit status of a run on `argv`; `--help` and a usage error raise SystemExit."""
     try:
+        config = parse_args(argv)
         script, diags = script_parser.parse_script(_read_source(config.input_path))
         if _rejects(diags, config.strict):
             return 1
@@ -198,9 +202,9 @@ def run(config: SimpleNamespace) -> int:
             lines, diags = pipeline.generate(script, trace, templates, OutputMode(config.mode))
             if _rejects(diags, config.strict):
                 return 1
-        _write_output(lines, config.out_path)
+        _write(lines, path=config.out_path)
     except CoqatooError as exc:
-        print(exc.diagnostic.format(), file=sys.stderr)
+        _write([exc.diagnostic.format()], "stderr")
         return 2 if exc.diagnostic.code in _EXIT2_CODES else 1
     return 0
 
@@ -209,22 +213,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Run on `argv`, or on the command line when it is None.
 
     A command-line run is the whole process: it runs without the cyclic
-    garbage collector, and once it has flushed its output it ends with
-    `os._exit`, skipping the interpreter's teardown.  Called with a list,
-    it returns the status and leaves the collector alone.
+    garbage collector, and, every write flushed, it ends with `os._exit`,
+    skipping the interpreter's teardown.  Called with a list, it returns
+    the status and leaves the collector alone.
     """
     if argv is not None:
-        return run(parse_args(argv))
+        return run(argv)
     gc.disable()
     try:
-        status = run(parse_args(sys.argv[1:]))
+        status = run(sys.argv[1:])
     except SystemExit as exc:   # --help or a usage error
         status = exc.code
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except OSError:
-        status = 120   # what the interpreter's own exit returns when its flush fails
     os._exit(status)
 
 

@@ -8,14 +8,10 @@ unfilled children.  Bullet depth falls out of the nesting.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .diagnostics import CoqatooError, error
 from .diff_engine import Classification
-
-if TYPE_CHECKING:
-    from .script_parser import ScriptItem
-
 
 # one tactic: its item: ScriptItem, the states around it, before and after: ProofState, and their diff: StateDiff
 AnalyzedStep = namedtuple("AnalyzedStep", "item before after diff")
@@ -36,8 +32,7 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
     """Rebuild the proof tree; raises INCOMPLETE_PROOF / MALFORMED_TRACE."""
     root = ProofNode(depth=0)
     current: Optional[ProofNode] = root
-    # (node whose children are being filled, children still unfilled)
-    stack: List[List] = []
+    parents: List[ProofNode] = []   # the parent of each case still to open, the next one last
 
     for step in steps:
         if current is None:
@@ -46,24 +41,20 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
         current.steps.append(step)
         cls = step.diff.classification
         if cls is Classification.BRANCH:
-            stack.append([current, step.diff.subgoal_delta + 1])
-            child = ProofNode(depth=current.depth + 1, case_goal=step.after.goals[0])
-            current.children.append(child)
-            current = child
-        elif cls is Classification.CLOSE:
-            current = None
-            while stack:
-                parent, left = stack[-1]
-                stack[-1][1] = left - 1
-                if left - 1 > 0:
-                    if not step.after.goals:
-                        raise CoqatooError(error("MALFORMED_TRACE", "proof closed with a branch case unfilled",
-                                                 step.item.span))
-                    child = ProofNode(depth=parent.depth + 1, case_goal=step.after.goals[0])
-                    parent.children.append(child)
-                    current = child
-                    break
-                stack.pop()
+            parents += [current] * step.diff.subgoal_delta
+            parent = current
+        elif cls is not Classification.CLOSE:
+            continue
+        elif not parents:
+            current = None   # the last case is closed: the proof is done
+            continue
+        elif not step.after.goals:
+            raise CoqatooError(error("MALFORMED_TRACE", "proof closed with a branch case unfilled",
+                                     step.item.span))
+        else:
+            parent = parents.pop()
+        current = ProofNode(depth=parent.depth + 1, case_goal=step.after.goals[0])
+        parent.children.append(current)
 
     if steps and steps[-1].after.subgoal_count != 0:
         raise CoqatooError(error("INCOMPLETE_PROOF",
@@ -89,15 +80,6 @@ def _visit(node: ProofNode, events: List[Tuple[bool, ProofNode]]) -> None:
     for child in node.children:
         _visit(child, events)
     events.append((False, node))
-
-
-def flatten(node: ProofNode) -> List[ScriptItem]:
-    """Depth-first tactic order; must reproduce the input sequence."""
-    return [step.item for entering, n in walk(node) if entering for step in n.steps]
-
-
-def leaves(node: ProofNode) -> List[ProofNode]:
-    return [n for entering, n in walk(node) if entering and not n.children]
 
 
 def to_dot(root: ProofNode) -> List[str]:

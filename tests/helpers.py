@@ -11,6 +11,7 @@ from typing import List, Optional, Sequence, Tuple
 from coqatoo import (ItemKind, ProofState, Script, ScriptItem, SessionTrace, load_templates,
                      parse_script, run_replay, tokenize_script)
 from coqatoo.pipeline import analyze_trace
+from coqatoo.tree_builder import ProofNode, walk
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -60,6 +61,15 @@ def all_fixture_states(name: str) -> List[ProofState]:
 
 def analyzed_steps(name: str):
     return analyze_trace(*load_trace(name))
+
+
+def flatten(root: ProofNode) -> List[ScriptItem]:
+    """The tree's tactics in depth-first order, which must be the script's order."""
+    return [step.item for entering, node in walk(root) if entering for step in node.steps]
+
+
+def leaves(root: ProofNode) -> List[ProofNode]:
+    return [node for entering, node in walk(root) if entering and not node.children]
 
 
 def normalize_rendering(text: str) -> str:

@@ -10,12 +10,12 @@ from coqatoo import (Classification, load_templates, parse_state,
 from coqatoo.cli import main
 from coqatoo.pipeline import annotate_steps, generate
 from coqatoo.rewriter import OutputMode
-from coqatoo.tree_builder import build_tree, flatten, leaves
+from coqatoo.tree_builder import build_tree
 from coqatoo.diff_engine import classify_bindings, diff_states
 from coqatoo.goal_parser import Hypothesis
 
 from helpers import (CORPUS, GOLDEN_DIR, LISTING_1, LISTING_2, all_fixture_states,
-                     analyzed_steps, fixture_path, load_script, load_trace,
+                     analyzed_steps, fixture_path, flatten, leaves, load_script, load_trace,
                      normalize_rendering, output_text, roundtrip_tactics, script_path, tactic_commands)
 
 

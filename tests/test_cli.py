@@ -647,12 +647,14 @@ def test_failed_write_to_stdout_exits_2(target, reason, unbuffered):
     assert run.stderr.decode() == f"error[IO]: cannot write standard output: {reason}\n"
 
 
-@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
-def test_help_that_cannot_be_flushed_exits_120_without_a_traceback(target):
-    """Buffered --help reaches standard output only at the flush before
-    os._exit; when that fails the status is the interpreter's own, 120."""
+@pytest.mark.parametrize("target, reason", [("/dev/full", "[Errno 28] No space left on device"),
+                                            ("closed pipe", "[Errno 32] Broken pipe")],
+                         ids=["/dev/full", "closed pipe"])
+def test_help_that_cannot_be_written_exits_2(target, reason):
+    """Buffered --help reaches standard output at the writer's flush, which
+    fails as the output of a run does: one IO diagnostic, exit 2."""
     run = _run_on_unwritable_stdout([sys.executable, "-m", "coqatoo.cli", "--help"], target, None)
-    assert (run.returncode, run.stderr) == (120, b"")
+    assert (run.returncode, run.stderr.decode()) == (2, f"error[IO]: cannot write standard output: {reason}\n")
 
 
 @pytest.mark.parametrize("failing_args", [
@@ -835,6 +837,55 @@ def test_the_command_line_runs_without_the_collector(tmp_path, capsys, way_out):
         run = subprocess.run([sys.executable, "-c", _ENTRY, *argv], capture_output=True, text=True,
                              env=_cli_env(PYTHONUNBUFFERED=unbuffered), timeout=60)
         assert (run.returncode, run.stdout, run.stderr) == (status, captured.out, captured.err), unbuffered
+
+
+# the body of the console script that pip writes for `coqatoo = "coqatoo.cli:main"`
+_CONSOLE_SCRIPT = "import sys\nfrom coqatoo.cli import main\nsys.exit(main())"
+
+
+def _run_with_a_failing_stream(argv, stream, target, unbuffered):
+    """Run the console script on `argv` with the standard `stream` on /dev/full
+    or closed, the others on pipes, and nothing to read on standard input."""
+    command = [sys.executable, "-c", _CONSOLE_SCRIPT, *argv]
+    streams = {"stdin": subprocess.DEVNULL, "stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    with open("/dev/full", "wb") as full:
+        if target == "closed":
+            command = ["sh", "-c", f'exec "$@" {list(streams).index(stream)}>&-', "sh", *command]
+        else:
+            streams[stream] = full
+        return subprocess.run(command, **streams, env=_cli_env(PYTHONUNBUFFERED=unbuffered), timeout=60)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("stream, target", [("stdout", "/dev/full"), ("stdout", "closed"),
+                                            ("stderr", "/dev/full"), ("stderr", "closed")],
+                         ids=["stdout-full", "stdout-closed", "stderr-full", "stderr-closed"])
+@pytest.mark.parametrize("way_out", sorted(_WAYS_OUT))
+def test_a_failing_standard_stream_leaves_the_exit_statuses_0_1_and_2(tmp_path, capsys, way_out, stream, target,
+                                                                     unbuffered):
+    """The status README gives, and on the stream still readable what
+    main(argv) writes there, so no traceback: a standard output that cannot
+    be written is IO, exit 2, when the run writes to it; a standard error
+    that cannot be written leaves the status as it was."""
+    argv, ends, status = _WAYS_OUT[way_out](tmp_path)
+    assert _main_in_process(argv) == (ends, status)
+    captured = capsys.readouterr()
+    run = _run_with_a_failing_stream(argv, stream, target, unbuffered)
+    if stream == "stderr":
+        assert (run.returncode, run.stdout.decode()) == (status, captured.out)
+    elif captured.out:
+        reason = "[Errno 28] No space left on device" if target == "/dev/full" else "[Errno 9] Bad file descriptor"
+        assert (run.returncode, run.stderr.decode()) == (2, f"error[IO]: cannot write standard output: {reason}\n")
+    else:
+        assert (run.returncode, run.stderr.decode()) == (status, captured.err)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_standard_input_that_is_closed_exits_2(unbuffered):
+    argv = ["-", "--provider", "replay", "--fixture", str(fixture_path("and_commutes"))]
+    run = _run_with_a_failing_stream(argv, "stdin", "closed", unbuffered)
+    assert (run.returncode, run.stdout, run.stderr.decode()) == (
+        2, b"", "error[IO]: cannot read -: [Errno 9] Bad file descriptor\n")
 
 
 def test_no_resource_is_left_for_a_finalizer(tmp_path, fake_prover, capsys, monkeypatch):

@@ -1,10 +1,13 @@
 import re
+from itertools import count
 
 import pytest
+from hypothesis import given, strategies as st
 
-from coqatoo import Classification, CoqatooError, build_tree, flatten, leaves, to_dot
+from coqatoo import Classification, CoqatooError, build_tree, diff_states, parse_state, to_dot
+from coqatoo.tree_builder import AnalyzedStep
 
-from helpers import analyzed_steps
+from helpers import DONE, analyzed_steps, flatten, leaves, state
 
 
 def golden_tree():
@@ -82,3 +85,40 @@ def test_dot_export_mentions_cases():
     assert dot.startswith("digraph proof {")
     assert len(re.findall(r"n\d+ -> n\d+;", dot)) == 6  # 2 branches + 4 leaves
     assert "case: P" in dot
+
+
+def trees(depth):
+    """A proof tree as the list of its subtrees: none for a leaf, or 2 to 4, at most `depth` levels deep."""
+    leaf = st.just([])
+    return leaf if depth == 0 else leaf | st.lists(trees(depth - 1), min_size=2, max_size=4)
+
+
+def _shape(node):
+    return node.depth, node.case_goal, [step.item for step in node.steps], [_shape(c) for c in node.children]
+
+
+def _linear_trace(tree):
+    """The steps of a proof of `tree` whose every case proves a goal of its
+    own, by one split if it has cases and by one assumption if not, and the
+    _shape that build_tree must give them."""
+    names = count()
+
+    def shape(subtree, depth, goal):
+        children = [shape(child, depth + 1, f"G{next(names)}") for child in subtree]
+        return depth, goal, ["split" if children else "assumption"], children
+    expected = shape(tree, 0, None)
+    steps, goals = [], [expected]   # the open goals, the focused one first
+    before = parse_state(state([], ["G"]))
+    while goals:
+        _, _, tactic, children = goals.pop(0)
+        goals[:0] = children
+        after = parse_state(state([], [goal for _, goal, _, _ in goals]) if goals else DONE)
+        steps.append(AnalyzedStep(tactic[0], before, after, diff_states(before, after)))
+        before = after
+    return steps, expected
+
+
+@given(trees(5))
+def test_a_tree_is_rebuilt_from_its_linear_trace(tree):
+    steps, expected = _linear_trace(tree)
+    assert _shape(build_tree(steps)) == expected
