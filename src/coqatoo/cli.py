@@ -18,6 +18,9 @@ from .tree_builder import to_dot
 # "the input was rejected"
 _EXIT2_CODES = {"PROVER_MISSING", "PROVER_TIMEOUT", "PROVER_EXITED", "TACTIC_FAILED", "IO"}
 
+# the longest --timeout: a selector waits at most 2**31 - 1 ms
+_MAX_TIMEOUT_SECS = 2_147_483
+
 # --name -> (setting, default, kind, help): the kind is bool for a flag, int or
 # str for a value, or the tuple of the values allowed
 _OPTIONS = {
@@ -30,7 +33,8 @@ _OPTIONS = {
     "templates": ("templates_dir", None, str, "template directory override"),
     "out": ("out_path", None, str, "write output here instead of stdout"),
     "strict": ("strict", False, bool, "treat warnings as errors"),
-    "timeout": ("timeout_secs", state_provider.DEFAULT_TIMEOUT_SECS, int, "per-sentence prover timeout in seconds"),
+    "timeout": ("timeout_secs", state_provider.DEFAULT_TIMEOUT_SECS, int,
+                f"per-sentence prover timeout, 1 to {_MAX_TIMEOUT_SECS} seconds"),
     "dot": ("dot", False, bool, "emit the proof tree as a DOT graph instead of prose"),
 }
 
@@ -120,8 +124,8 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
         _usage_error("--fixture requires --provider replay")
     if config.record_path and config.provider != "live":
         _usage_error("--record requires --provider live")
-    if config.timeout_secs <= 0:
-        _usage_error("--timeout must be a positive number of seconds")
+    if not 0 < config.timeout_secs <= _MAX_TIMEOUT_SECS:
+        _usage_error(f"--timeout must be from 1 to {_MAX_TIMEOUT_SECS} seconds")
     return config
 
 
@@ -139,16 +143,18 @@ def _standard(name: str) -> TextIO:
 
 
 def _read_source(path: str) -> str:
-    """The script's text, decoded as UTF-8.  A file's CR LF and CR line ends
-    become LF, as text-mode open() makes them; standard input's stay as read."""
+    """The script's text as decoded from UTF-8, line ends and all, so that a span
+    is the same offset into the file read from `path` and from standard input."""
+    name = "standard input" if path == "-" else path
     try:
         if path == "-":
-            return decode_utf8(_standard("stdin").buffer.read(), "standard input", "INPUT_ENCODING")
-        with open(path, "rb") as fh:
-            data = fh.read()
+            data = _standard("stdin").buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
     except OSError as exc:
-        raise CoqatooError(error("IO", f"cannot read {path}: {exc}"))
-    return decode_utf8(data, path, "INPUT_ENCODING").replace("\r\n", "\n").replace("\r", "\n")
+        raise CoqatooError(error("IO", f"cannot read {name}: {exc}"))
+    return decode_utf8(data, name, "INPUT_ENCODING")
 
 
 # characters per write: under PYTHONUNBUFFERED=1 each write to standard output is a system call

@@ -72,9 +72,19 @@ class TemplateSet(namedtuple("TemplateSet", "language entries")):
         return ", ".join(parts[:-1]) + f" {joiner} " + parts[-1]
 
 
-def _parse_properties(path: Path) -> Dict[str, str]:
+def load_templates(directory: Optional[str] = None, language: str = REFERENCE_LANGUAGE) -> TemplateSet:
+    """Load one language's templates, checking completeness and placeholders."""
+    base = Path(directory) if directory else Path(__file__).parent / "templates"
+    path = base / f"{language}.properties"
+    try:
+        data = path.read_bytes()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise CoqatooError(error("TEMPLATE_MISSING_KEY",
+                                 f"no template file for language {language!r} in {base}"))
+    except OSError as exc:
+        raise CoqatooError(error("IO", f"cannot read {path}: {exc}"))
     entries: Dict[str, str] = {}
-    for line in decode_utf8(path.read_bytes(), str(path), "TEMPLATE_PARSE").splitlines():
+    for line in decode_utf8(data, str(path), "TEMPLATE_PARSE").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -82,17 +92,6 @@ def _parse_properties(path: Path) -> Dict[str, str]:
             raise CoqatooError(error("TEMPLATE_PARSE", f"line without '=' in {path.name}: {line!r}"))
         key, value = line.split("=", 1)
         entries[key.strip()] = value.strip()
-    return entries
-
-
-def load_templates(directory: Optional[str] = None, language: str = REFERENCE_LANGUAGE) -> TemplateSet:
-    """Load one language's templates, checking completeness and placeholders."""
-    base = Path(directory) if directory else Path(__file__).parent / "templates"
-    path = base / f"{language}.properties"
-    if not path.is_file():
-        raise CoqatooError(error("TEMPLATE_MISSING_KEY",
-                                 f"no template file for language {language!r} in {base}"))
-    entries = _parse_properties(path)
     missing = sorted(REQUIRED_KEYS - entries.keys())
     if missing:
         raise CoqatooError(error("TEMPLATE_MISSING_KEY",

@@ -49,63 +49,52 @@ def _norm_tactic(text: str) -> str:
     return text[:-1].strip() if text.endswith(".") else text
 
 
-def _fields(record, first: str, second: str, fixture_path: str, number: int) -> Tuple[str, str]:
-    """The string values of `first` and `second` in one decoded fixture record."""
-    if isinstance(record, dict):
-        a, b = record.get(first), record.get(second)
-        if isinstance(a, str) and isinstance(b, str):
-            return a, b
-    raise CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {fixture_path} record {number}: "
-                             f"expected an object with string fields {first}, {second}"))
+# the fields of a fixture's header record and of each later record -> the value of a missing one
+_HEADER_FIELDS = {"lemma": None, "initial_raw_state": None, "prover_version": ""}
+_STEP_FIELDS = {"tactic": None, "raw_state": None}
 
 
-def _header(record, fixture_path: str) -> Tuple[str, str, str]:
-    """Lemma, initial response and prover version of a decoded header record."""
-    lemma, initial = _fields(record, "lemma", "initial_raw_state", fixture_path, 1)
-    version = record.get("prover_version", "")
-    if not isinstance(version, str):
-        raise CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {fixture_path} record 1: "
-                                 "expected a string prover_version"))
-    return lemma, initial, version
+def _fields(record, fields: Dict[str, Optional[str]], fixture_path: str, number: int) -> Tuple[str, ...]:
+    """The values of `fields` in one decoded fixture record, each a string that UTF-8
+    can encode, which a string holding a lone surrogate (a JSON "\\ud800") is not."""
+    where = f"malformed fixture {fixture_path} record {number}"
+    if not isinstance(record, dict):
+        raise CoqatooError(error("FIXTURE_PARSE", f"{where}: expected an object"))
+    values = tuple(record.get(name, missing) for name, missing in fields.items())
+    for name, value in zip(fields, values):
+        if not isinstance(value, str):
+            raise CoqatooError(error("FIXTURE_PARSE", f"{where}: expected a string {name}"))
+        try:
+            value.isascii() or value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CoqatooError(error("FIXTURE_PARSE", f"{where}: {name} holds a lone surrogate "
+                                                      f"at character {exc.start}")) from None
+    return values
 
 
 def _read_fixture(fh: BinaryIO, fixture_path: str) -> Tuple[str, str, str, Tuple[TraceStep, ...]]:
     """Lemma, initial response, prover version and steps of an open fixture,
-    read one record at a time.
-
-    The diagnostics are those of decoding the whole file before any record:
-    the first byte that is not UTF-8, else the first record that is not
-    JSON, else the first record of the wrong shape.
-    """
+    read one record at a time.  The first record that is not UTF-8, is not
+    JSON or has the wrong fields raises FIXTURE_PARSE; no later one is read."""
     name = f"fixture {fixture_path}"
-    header: Optional[Tuple[str, str, str]] = None
+    header: Optional[Tuple[str, ...]] = None
     steps: List[TraceStep] = []
-    bad_json = bad_record = None   # raised once every byte has decoded
-    offset = number = 0
+    offset = 0
     for raw in fh:   # a record ends at "\n" only: a JSON string may hold U+2028 and the like raw
         text = decode_utf8(raw, name, "FIXTURE_PARSE", offset)
         offset += len(raw)
         if text.endswith("\n"):   # a "\r\n" line end is one record end
             text = text[:-2] if text.endswith("\r\n") else text[:-1]
-        if bad_json or not text or text.isspace():
+        if not text or text.isspace():
             continue
-        number += 1
         try:
             record = json.loads(text)
         except json.JSONDecodeError as exc:
-            bad_json = CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {fixture_path}: {exc}"))
-            continue
-        if bad_record:
-            continue
-        try:
-            if header is None:
-                header = _header(record, fixture_path)
-            else:
-                steps.append(TraceStep(*_fields(record, "tactic", "raw_state", fixture_path, number)))
-        except CoqatooError as exc:
-            bad_record = exc
-    if bad_json or bad_record:
-        raise bad_json or bad_record
+            raise CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {fixture_path}: {exc}"))
+        if header is None:
+            header = _fields(record, _HEADER_FIELDS, fixture_path, 1)
+        else:
+            steps.append(TraceStep(*_fields(record, _STEP_FIELDS, fixture_path, len(steps) + 2)))
     if header is None:
         raise CoqatooError(error("FIXTURE_PARSE", f"fixture {fixture_path} is empty"))
     return (*header, tuple(steps))

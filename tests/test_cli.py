@@ -111,7 +111,8 @@ def test_command_line_settings(argv, changes):
     (["a.v", "--provider", "replay"], "--provider replay requires --fixture"),
     (["a.v", "--fixture", "t"], "--fixture requires --provider replay"),
     (["a.v", "--provider", "replay", "--fixture", "t", "--record", "o"], "--record requires --provider live"),
-    (["a.v", "--timeout", "0"], "--timeout must be a positive number of seconds"),
+    (["a.v", "--timeout", "0"], "--timeout must be from 1 to 2147483 seconds"),
+    (["a.v", "--timeout", "2147484"], "--timeout must be from 1 to 2147483 seconds"),
     (["a.v", "--frobnicate"], "option --frobnicate not recognized"),
     (["a.v", "--t", "3"], "option --t not a unique prefix"),
     (["a.v", "--mode"], "option --mode requires argument"),
@@ -119,8 +120,9 @@ def test_command_line_settings(argv, changes):
     (["a.v", "-x"], "option -x not recognized"),
     (["-hx", "a.v"], "option -x not recognized"),
 ], ids=["missing-input", "second-input", "bad-choice", "bad-int", "replay-without-fixture",
-        "fixture-without-replay", "record-without-live", "zero-timeout", "unknown-option", "ambiguous-prefix",
-        "missing-value", "value-for-a-flag", "unknown-short-option", "unknown-short-option-after-h"])
+        "fixture-without-replay", "record-without-live", "zero-timeout", "too-long-timeout", "unknown-option",
+        "ambiguous-prefix", "missing-value", "value-for-a-flag", "unknown-short-option",
+        "unknown-short-option-after-h"])
 def test_usage_error_exits_2_after_the_usage(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -162,8 +164,9 @@ def test_the_option_scan_reads_a_command_line_as_getopt_does(argv):
     assert _outcome(argv) == _outcome([*spelled, "--", *inputs])
 
 
-@pytest.mark.parametrize("timeout", ["0", "-3"])
+@pytest.mark.parametrize("timeout", ["0", "-3", "2147484", str(2**64)])
 def test_non_positive_timeout_is_rejected_before_the_prover_starts(tmp_path, capsys, timeout):
+    """As is one longer than a selector waits, 2**31 - 1 ms, which would end the run in an OverflowError."""
     prover = write_prover(tmp_path, f"touch {tmp_path / 'started'}")
     with pytest.raises(SystemExit) as exc:
         main([str(script_path("and_commutes")), "--prover", prover, "--timeout", timeout])
@@ -727,6 +730,66 @@ def test_undecodable_template_file_exits_1(tmp_path, capsys):
     assert captured.err.startswith(f"error[TEMPLATE_PARSE]: {bad} is not valid UTF-8: byte 0xff at offset {at} ")
 
 
+@pytest.mark.parametrize("option", ["--lang", "--templates"])
+def test_template_path_too_long_to_open_exits_2(capsys, option):
+    """A file name longer than the system allows: IO, not a traceback."""
+    assert main(replay_args("and_commutes", option, "x" * 300)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error\[IO\]: cannot read \S+\.properties: \[Errno 36\] File name too long: .*\n",
+                        captured.err)
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root reads a file of mode 000")
+def test_unreadable_template_file_exits_2(tmp_path, capsys):
+    locked = tmp_path / "en.properties"
+    locked.write_bytes((ROOT / "src" / "coqatoo" / "templates" / "en.properties").read_bytes())
+    locked.chmod(0)
+    assert main(replay_args("and_commutes", "--templates", str(tmp_path))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[IO]: cannot read {locked}: [Errno 13] Permission denied: {str(locked)!r}\n"
+
+
+def _surrogate_pair(directory):
+    """conjunction_chain(2), its second case goal holding a lone surrogate, which the fixture spells "\\ud800"."""
+    lemma, initial, steps = conjunction_chain(2)
+    steps[1] = ("split", steps[1][1].replace("is:\n A2", "is:\n A2 \ud800"))
+    steps[2] = ("assumption", steps[2][1].replace("=\n  A2", "=\n  A2 \ud800"))
+    return write_replay_pair(directory, lemma, initial, steps)
+
+
+@pytest.mark.parametrize("extra", [["--mode", "annotated"], ["--mode", "plain"], ["--mode", "latex"], ["--dot"]],
+                         ids=["annotated", "plain", "latex", "dot"])
+def test_fixture_string_with_a_lone_surrogate_exits_1_before_any_output(tmp_path, capsys, extra):
+    """UTF-8 cannot encode the surrogate, so a run that took it would fail to write its output."""
+    script, trace = _surrogate_pair(tmp_path)
+    at = json.loads(trace.read_text(encoding="ascii").splitlines()[2])["raw_state"].index("\ud800")
+    args = [str(script), "--provider", "replay", "--fixture", str(trace), *extra]
+    out = tmp_path / "out.txt"
+    assert main(args + ["--out", str(out)]) == 1
+    assert not out.exists()
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    diagnostic = (f"error[FIXTURE_PARSE]: malformed fixture {trace} record 3: "
+                  f"raw_state holds a lone surrogate at character {at}\n")
+    assert (captured.out, captured.err) == ("", diagnostic * 2)
+
+
+def test_crlf_script_spans_are_offsets_into_the_decoded_file(tmp_path, capsys, monkeypatch):
+    """From a path and from standard input, a span slices its sentence out of the file as decoded."""
+    script = tmp_path / "crlf.v"
+    script.write_bytes(b"Lemma t : True.\r\nProof.\r\n  trivial.\r\nQed.\r\n")
+    text = script.read_bytes().decode("utf-8")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(script.read_bytes())))
+    errs = []
+    for source in (str(script), "-"):
+        assert main([source, "--strict"]) == 1
+        errs.append(capsys.readouterr().err)
+    start, end = map(int, re.match(r"warning\[UNSUPPORTED_TACTIC\] at (\d+)\.\.(\d+): ", errs[0]).groups())
+    assert (text[start:end], errs[1]) == ("trivial.", errs[0])
+
+
 def _added_modules(code):
     """The modules a fresh interpreter holds after running `code`, minus those of a bare one."""
     env = _cli_env()
@@ -885,7 +948,7 @@ def test_standard_input_that_is_closed_exits_2(unbuffered):
     argv = ["-", "--provider", "replay", "--fixture", str(fixture_path("and_commutes"))]
     run = _run_with_a_failing_stream(argv, "stdin", "closed", unbuffered)
     assert (run.returncode, run.stdout, run.stderr.decode()) == (
-        2, b"", "error[IO]: cannot read -: [Errno 9] Bad file descriptor\n")
+        2, b"", "error[IO]: cannot read standard input: [Errno 9] Bad file descriptor\n")
 
 
 def test_no_resource_is_left_for_a_finalizer(tmp_path, fake_prover, capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from coqatoo import CoqatooError, load_templates, parse_state, render, rewrite_step
+from coqatoo import CoqatooError, load_templates, parse_script, parse_state, render, rewrite_step, run_replay
 from coqatoo.diff_engine import diff_states
 from coqatoo.pipeline import annotate_steps, generate
 from coqatoo.rewriter import (_LATEX_SPECIALS, _PLACEHOLDER, ALLOWED_PLACEHOLDERS, REQUIRED_KEYS, RULES,
@@ -9,8 +9,9 @@ from coqatoo.rewriter import (_LATEX_SPECIALS, _PLACEHOLDER, ALLOWED_PLACEHOLDER
 from coqatoo.script_parser import ItemKind, ScriptItem
 from coqatoo.tree_builder import AnalyzedStep, ProofNode
 
-from helpers import (GOLDEN_DIR, LISTING_1, LISTING_2, analyzed_steps, load_trace,
-                     normalize_rendering, output_text, roundtrip_tactics, script_path, tactic_commands)
+from helpers import (DONE, GOLDEN_DIR, LISTING_1, LISTING_2, analyzed_steps, conjunction_chain, load_trace,
+                     normalize_rendering, output_text, roundtrip_tactics, script_path, state, tactic_commands,
+                     write_replay_pair)
 from coqatoo import tokenize_script
 
 EN = load_templates()
@@ -81,9 +82,15 @@ def test_unknown_placeholder_is_an_error(tmp_path):
     assert exc.value.diagnostic.code == "TEMPLATE_BAD_PLACEHOLDER"
 
 
-def test_missing_language_file(tmp_path):
+@pytest.mark.parametrize("layout", [
+    lambda directory: directory,
+    lambda directory: (directory / "de.properties").mkdir() or directory,
+    lambda directory: (directory / "de.properties").symlink_to("nowhere") or directory,
+    lambda directory: (directory / "file").touch() or directory / "file",
+], ids=["no-file", "a-directory", "a-dangling-link", "templates-names-a-file"])
+def test_missing_language_file(tmp_path, layout):
     with pytest.raises(CoqatooError) as exc:
-        load_templates(str(tmp_path), "de")
+        load_templates(str(layout(tmp_path)), "de")
     assert exc.value.diagnostic.code == "TEMPLATE_MISSING_KEY"
 
 
@@ -292,6 +299,41 @@ def test_fill_with_one_value_is_the_placeholder_pattern(template, name, value):
     values = {name: value}
     expected = _PLACEHOLDER.sub(lambda m: values.get(m.group(1), m.group(0)), template)
     assert TemplateSet("en", {"k": template}).fill("k", **values) == expected
+
+
+def _render_pair(directory, mode, lemma, initial, steps):
+    """The lines and the warnings of a proof written as a replay pair, rendered in `mode`."""
+    script_file, trace_file = write_replay_pair(directory, lemma, initial, steps)
+    script, diags = parse_script(script_file.read_text(encoding="utf-8"))
+    lines, warnings = generate(script, run_replay(script, str(trace_file)), EN, mode)
+    return lines, [d.code for d in diags + warnings]
+
+
+@pytest.mark.parametrize("mode", list(OutputMode))
+def test_branching_tactic_without_a_rule_renders_as_split_does(tmp_path, mode):
+    """`constructor`, which has no row, splits the goal as `split`, whose rule is
+    silent, does: no sentence, and not plain.omitted; only the warning differs."""
+    lemma, initial, steps = conjunction_chain(2)
+    split_lines, split_codes = _render_pair(tmp_path, mode, lemma, initial, steps)
+    steps[1] = ("constructor", steps[1][1])
+    lines, codes = _render_pair(tmp_path, mode, lemma, initial, steps)
+    assert lines == [line.replace("split.", "constructor.") for line in split_lines]
+    assert (codes, split_codes) == (["UNSUPPORTED_TACTIC"], [])
+    assert EN.fill("plain.omitted") not in output_text(lines)
+
+
+def test_apply_of_a_hypothesis_without_an_arrow_is_silent(tmp_path):
+    ctx = ["Q : Prop", "H : Q"]
+    lines, codes = _render_pair(tmp_path, OutputMode.ANNOTATED, "Lemma t : forall Q : Prop, Q -> Q.",
+                                state([], ["forall Q : Prop, Q -> Q"]),
+                                [("intros", state(ctx, ["Q"])), ("apply H", DONE)])
+    assert (lines[3:], codes) == (["apply H.", "Qed."], [])
+
+
+def test_plain_proof_of_silent_tactics_prints_one_empty_line(tmp_path):
+    lines, codes = _render_pair(tmp_path, OutputMode.PLAIN, "Lemma t : True.", state([], ["True"]),
+                                [("apply I", DONE)])
+    assert (output_text(lines), codes) == ("\n", [])
 
 
 def test_empty_proof_render():

@@ -4,10 +4,11 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
-from coqatoo import (CoqatooError, SessionTrace, parse_script, parse_state,
+from coqatoo import (CoqatooError, SessionTrace, live_session, parse_script, parse_state,
                      record_session, run_live, run_replay)
 from coqatoo.diagnostics import decode_utf8, error
-from coqatoo.state_provider import TraceStep, _fields, _read_fixture, resolve_prover
+from coqatoo.state_provider import (_HEADER_FIELDS, _STEP_FIELDS, TraceStep, _fields, _read_fixture,
+                                    resolve_prover)
 
 from helpers import (LISTING_1, LISTING_2, fixture_path, load_script, load_trace, write_prover,
                      write_split_coqtop)
@@ -122,10 +123,9 @@ def _whole_file_reference(path):
         raise CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {path}: {exc}"))
     if not records:
         raise CoqatooError(error("FIXTURE_PARSE", f"fixture {path} is empty"))
-    lemma, initial = _fields(records[0], "lemma", "initial_raw_state", str(path), 1)
-    steps = tuple(TraceStep(*_fields(rec, "tactic", "raw_state", str(path), i))
-                  for i, rec in enumerate(records[1:], start=2))
-    return lemma, initial, records[0].get("prover_version", ""), steps
+    lemma, initial, version = _fields(records[0], _HEADER_FIELDS, str(path), 1)
+    steps = tuple(TraceStep(*_fields(rec, _STEP_FIELDS, str(path), i)) for i, rec in enumerate(records[1:], start=2))
+    return lemma, initial, version, steps
 
 
 def _outcome(read, path):
@@ -141,9 +141,28 @@ def _streamed(path):
         return _read_fixture(fh, str(path))
 
 
+def _assert_streamed_matches_reference(path):
+    """The streamed reader stops at the first bad record, so it gives what the
+    reference gives for the shortest prefix of whole lines that the reference
+    rejects, or for the whole file when it rejects none.  A "\n" byte is never
+    part of a multi-byte sequence, so the prefix decodes as the file does up to
+    there.  A prefix of blank lines holds no record: "is empty" rejects none."""
+    data = path.read_bytes()
+    streamed = _outcome(_streamed, path)
+    for end in sorted({len(data)} | {i + 1 for i, byte in enumerate(data) if byte == ord("\n")}):
+        path.write_bytes(data[:end])
+        expected = _outcome(_whole_file_reference, path)
+        if isinstance(expected, str) and not expected.endswith(" is empty"):
+            break
+    assert streamed == expected
+
+
 _HEADER = '{"lemma": "Lemma t : True.", "initial_raw_state": "1 subgoal\\n\\n  ===\\n  True\\n"}'
 _STEP = '{"tactic": "exact I", "raw_state": "No more subgoals.\u2028\\r\\n"}'
 _STEP_CR = _STEP.replace(", ", ",\r ")
+_STEP_SURROGATE = _STEP.replace("No more", "\\ud800No more")    # a JSON escape of a lone surrogate
+_STEP_PAIR = _STEP.replace("exact I", "exact \\ud83d\\ude00")   # ... and of a surrogate pair, one character
+_HEADER_SURROGATE = _HEADER.replace("subgoal", "\\udc80subgoal")
 
 
 @pytest.mark.parametrize("data", [
@@ -162,16 +181,20 @@ _STEP_CR = _STEP.replace(", ", ",\r ")
     f'{{"lemma": 1}}\n{_STEP}\n{{"tactic": 2}}\n'.encode(),
     b"\n \r\n",
     b"",
+    f"{_HEADER}\n{_STEP_PAIR}\n".encode(),
+    f"{_HEADER}\n{_STEP_SURROGATE}\n{_STEP}\n".encode(),
+    f"{_HEADER_SURROGATE}\n{_STEP}\n".encode() + b"\xff\n",   # a bad byte after a bad record
 ], ids=["crlf", "bare-cr", "blank-lines", "no-final-newline", "crlf-blank-end", "raw-u2028", "bad-first",
         "bad-middle", "bad-last-byte", "bad-last-byte-2", "bad-byte-after-bad-json", "bad-json-after-bad-shape",
-        "bad-header", "only-blank", "empty"])
+        "bad-header", "only-blank", "empty", "surrogate-pair", "lone-surrogate", "lone-surrogate-in-header"])
 def test_streamed_reader_matches_whole_file_decode(tmp_path, data):
     path = tmp_path / "t.cqtrace"
     path.write_bytes(data)
-    assert _outcome(_streamed, path) == _outcome(_whole_file_reference, path)
+    _assert_streamed_matches_reference(path)
 
 
-_PIECES = [_HEADER, _STEP, "", " ", "\t\u2028", "[1, 2]", '{"tactic": "x"}', "{", "\ufeff" + _STEP]
+_PIECES = [_HEADER, _STEP, "", " ", "\t\u2028", "[1, 2]", '{"tactic": "x"}', "{", "\ufeff" + _STEP,
+           _STEP_SURROGATE, _STEP_PAIR, _HEADER_SURROGATE]
 
 
 @given(st.lists(st.tuples(st.sampled_from(_PIECES), st.sampled_from([b"\n", b"\r\n", b"\r", b"\r\r\n"]),
@@ -179,7 +202,8 @@ _PIECES = [_HEADER, _STEP, "", " ", "\t\u2028", "[1, 2]", '{"tactic": "x"}', "{"
                           st.integers(0, 200)), max_size=6),
        st.booleans())
 def test_streamed_reader_matches_whole_file_decode_on_any_lines(tmp_path_factory, lines, final_newline):
-    """Any records, breaks and bad bytes give the same records or the same diagnostic."""
+    """Any records, breaks, bad bytes and lone surrogates give the records, or
+    the diagnostic, of the whole-file reader up to the first bad record."""
     data = b""
     for piece, end, bad, at in lines:
         raw = piece.encode()
@@ -189,7 +213,7 @@ def test_streamed_reader_matches_whole_file_decode_on_any_lines(tmp_path_factory
         data = data.rstrip(b"\n")
     path = tmp_path_factory.mktemp("fixtures") / "t.cqtrace"
     path.write_bytes(data)
-    assert _outcome(_streamed, path) == _outcome(_whole_file_reference, path)
+    _assert_streamed_matches_reference(path)
 
 
 def test_replay_decodes_each_line_once(monkeypatch):
@@ -257,6 +281,14 @@ def test_live_session_matches_replay_through_split_writes(tmp_path, monkeypatch,
     """Responses and prompts arrive in 1-7-byte pieces, so one is read across several reads."""
     monkeypatch.setenv("FAKE_COQTOP_TRACE", str(fixture_path(corpus_name)))
     _assert_live_matches_replay(tmp_path, write_split_coqtop(tmp_path, seed), corpus_name)
+
+
+def test_response_still_in_the_pipe_at_the_prompt_is_read_with_it(tmp_path, monkeypatch, fake_prover):
+    """Read one byte a pipe at a time, a prompt is complete while the longer
+    response before it is still in the stdout pipe: the reads after the prompt
+    take the rest, so no response runs into the next one."""
+    monkeypatch.setattr(live_session, "_CHUNK_BYTES", 1)
+    _assert_live_matches_replay(tmp_path, fake_prover(fixture_path("conj_imp_equiv")), "conj_imp_equiv")
 
 
 def test_live_recording_has_no_banner(tmp_path, fake_prover):
