@@ -26,8 +26,6 @@ _SUBGOAL_K = re.compile(r"^\s*subgoal\s+(\d+)\s+is\s*:\s*$")
 # the one definition every stage reads: IDENT.match() finds the name a text starts with
 IDENT = re.compile(r"[^\W\d][\w']*")
 _IDENT = re.compile(f"^{IDENT.pattern}$")   # match() checks a whole name
-# where str.splitlines() breaks a line besides "\n"
-_OTHER_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 # below this length the normal-form check costs more than the split it saves
 _SHORT_TEXT = 16
 
@@ -112,13 +110,16 @@ def parse_state(raw: str, contexts: Optional[Dict[str, Tuple[Hypothesis, ...]]] 
     m = SUBGOAL_HEADER.search(raw)
     # the proof is finished when a marker starts a line ahead of the first subgoal header
     head = raw[:m.start()] if m else raw
-    if any(line.lstrip().startswith(FINISHED_MARKERS) for line in head.splitlines()):
+    if head and any(line.lstrip().startswith(FINISHED_MARKERS) for line in head.splitlines()):
         return ProofState(0, (), (), raw)
     if not m:
         raise CoqatooError(error("MALFORMED_STATE", "no subgoal header found in prover output"))
     count = int(m.group(1))
     text = raw[m.end():]
-    if any(brk in text for brk in _OTHER_BREAKS):
+    # where str.splitlines() breaks a line besides "\n": six ASCII characters, and three
+    # others that only a text that is not ASCII can hold
+    if ("\r" in text or "\x0b" in text or "\x0c" in text or "\x1c" in text or "\x1d" in text or "\x1e" in text
+            or not text.isascii() and ("\x85" in text or "\u2028" in text or "\u2029" in text)):
         # one line break, so that find() sees the lines str.splitlines() sees
         text = "\n".join(text.splitlines())
     start, end = _find_separator(text)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -46,6 +47,7 @@ class OutputMode(Enum):
 
 # sentences: tuple; kind: AnnotationKind; diagnostics: Tuple[Diagnostic, ...]
 Annotation = namedtuple("Annotation", "sentences kind diagnostics", defaults=(AnnotationKind.EXPLAIN, ()))
+_SILENT = Annotation(())   # one for every tactic that explains nothing
 
 
 class TemplateSet(namedtuple("TemplateSet", "language entries")):
@@ -104,6 +106,7 @@ def load_templates(directory: Optional[str] = None, language: str = REFERENCE_LA
     return TemplateSet(language, entries)
 
 
+@lru_cache(maxsize=256)
 def _sentences(text: str) -> tuple:
     return tuple(s for s in _SENTENCE_SPLIT.split(text.strip()) if s)
 
@@ -166,12 +169,12 @@ def rewrite_step(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
     if row is not None:
         return row[0](step, templates)
     if step.diff.classification is Classification.BRANCH:
-        return Annotation(())
+        return _SILENT
     return Annotation((), AnnotationKind.OMITTED)
 
 
 def _silent(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
-    return Annotation(())
+    return _SILENT
 
 
 def _rewrite_info_auto(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
@@ -222,7 +225,7 @@ def _rewrite_intros(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
         key = "intros.hypotheses" if len(hyp_types) > 1 else "intros.hypotheses_one"
         text = templates.fill(key, list=templates.join(hyp_types), goal=goal)
     else:
-        return Annotation(())
+        return _SILENT
     return Annotation(_sentences(text), diagnostics=diagnostics)
 
 
@@ -231,11 +234,11 @@ def _rewrite_apply(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
     types = _binding_types(step.before)
     if arg is None or arg not in types:
         # applying a global constant is rendered silently
-        return Annotation(())
+        return _SILENT
     hyp_type = types[arg]
     segments = split_implication(hyp_type)
     if len(segments) < 2:
-        return Annotation(())
+        return _SILENT
     consequent = segments[-1]
     antecedents = segments[:-1]
     key = "apply.hypothesis_many" if len(antecedents) > 1 else "apply.hypothesis_one"
@@ -280,6 +283,7 @@ def render(tree: ProofNode, annotations: Mapping[int, Annotation], mode: OutputM
     each without its "\n"."""
     annotated, latex = mode is OutputMode.ANNOTATED, mode is OutputMode.LATEX
     lines = [normalize_text(lemma), "Proof."] if annotated else []
+    tactics: Dict[str, str] = {}   # a tactic's text as written -> as printed
     for entering, node in walk(tree):
         if not entering:
             if latex and node.children:
@@ -298,7 +302,9 @@ def render(tree: ProofNode, annotations: Mapping[int, Annotation], mode: OutputM
             ann = annotations[step.item.seq]
             text = " ".join(ann.sentences) if ann.sentences else None
             if annotated:
-                tactic = normalize_text(step.item.text)
+                tactic = tactics.get(step.item.text)
+                if tactic is None:
+                    tactic = tactics[step.item.text] = normalize_text(step.item.text)
                 lines.append(f"{indent}{tactic}" if text is None else f"{indent}(* {text} *) {tactic}")
                 continue
             if text is None and ann.kind is AnnotationKind.OMITTED:

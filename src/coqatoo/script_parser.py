@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from enum import Enum
+from functools import lru_cache
 from typing import List, Tuple
 
 from .diagnostics import Diagnostic, CoqatooError, error, warning
@@ -65,6 +66,7 @@ class ScriptItem(namedtuple("ScriptItem", "kind text span seq")):
         return self.text
 
 
+@lru_cache(maxsize=1024)
 def _head(command: str) -> str:
     """The tactic name a command starts with, or the whole command."""
     m = IDENT.match(command)
@@ -111,6 +113,7 @@ def _find_stop(source: str, i: int, stop: str) -> int:
             i = m.end()
 
 
+@lru_cache(maxsize=1024)
 def _classify(sentence: str) -> ItemKind:
     m = IDENT.match(sentence)
     word = m.group(0) if m else ""
@@ -170,10 +173,11 @@ def _has_toplevel_semicolon(text: str) -> bool:
 
 def detect_unsupported(items: List[ScriptItem]) -> List[Diagnostic]:
     """Flag chained tactics and goal selectors (fatal), and heads without a
-    rewriting rule (warning)."""
+    rewriting rule (warning).  Each text that raised nothing is checked once."""
     diags: List[Diagnostic] = []
+    clean = set()
     for it in items:
-        if it.kind is not ItemKind.TACTIC:
+        if it.kind is not ItemKind.TACTIC or it.text in clean:
             continue
         command = it.command
         if _has_toplevel_semicolon(it.text):
@@ -184,6 +188,8 @@ def detect_unsupported(items: List[ScriptItem]) -> List[Diagnostic]:
             head = _head(command)
             if head not in RULES:
                 diags.append(warning("UNSUPPORTED_TACTIC", f'no rewriting rule for tactic "{head}"', it.span))
+            else:
+                clean.add(it.text)
     return diags
 
 

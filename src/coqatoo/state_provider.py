@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from collections import namedtuple
+from functools import lru_cache
 from itertools import zip_longest
 from typing import BinaryIO, Dict, List, Optional, Tuple
 
@@ -44,6 +45,7 @@ class SessionTrace(namedtuple("SessionTrace", "lemma initial_raw steps prover_ve
                 for raw in (self.initial_raw, *(step.raw_state for step in self.steps))]
 
 
+@lru_cache(maxsize=1024)
 def _norm_tactic(text: str) -> str:
     text = normalize_text(text)
     return text[:-1].strip() if text.endswith(".") else text
@@ -57,10 +59,16 @@ _STEP_FIELDS = {"tactic": None, "raw_state": None}
 def _fields(record, fields: Dict[str, Optional[str]], fixture_path: str, number: int) -> Tuple[str, ...]:
     """The values of `fields` in one decoded fixture record, each a string that UTF-8
     can encode, which a string holding a lone surrogate (a JSON "\\ud800") is not."""
+    if isinstance(record, dict):
+        values = tuple(map(record.get, fields, fields.values()))
+        try:
+            if all(map(str.isascii, values)):   # the common record, checked without a Python loop
+                return values
+        except TypeError:   # a value that is not a string, which the checks below name
+            pass
     where = f"malformed fixture {fixture_path} record {number}"
     if not isinstance(record, dict):
         raise CoqatooError(error("FIXTURE_PARSE", f"{where}: expected an object"))
-    values = tuple(record.get(name, missing) for name, missing in fields.items())
     for name, value in zip(fields, values):
         if not isinstance(value, str):
             raise CoqatooError(error("FIXTURE_PARSE", f"{where}: expected a string {name}"))

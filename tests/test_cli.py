@@ -16,7 +16,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from coqatoo import load_templates, parse_script, run_replay, to_dot
+from coqatoo import live_session, load_templates, parse_script, run_replay, to_dot
 from coqatoo.cli import _EXIT2_CODES, _OPTIONS, main, parse_args
 from coqatoo.pipeline import build_proof_tree, generate
 from coqatoo.rewriter import OutputMode
@@ -165,14 +165,23 @@ def test_the_option_scan_reads_a_command_line_as_getopt_does(argv):
 
 
 @pytest.mark.parametrize("timeout", ["0", "-3", "2147484", str(2**64)])
-def test_non_positive_timeout_is_rejected_before_the_prover_starts(tmp_path, capsys, timeout):
-    """As is one longer than a selector waits, 2**31 - 1 ms, which would end the run in an OverflowError."""
-    prover = write_prover(tmp_path, f"touch {tmp_path / 'started'}")
+def test_non_positive_timeout_is_rejected_before_the_prover_starts(tmp_path, capsys, monkeypatch, timeout):
+    """As is one longer than a selector waits, 2**31 - 1 ms, which would end the run in an OverflowError.
+    Starts are counted at `Popen`: a prover killed before its shell runs leaves no trace of its own."""
+    starts = []
+    popen = live_session.subprocess.Popen
+
+    def counted_popen(*args, **kwargs):
+        starts.append(args)
+        return popen(*args, **kwargs)
+
+    monkeypatch.setattr(live_session.subprocess, "Popen", counted_popen)
+    prover = write_prover(tmp_path, "")
     with pytest.raises(SystemExit) as exc:
         main([str(script_path("and_commutes")), "--prover", prover, "--timeout", timeout])
     assert exc.value.code == 2
     assert "--timeout" in capsys.readouterr().err
-    assert not (tmp_path / "started").exists()
+    assert starts == []
 
 
 def test_golden_run(capsys):
@@ -587,6 +596,27 @@ def _cli_env(**changes):
 def _cli_command(script, trace, *extra):
     return [sys.executable, "-m", "coqatoo.cli", str(script), "--provider", "replay", "--fixture", str(trace),
             *extra]
+
+
+def test_runs_in_one_process_print_what_fresh_processes_print(tmp_path, capsys):
+    """Values derived from a tactic's text are cached for the life of the process, so
+    a run after another, with other templates or in another language, must not read
+    the text of the run before."""
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    en = (ROOT / "src" / "coqatoo" / "templates" / "en.properties").read_text(encoding="utf-8")
+    (templates / "en.properties").write_text(
+        re.sub(r"(?m)^assumption\.default =.*$", "assumption.default = Clearly so. It is assumed.", en),
+        encoding="utf-8")
+    outputs = []
+    for extra in ([], ["--templates", str(templates)], ["--lang", "fr"]):
+        status = main(replay_args("conj_imp_equiv", *extra))
+        captured = capsys.readouterr()
+        fresh = subprocess.run(_cli_command(script_path("conj_imp_equiv"), fixture_path("conj_imp_equiv"), *extra),
+                               capture_output=True, text=True, env=_cli_env(), timeout=120)
+        assert (status, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        outputs.append(captured.out)
+    assert len(set(outputs)) == 3
 
 
 @pytest.mark.parametrize("extra", [["--mode", "annotated"], ["--mode", "plain"], ["--mode", "latex"], ["--dot"]],

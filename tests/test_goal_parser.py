@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coqatoo import CoqatooError, Hypothesis, parse_state
-from coqatoo.goal_parser import _IDENT, _OTHER_BREAKS, normalize_text
+from coqatoo.goal_parser import _IDENT, normalize_text
 
 from helpers import LISTING_1, LISTING_2, all_fixture_states
 
@@ -142,9 +142,14 @@ def test_hypothesis_name_multiplicity():
 
 
 def test_other_breaks_are_the_splitlines_breaks_but_lf():
-    # parse_state joins lines only when one of these is present
+    # parse_state tests for each break but "\n" by name; a state whose lines end in one reads as with "\n"
     every = "".join(map(chr, range(sys.maxunicode + 1)))
-    assert [ch for ch in every if len(f"a{ch}b".splitlines()) == 2 and ch != "\n"] == sorted(_OTHER_BREAKS)
+    breaks = [ch for ch in every if len(f"a{ch}b".splitlines()) == 2 and ch != "\n"]
+    assert len(breaks) == 9
+    expected = parse_state(LISTING_2)
+    for ch in breaks:
+        state = parse_state(LISTING_2.replace("\n", ch))
+        assert state[:3] == expected[:3], repr(ch)
 
 
 # --- normalize_text ---

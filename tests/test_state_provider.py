@@ -114,6 +114,40 @@ def test_fixture_prover_version_of_wrong_type(tmp_path):
     assert "prover_version" in exc.value.diagnostic.message
 
 
+def _reference_fields(record, fields, fixture_path, number):
+    """The field check `_fields` made one value at a time, kept as the oracle of its faster form."""
+    where = f"malformed fixture {fixture_path} record {number}"
+    if not isinstance(record, dict):
+        raise CoqatooError(error("FIXTURE_PARSE", f"{where}: expected an object"))
+    values = tuple(record.get(name, missing) for name, missing in fields.items())
+    for name, value in zip(fields, values):
+        if not isinstance(value, str):
+            raise CoqatooError(error("FIXTURE_PARSE", f"{where}: expected a string {name}"))
+        try:
+            value.isascii() or value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CoqatooError(error("FIXTURE_PARSE", f"{where}: {name} holds a lone surrogate "
+                                                      f"at character {exc.start}")) from None
+    return values
+
+
+_strings = st.text(st.sampled_from("ab\n\u00e9\u2028\ud800\udfff\U0001f600"), max_size=4)
+_not_strings = st.one_of(st.none(), st.integers(), st.lists(_strings, max_size=1))
+_records = st.one_of(
+    st.fixed_dictionaries({name: _strings for name in (*_HEADER_FIELDS, *_STEP_FIELDS)}),
+    st.fixed_dictionaries({}, optional={name: _strings | _not_strings
+                                        for name in (*_HEADER_FIELDS, *_STEP_FIELDS, "other")}),
+    _strings, _not_strings)
+
+
+@given(_records, st.sampled_from([_HEADER_FIELDS, _STEP_FIELDS]), st.integers(1, 9))
+def test_field_check_matches_the_reference(record, fields, number):
+    """Missing, non-string, non-ASCII and lone-surrogate values, and records that
+    are not objects: the same values, or the same message."""
+    assert _outcome(lambda r: _fields(r, fields, "t.cqtrace", number), record) == \
+        _outcome(lambda r: _reference_fields(r, fields, "t.cqtrace", number), record)
+
+
 def _whole_file_reference(path):
     """The fixture reader that decoded the whole file, then split it into records."""
     text = decode_utf8(path.read_bytes(), f"fixture {path}", "FIXTURE_PARSE")
@@ -123,8 +157,9 @@ def _whole_file_reference(path):
         raise CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {path}: {exc}"))
     if not records:
         raise CoqatooError(error("FIXTURE_PARSE", f"fixture {path} is empty"))
-    lemma, initial, version = _fields(records[0], _HEADER_FIELDS, str(path), 1)
-    steps = tuple(TraceStep(*_fields(rec, _STEP_FIELDS, str(path), i)) for i, rec in enumerate(records[1:], start=2))
+    lemma, initial, version = _reference_fields(records[0], _HEADER_FIELDS, str(path), 1)
+    steps = tuple(TraceStep(*_reference_fields(rec, _STEP_FIELDS, str(path), i))
+                  for i, rec in enumerate(records[1:], start=2))
     return lemma, initial, version, steps
 
 
