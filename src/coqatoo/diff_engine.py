@@ -37,7 +37,6 @@ def _only_new(hyps: Sequence[Hypothesis], present) -> Tuple[Hypothesis, ...]:
 
 def diff_states(before: ProofState, after: ProofState) -> StateDiff:
     """Diff two consecutive states of the focused goal."""
-    assert before.subgoal_count >= 1, "diff requires an open goal before the tactic"
     delta = after.subgoal_count - before.subgoal_count
     if before.hypotheses == after.hypotheses:
         # the common case, a tactic that leaves the context as it was;

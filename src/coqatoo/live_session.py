@@ -16,7 +16,7 @@ from typing import Optional
 from .diagnostics import CoqatooError, error
 from .goal_parser import normalize_text
 from .script_parser import Script, ScriptItem
-from .state_provider import PROVER_ENV_VAR, SessionTrace, TraceStep, _norm_tactic, resolve_prover
+from .state_provider import PROVER_ENV_VAR, SessionTrace, TraceStep, _norm_tactic
 
 _PROMPT_MARKER = b"</prompt>"
 _CHUNK_BYTES = 64 * 1024
@@ -38,8 +38,8 @@ class _ProverSession:
                 [prover_path, "-emacs", "-q"],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
         except OSError as exc:
-            raise CoqatooError(error("PROVER_MISSING",
-                                     f"cannot start prover {prover_path}: {exc.strerror}")) from None
+            raise CoqatooError(error("PROVER_MISSING", f"cannot start prover {prover_path}: {exc.strerror} "
+                                     f"(install coqtop, set ${PROVER_ENV_VAR}, or pass --prover)")) from None
         self._stdout = self.proc.stdout.fileno()
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._stdout, selectors.EVENT_READ)
@@ -94,13 +94,8 @@ def _exited(stderr: bytes) -> CoqatooError:
 
 def run_live(script: Script, prover_path: Optional[str], timeout_secs: float) -> SessionTrace:
     """`state_provider.run_live`: the prover's response to the lemma and to each tactic."""
-    resolved = resolve_prover(prover_path)
-    if resolved is None:
-        raise CoqatooError(error("PROVER_MISSING", "no prover executable found (install coqtop, "
-                                 f"set ${PROVER_ENV_VAR}, or pass --prover)"))
-
     lemma = script.lemma
-    session = _ProverSession(resolved, timeout_secs)
+    session = _ProverSession(prover_path or os.environ.get(PROVER_ENV_VAR) or "coqtop", timeout_secs)
     try:
         banner = session.read_response()
         version = next((line.strip() for line in banner.splitlines() if line.strip()), "")

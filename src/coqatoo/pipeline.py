@@ -19,9 +19,6 @@ def analyze_trace(script: Script, trace: SessionTrace) -> List[AnalyzedStep]:
         raise CoqatooError(error("FIXTURE_MISMATCH",
                                  f"script has {len(tactics)} tactics but trace has {len(trace.steps)} steps"))
     states = trace.states()
-    for item, before in zip(tactics, states):
-        if before.subgoal_count == 0:
-            raise CoqatooError(error("MALFORMED_TRACE", "tactic after the proof was complete", item.span))
     return [AnalyzedStep(item, states[i], states[i + 1], diff_states(states[i], states[i + 1]))
             for i, item in enumerate(tactics)]
 

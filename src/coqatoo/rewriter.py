@@ -252,6 +252,8 @@ def _rewrite_inversion(step: AnalyzedStep, templates: TemplateSet) -> Annotation
     types = _binding_types(step.before)
     subject = types.get(arg, arg or "")
     added_types = [h.type_expr for h in step.diff.added for _ in h.names]
+    if not added_types:   # e.g. `inversion H` with `H : False`, which closes the goal
+        return Annotation((), AnnotationKind.OMITTED)
     text = templates.fill("inversion.default", hyp=subject, list=", ".join(added_types))
     return Annotation(_sentences(text))
 
@@ -334,15 +336,13 @@ _LATEX_SPECIALS = {
 def latex_escape(text: str) -> str:
     """`text` with each character of `_LATEX_SPECIALS` spelled as it says.
 
-    One `str.replace` per special character.  A backslash first becomes a
-    bare `\\textbackslash`, so that escaping the braces leaves its own `{}`
-    out; they are added after.  No later escape holds a character escaped
-    after it.
+    One `str.replace` per special character.  A backslash is held as a lone
+    surrogate until the other nine are escaped, then spelled in full.  No
+    input holds a lone surrogate: the script and template readers decode
+    strictly, a fixture string holding one is rejected, and the live reader
+    decodes with `errors="replace"`.
     """
-    text = text.replace("\\", r"\textbackslash")
-    for ch in "{}":
+    text = text.replace("\\", "\ud800")
+    for ch in "{}_%&#$~^":
         text = text.replace(ch, _LATEX_SPECIALS[ch])
-    text = text.replace(r"\textbackslash", _LATEX_SPECIALS["\\"])
-    for ch in "_%&#$~^":
-        text = text.replace(ch, _LATEX_SPECIALS[ch])
-    return text
+    return text.replace("\ud800", _LATEX_SPECIALS["\\"])

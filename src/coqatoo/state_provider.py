@@ -6,13 +6,12 @@ line-delimited JSON and store raw prover responses; parsing to
 ProofState happens lazily so recorded sessions survive parser changes.
 The live provider is its own module, `live_session`, which `run_live`
 imports when it runs, so a replay never loads the process machinery
-(`subprocess`, `selectors`, `shutil`).
+(`subprocess`, `selectors`).
 """
 
 from __future__ import annotations
 
 import json
-import os
 from collections import namedtuple
 from functools import lru_cache
 from itertools import zip_longest
@@ -144,18 +143,12 @@ def record_session(trace: SessionTrace, out_path: str) -> None:
         raise CoqatooError(error("IO", f"cannot write fixture {out_path}: {exc}"))
 
 
-def resolve_prover(cli_path: Optional[str] = None) -> Optional[str]:
-    """CLI flag wins over COQATOO_PROVER; fall back to coqtop on PATH."""
-    import shutil
-    candidate = cli_path or os.environ.get(PROVER_ENV_VAR) or "coqtop"
-    return shutil.which(candidate)
-
-
 def run_live(script: Script, prover_path: Optional[str] = None,
              timeout_secs: float = DEFAULT_TIMEOUT_SECS) -> SessionTrace:
     """Execute the script against a live prover, capturing each response.
 
-    The prover is `prover_path`, else $COQATOO_PROVER, else coqtop (`resolve_prover`).
+    The prover is `prover_path`, else $COQATOO_PROVER, else coqtop, found as the
+    system finds a command.
     The banner's first non-blank line is kept as the trace's `prover_version`.
     """
     from . import live_session

@@ -35,9 +35,8 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
     parents: List[ProofNode] = []   # the parent of each case still to open, the next one last
 
     for step in steps:
-        if current is None:
-            raise CoqatooError(error("MALFORMED_TRACE", "tactic after the proof was already complete",
-                                     step.item.span))
+        if current is None or not step.before.subgoal_count:
+            raise CoqatooError(error("MALFORMED_TRACE", "tactic after the proof was complete", step.item.span))
         current.steps.append(step)
         cls = step.diff.classification
         if cls is Classification.BRANCH:

@@ -333,16 +333,30 @@ def test_prover_missing_exits_2(monkeypatch, capsys):
     assert "PROVER_MISSING" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [b"#!/nonexistent/interp\n", b"\x00\x01\x02 not a program\n"],
-                         ids=["missing_interpreter", "exec_format_error"])
+@pytest.mark.parametrize("content", [b"#!/nonexistent/interp\n", b"\x00\x01\x02 not a program\n", None],
+                         ids=["missing_interpreter", "exec_format_error", "directory"])
 def test_prover_that_cannot_start_exits_2(tmp_path, capsys, content):
     prover = tmp_path / "prover"
-    prover.write_bytes(content)
-    prover.chmod(0o755)
+    if content is None:
+        prover.mkdir()
+    else:
+        prover.write_bytes(content)
+        prover.chmod(0o755)
     assert main(_live_args(script_path("and_commutes"), str(prover))) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error[PROVER_MISSING]")
     assert str(prover) in err and "Traceback" not in err
+
+
+def test_live_run_finds_coqtop_on_the_path(tmp_path, monkeypatch, fake_prover, capsys):
+    """With no --prover and no $COQATOO_PROVER, the prover is `coqtop`, looked up on $PATH."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    os.replace(fake_prover(fixture_path("and_commutes")), bin_dir / "coqtop")
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
+    monkeypatch.delenv("COQATOO_PROVER", raising=False)
+    assert main([str(script_path("and_commutes"))]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / "and_commutes.annotated.en.txt").read_bytes().decode("utf-8")
 
 
 def test_out_file(tmp_path, capsys):
@@ -558,17 +572,38 @@ _GOAL = state([], ["True /\\ True"])
 _SPLIT = state([], ["True", "True"])
 
 
+@pytest.mark.parametrize("mode, lang", _PROSE)
+def test_inversion_that_adds_no_hypothesis_is_omitted(tmp_path, capsys, mode, lang):
+    """`inversion H` with `H : False` closes the goal and adds nothing: no sentence with an empty list."""
+    script, trace = write_replay_pair(tmp_path, "Lemma t : False -> True.", state([], ["False -> True"]),
+                                      [("intros H", state(["H : False"], ["True"])), ("inversion H", DONE)])
+    assert main([str(script), "--provider", "replay", "--fixture", str(trace), "--mode", mode, "--lang", lang]) == 0
+    captured = capsys.readouterr()
+    omitted = {"annotated": "inversion H.", "en": "(details omitted)", "fr": "(détails omis)"}
+    assert captured.err == "" and "  " not in captured.out
+    assert "By inversion" not in captured.out and "Par inversion" not in captured.out
+    assert omitted.get(mode, omitted[lang]) in captured.out.splitlines()
+
+
+_AFTER_DONE, _UNFILLED = "tactic after the proof was complete", "proof closed with a branch case unfilled"
+
+
 @pytest.mark.parametrize("dot", [[], ["--dot"]])
-@pytest.mark.parametrize("initial, steps", [
-    (_GOAL, [("split", _SPLIT), ("assumption", state([], ["True"])), ("assumption", DONE), ("assumption", DONE)]),
-    (_GOAL, [("split", _SPLIT), ("assumption", DONE)]),
+@pytest.mark.parametrize("initial, steps, bad, message", [
+    (_GOAL, [("split", _SPLIT), ("assumption", state([], ["True"])), ("assumption", DONE), ("assumption", DONE)],
+     3, _AFTER_DONE),
+    (_GOAL, [("split", _SPLIT), ("assumption", DONE)], 1, _UNFILLED),
     # the first tactic closes one of two initial goals: no case is open to take the next
-    (_SPLIT, [("assumption", state([], ["True"])), ("assumption", DONE)]),
-], ids=["tactic_after_done", "close_with_open_case", "two_initial_goals"])
-def test_malformed_trace_exits_1(tmp_path, capsys, initial, steps, dot):
+    (_SPLIT, [("assumption", state([], ["True"])), ("assumption", DONE)], 1, _AFTER_DONE),
+    (DONE, [("assumption", DONE)], 0, _AFTER_DONE),
+    # the first malformed step in order is the one reported, not the tactic after it
+    (_GOAL, [("split", _SPLIT), ("assumption", DONE), ("assumption", DONE)], 1, _UNFILLED),
+], ids=["tactic_after_done", "close_with_open_case", "two_initial_goals", "initial_done", "unfilled_then_more"])
+def test_malformed_trace_exits_1(tmp_path, capsys, initial, steps, bad, message, dot):
     script, trace = write_replay_pair(tmp_path, "Lemma t : True /\\ True.", initial, steps)
+    start, end = parse_script(script.read_text())[0].tactics[bad].span
     assert main([str(script), "--provider", "replay", "--fixture", str(trace), *dot]) == 1
-    assert "MALFORMED_TRACE" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error[MALFORMED_TRACE] at {start}..{end}: {message}\n"
 
 
 @pytest.mark.parametrize("dot", [[], ["--dot"]])

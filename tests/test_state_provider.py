@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 from coqatoo import (CoqatooError, SessionTrace, live_session, parse_script, parse_state,
                      record_session, run_live, run_replay)
 from coqatoo.diagnostics import decode_utf8, error
-from coqatoo.state_provider import (_HEADER_FIELDS, _STEP_FIELDS, TraceStep, _fields, _read_fixture,
-                                    resolve_prover)
+from coqatoo.state_provider import _HEADER_FIELDS, _STEP_FIELDS, TraceStep, _fields, _read_fixture
 
 from helpers import (LISTING_1, LISTING_2, fixture_path, load_script, load_trace, write_prover,
                      write_split_coqtop)
@@ -365,6 +364,9 @@ def test_live_prover_from_the_environment(monkeypatch, fake_prover):
     assert run_live(script).steps == run_replay(script, str(fixture_path("and_commutes"))).steps
 
 
-def test_resolve_prover_env_override(monkeypatch):
+def test_prover_from_the_environment_that_cannot_start(monkeypatch):
     monkeypatch.setenv("COQATOO_PROVER", "definitely-not-a-prover")
-    assert resolve_prover(None) is None
+    with pytest.raises(CoqatooError) as exc:
+        run_live(load_script("conj_imp_equiv"))
+    assert exc.value.diagnostic.code == "PROVER_MISSING"
+    assert exc.value.diagnostic.message.startswith("cannot start prover definitely-not-a-prover: ")
