@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import namedtuple
-from enum import Enum
 from typing import List, Sequence, Tuple
 
 from .goal_parser import _IDENT, Hypothesis, ProofState
@@ -11,46 +9,19 @@ from .goal_parser import _IDENT, Hypothesis, ProofState
 SORT_KEYWORDS = {"Prop", "Set", "Type"}
 
 
-class Classification(Enum):
-    INTRO = "intro"
-    BRANCH = "branch"
-    CLOSE = "close"
-    TRANSFORM = "transform"
-
-
-# added: Tuple[Hypothesis, ...]; subgoal_delta: int; classification: Classification
-StateDiff = namedtuple("StateDiff", "added subgoal_delta classification")
-
-
-def _binding_set(state: ProofState):
-    return {(name, h.type_expr) for h in state.hypotheses for name in h.names}
-
-
-def _only_new(hyps: Sequence[Hypothesis], present) -> Tuple[Hypothesis, ...]:
-    out = []
-    for h in hyps:
-        names = tuple(n for n in h.names if (n, h.type_expr) not in present)
-        if names:
-            out.append(Hypothesis(names, h.type_expr))
-    return tuple(out)
-
-
-def diff_states(before: ProofState, after: ProofState) -> StateDiff:
-    """Diff two consecutive states of the focused goal."""
-    delta = after.subgoal_count - before.subgoal_count
+def diff_states(before: ProofState, after: ProofState) -> Tuple[Hypothesis, ...]:
+    """The hypotheses that one tactic added to the context of the focused goal."""
     if before.hypotheses == after.hypotheses:
         # the common case, a tactic that leaves the context as it was;
         # states parsed together share the tuple, so this compares pointers
-        added = ()
-    else:
-        added = _only_new(after.hypotheses, _binding_set(before))
-    if delta >= 1:
-        classification = Classification.BRANCH
-    elif delta <= -1:
-        classification = Classification.CLOSE
-    else:
-        classification = Classification.INTRO if added else Classification.TRANSFORM
-    return StateDiff(added, delta, classification)
+        return ()
+    present = {(name, h.type_expr) for h in before.hypotheses for name in h.names}
+    added = []
+    for h in after.hypotheses:
+        names = tuple(n for n in h.names if (n, h.type_expr) not in present)
+        if names:
+            added.append(Hypothesis(names, h.type_expr))
+    return tuple(added)
 
 
 def classify_bindings(added: Sequence[Hypothesis],

@@ -51,8 +51,8 @@ def normalize_text(text: str) -> str:
 
 # names: Tuple[str, ...]; type_expr: str
 Hypothesis = namedtuple("Hypothesis", "names type_expr")
-# subgoal_count: int; hypotheses: Tuple[Hypothesis, ...]; goals: Tuple[str, ...]; raw: str
-ProofState = namedtuple("ProofState", "subgoal_count hypotheses goals raw")
+# hypotheses: Tuple[Hypothesis, ...]; goals: Tuple[str, ...]; raw: str
+ProofState = namedtuple("ProofState", "hypotheses goals raw")
 
 
 def _parse_context(block: str) -> Tuple[Hypothesis, ...]:
@@ -111,7 +111,7 @@ def parse_state(raw: str, contexts: Optional[Dict[str, Tuple[Hypothesis, ...]]] 
     # the proof is finished when a marker starts a line ahead of the first subgoal header
     head = raw[:m.start()] if m else raw
     if head and any(line.lstrip().startswith(FINISHED_MARKERS) for line in head.splitlines()):
-        return ProofState(0, (), (), raw)
+        return ProofState((), (), raw)
     if not m:
         raise CoqatooError(error("MALFORMED_STATE", "no subgoal header found in prover output"))
     count = int(m.group(1))
@@ -147,4 +147,4 @@ def parse_state(raw: str, contexts: Optional[Dict[str, Tuple[Hypothesis, ...]]] 
         raise CoqatooError(error(
             "MALFORMED_STATE",
             f"header announces {count} subgoal(s) but {len(goals)} goal block(s) found"))
-    return ProofState(count, hyps, tuple(goals), raw)
+    return ProofState(hyps, tuple(goals), raw)

@@ -13,7 +13,7 @@ from .tree_builder import AnalyzedStep, ProofNode, build_tree
 
 
 def analyze_trace(script: Script, trace: SessionTrace) -> List[AnalyzedStep]:
-    """Pair each tactic with the states around it and the resulting diff."""
+    """Pair each tactic with the states around it and the hypotheses it added."""
     tactics = script.tactics
     if len(tactics) != len(trace.steps):
         raise CoqatooError(error("FIXTURE_MISMATCH",

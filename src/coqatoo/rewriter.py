@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .diagnostics import CoqatooError, decode_utf8, error, warning
-from .diff_engine import Classification, classify_bindings, is_heuristic
+from .diff_engine import classify_bindings, is_heuristic
 from .goal_parser import FINISHED_MARKERS, SUBGOAL_HEADER, ProofState, normalize_text
 from .tree_builder import AnalyzedStep, ProofNode, walk
 
@@ -168,7 +168,7 @@ def rewrite_step(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
     row = RULES.get(step.item.head)
     if row is not None:
         return row[0](step, templates)
-    if step.diff.classification is Classification.BRANCH:
+    if len(step.after.goals) > len(step.before.goals):   # a branch: its case labels say what it did
         return _SILENT
     return Annotation((), AnnotationKind.OMITTED)
 
@@ -201,12 +201,13 @@ def _rewrite_assumption(step: AnalyzedStep, templates: TemplateSet) -> Annotatio
 
 
 def _rewrite_intros(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
-    variables, hypotheses = classify_bindings(step.diff.added, step.before)
+    variables, hypotheses = classify_bindings(step.added, step.before)
     diagnostics = tuple(warning("HEURISTIC_CLASSIFICATION",
                                 f"treating {', '.join(h.names)} : {h.type_expr} as a hypothesis", step.item.span)
                         for h in hypotheses if is_heuristic(h))
     # the goal the tactic leaves, unless it closed its goal or left an empty one
-    goal = normalize_text(step.diff.subgoal_delta >= 0 and step.after.goals[0] or step.before.goals[0])
+    goal = normalize_text(len(step.after.goals) >= len(step.before.goals) and step.after.goals[0]
+                         or step.before.goals[0])
     var_names = [n for h in variables for n in h.names]
     hyp_types = sorted((h.type_expr for h in hypotheses for _ in h.names), key=len)
     if variables and hypotheses:
@@ -251,7 +252,7 @@ def _rewrite_inversion(step: AnalyzedStep, templates: TemplateSet) -> Annotation
     arg = _tactic_arg(step.item.command)
     types = _binding_types(step.before)
     subject = types.get(arg, arg or "")
-    added_types = [h.type_expr for h in step.diff.added for _ in h.names]
+    added_types = [h.type_expr for h in step.added for _ in h.names]
     if not added_types:   # e.g. `inversion H` with `H : False`, which closes the goal
         return Annotation((), AnnotationKind.OMITTED)
     text = templates.fill("inversion.default", hyp=subject, list=", ".join(added_types))

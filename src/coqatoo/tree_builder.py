@@ -1,8 +1,10 @@
 """Proof tree reconstruction from the linear (tactic, state) trace.
 
-Simulates the prover's goal stack: a branching tactic opens k child
-nodes, a closing tactic pops back to the nearest ancestor that still has
-unfilled children.  Bullet depth falls out of the nesting.
+Simulates the prover's goal stack from the goal counts alone: a tactic
+that leaves k more goals than it found branches and opens k + 1 child
+nodes, one that leaves fewer closes its case and pops back to the nearest
+ancestor that still has unfilled children.  Bullet depth falls out of the
+nesting.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ from collections import namedtuple
 from typing import List, Optional, Sequence, Tuple
 
 from .diagnostics import CoqatooError, error
-from .diff_engine import Classification
 
-# one tactic: its item: ScriptItem, the states around it, before and after: ProofState, and their diff: StateDiff
-AnalyzedStep = namedtuple("AnalyzedStep", "item before after diff")
+# one tactic: its item: ScriptItem, the states around it, before and after: ProofState,
+# and the hypotheses it added: Tuple[Hypothesis, ...]
+AnalyzedStep = namedtuple("AnalyzedStep", "item before after added")
 
 
 class ProofNode:
@@ -30,19 +32,22 @@ class ProofNode:
 
 def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
     """Rebuild the proof tree; raises INCOMPLETE_PROOF / MALFORMED_TRACE."""
+    if steps and len(steps[0].before.goals) > 1:
+        raise CoqatooError(error("MALFORMED_TRACE", f"the proof starts with {len(steps[0].before.goals)} goals",
+                                 steps[0].item.span))
     root = ProofNode(depth=0)
     current: Optional[ProofNode] = root
     parents: List[ProofNode] = []   # the parent of each case still to open, the next one last
 
     for step in steps:
-        if current is None or not step.before.subgoal_count:
+        if current is None or not step.before.goals:
             raise CoqatooError(error("MALFORMED_TRACE", "tactic after the proof was complete", step.item.span))
         current.steps.append(step)
-        cls = step.diff.classification
-        if cls is Classification.BRANCH:
-            parents += [current] * step.diff.subgoal_delta
+        delta = len(step.after.goals) - len(step.before.goals)
+        if delta > 0:
+            parents += [current] * delta
             parent = current
-        elif cls is not Classification.CLOSE:
+        elif not delta:
             continue
         elif not parents:
             current = None   # the last case is closed: the proof is done
@@ -55,9 +60,9 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
         current = ProofNode(depth=parent.depth + 1, case_goal=step.after.goals[0])
         parent.children.append(current)
 
-    if steps and steps[-1].after.subgoal_count != 0:
+    if steps and steps[-1].after.goals:
         raise CoqatooError(error("INCOMPLETE_PROOF",
-                                 f"proof ends with {steps[-1].after.subgoal_count} open subgoal(s)"))
+                                 f"proof ends with {len(steps[-1].after.goals)} open subgoal(s)"))
     if not steps:
         raise CoqatooError(error("INCOMPLETE_PROOF", "no tactics were executed"))
     return root

@@ -5,8 +5,7 @@ import time
 
 import pytest
 
-from coqatoo import (Classification, load_templates, parse_state,
-                     record_session, run_live, run_replay, tokenize_script)
+from coqatoo import load_templates, parse_state, record_session, run_live, run_replay, tokenize_script
 from coqatoo.cli import main
 from coqatoo.pipeline import annotate_steps, generate
 from coqatoo.rewriter import OutputMode
@@ -39,7 +38,6 @@ def test_golden_reproduction(capsys):
 
 def test_state_parsing():
     initial = parse_state(LISTING_1)
-    assert initial.subgoal_count == 1
     assert initial.hypotheses == ()
     assert initial.goals == ("forall P Q R : Prop, (P /\\ Q -> R) <-> (P -> Q -> R)",)
     after = parse_state(LISTING_2)
@@ -73,21 +71,11 @@ def test_round_trip(name):
 @pytest.mark.parametrize("name", CORPUS)
 def test_diff_properties(name):
     for state in all_fixture_states(name):
-        if state.subgoal_count:
-            d = diff_states(state, state)
-            assert not d.added and d.subgoal_delta == 0
-            assert d.classification is Classification.TRANSFORM
+        assert diff_states(state, state) == ()
     for step in analyzed_steps(name):
-        d = step.diff
-        if d.classification is Classification.BRANCH:
-            assert d.subgoal_delta >= 1
-        elif d.classification is Classification.CLOSE:
-            assert d.subgoal_delta == -1
-        else:
-            assert d.subgoal_delta == 0
-        variables, hypotheses = classify_bindings(d.added, step.before)
+        variables, hypotheses = classify_bindings(step.added, step.before)
         flat = [n for h in variables + hypotheses for n in h.names]
-        assert sorted(flat) == sorted(n for h in d.added for n in h.names)
+        assert sorted(flat) == sorted(n for h in step.added for n in h.names)
     _report(f"diff and classification properties ({name})")
 
 

@@ -593,8 +593,8 @@ _AFTER_DONE, _UNFILLED = "tactic after the proof was complete", "proof closed wi
     (_GOAL, [("split", _SPLIT), ("assumption", state([], ["True"])), ("assumption", DONE), ("assumption", DONE)],
      3, _AFTER_DONE),
     (_GOAL, [("split", _SPLIT), ("assumption", DONE)], 1, _UNFILLED),
-    # the first tactic closes one of two initial goals: no case is open to take the next
-    (_SPLIT, [("assumption", state([], ["True"])), ("assumption", DONE)], 1, _AFTER_DONE),
+    # a proof of one lemma starts with one goal: a second is reported at the first tactic
+    (_SPLIT, [("assumption", state([], ["True"])), ("assumption", DONE)], 0, "the proof starts with 2 goals"),
     (DONE, [("assumption", DONE)], 0, _AFTER_DONE),
     # the first malformed step in order is the one reported, not the tactic after it
     (_GOAL, [("split", _SPLIT), ("assumption", DONE), ("assumption", DONE)], 1, _UNFILLED),

@@ -1,26 +1,18 @@
 from hypothesis import given, strategies as st
 
-from coqatoo import (Classification, Hypothesis, SessionTrace, StateDiff, TraceStep, classify_bindings,
-                     diff_states, parse_state)
+from coqatoo import Hypothesis, SessionTrace, TraceStep, classify_bindings, diff_states, parse_state
 from coqatoo.diff_engine import is_heuristic
 
 from helpers import LISTING_1, LISTING_2, all_fixture_states, analyzed_steps, state
 
 
 def test_intros_diff_from_listings():
-    diff = diff_states(parse_state(LISTING_1), parse_state(LISTING_2))
-    assert diff.added == (Hypothesis(("P", "Q", "R"), "Prop"),)
-    assert diff.subgoal_delta == 0
-    assert diff.classification is Classification.INTRO
+    assert diff_states(parse_state(LISTING_1), parse_state(LISTING_2)) == (Hypothesis(("P", "Q", "R"), "Prop"),)
 
 
 def test_reflexive_diff_is_empty_transform(corpus_name):
     for state in all_fixture_states(corpus_name):
-        if state.subgoal_count == 0:
-            continue
-        diff = diff_states(state, state)
-        assert not diff.added and diff.subgoal_delta == 0
-        assert diff.classification is Classification.TRANSFORM
+        assert diff_states(state, state) == ()
 
 
 def test_unchanged_context_is_shared_and_diffs_empty():
@@ -31,11 +23,8 @@ def test_unchanged_context_is_shared_and_diffs_empty():
                          tuple(TraceStep(t, raw) for t, raw in steps))
     states = trace.states()
     assert all(s.hypotheses is states[0].hypotheses for s in states)
-    assert [diff_states(a, b) for a, b in zip(states, states[1:])] == [
-        StateDiff((), 1, Classification.BRANCH),
-        StateDiff((), -1, Classification.CLOSE),
-        StateDiff((), 0, Classification.TRANSFORM),
-    ]
+    assert [diff_states(a, b) for a, b in zip(states, states[1:])] == [(), (), ()]
+    assert [len(b.goals) - len(a.goals) for a, b in zip(states, states[1:])] == [1, -1, 0]
 
 
 def test_rewrapped_hypotheses_give_an_empty_transform():
@@ -44,28 +33,15 @@ def test_rewrapped_hypotheses_give_an_empty_transform():
     b = parse_state("1 subgoal\n\n  H : forall x : nat,\n        x   =  x\n  HP : P /\\\n   Q\n"
                     "  ============================\n  P\n")
     assert a.hypotheses == b.hypotheses
-    diff = diff_states(a, b)
-    assert not diff.added and diff.subgoal_delta == 0
-    assert diff.classification is Classification.TRANSFORM
+    assert diff_states(a, b) == ()
 
 
 def test_split_branches():
     steps = analyzed_steps("conj_imp_equiv")
     split = steps[1]
     assert split.item.head == "split"
-    assert split.diff.subgoal_delta == 1
-    assert split.diff.classification is Classification.BRANCH
-
-
-def test_classification_matches_delta(corpus_name):
-    for step in analyzed_steps(corpus_name):
-        d = step.diff
-        if d.classification is Classification.BRANCH:
-            assert d.subgoal_delta >= 1
-        elif d.classification is Classification.CLOSE:
-            assert d.subgoal_delta == -1
-        else:
-            assert d.subgoal_delta == 0
+    assert (len(split.before.goals), len(split.after.goals)) == (1, 2)
+    assert split.added == ()
 
 
 def test_antisymmetry(corpus_name):
@@ -73,13 +49,10 @@ def test_antisymmetry(corpus_name):
         return {(n, h.type_expr) for h in hyps for n in h.names}
 
     for step in analyzed_steps(corpus_name):
-        if step.after.subgoal_count == 0:
-            continue
-        fwd = diff_states(step.before, step.after)
-        bwd = diff_states(step.after, step.before)
-        assert fwd.subgoal_delta == -bwd.subgoal_delta
-        assert bindings(fwd.added) == bindings(step.after.hypotheses) - bindings(step.before.hypotheses)
-        assert bindings(bwd.added) == bindings(step.before.hypotheses) - bindings(step.after.hypotheses)
+        assert bindings(diff_states(step.before, step.after)) == (bindings(step.after.hypotheses)
+                                                                  - bindings(step.before.hypotheses))
+        assert bindings(diff_states(step.after, step.before)) == (bindings(step.before.hypotheses)
+                                                                  - bindings(step.after.hypotheses))
 
 
 # --- classify_bindings ---

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coqatoo import CoqatooError, Hypothesis, parse_state
-from coqatoo.goal_parser import _IDENT, normalize_text
+from coqatoo.goal_parser import _IDENT, SUBGOAL_HEADER, normalize_text
 
 from helpers import LISTING_1, LISTING_2, all_fixture_states
 
@@ -24,14 +24,12 @@ SEPARATOR = "  ============================"
 ], ids=["lf", "crlf", "cr", "formfeed", "trailing-blanks", "equals-in-type"])
 def test_initial_state_block(raw, hypotheses):
     state = parse_state(raw)
-    assert state.subgoal_count == 1
     assert state.hypotheses == hypotheses
     assert state.goals == ("forall P Q R : Prop, (P /\\ Q -> R) <-> (P -> Q -> R)",)
 
 
 def test_state_after_intros_block():
     state = parse_state(LISTING_2)
-    assert state.subgoal_count == 1
     assert len(state.hypotheses) == 1
     assert state.hypotheses[0].names == ("P", "Q", "R")
     assert state.hypotheses[0].type_expr == "Prop"
@@ -40,7 +38,6 @@ def test_state_after_intros_block():
 
 def test_no_more_subgoals():
     state = parse_state("No more subgoals.\n")
-    assert state.subgoal_count == 0
     assert state.goals == ()
 
 
@@ -48,20 +45,19 @@ def test_no_more_subgoals():
 def test_a_marker_in_a_goal_is_no_finished_proof(goal):
     """A marker counts only where it starts a line ahead of the subgoal header."""
     state = parse_state(f"1 subgoal\n\n  s : string\n  ============================\n  {goal}\n")
-    assert (state.subgoal_count, state.goals) == (1, (" ".join(goal.split("\n  ")),))
+    assert state.goals == (" ".join(goal.split("\n  ")),)
 
 
 @pytest.mark.parametrize("raw", ["(* info auto: *)\nsimple exact I.\n\nNo more subgoals.\n",
                                  "  Proof completed.\n", "No more subgoals.\r\n"])
 def test_a_marker_that_starts_a_line_finishes_the_proof(raw):
-    assert parse_state(raw) == (0, (), (), raw)
+    assert parse_state(raw) == ((), (), raw)
 
 
 def test_multiple_subgoals():
     raw = ("3 subgoals\n\n  H : P\n  ============================\n  P\n\n"
            "subgoal 2 is:\n Q\nsubgoal 3 is:\n R\n")
     state = parse_state(raw)
-    assert state.subgoal_count == 3
     assert state.goals == ("P", "Q", "R")
 
 
@@ -133,7 +129,8 @@ def test_raw_is_retained(corpus_name):
 
 def test_parse_total_on_corpus(corpus_name):
     for state in all_fixture_states(corpus_name):
-        assert state.subgoal_count == len(state.goals)
+        header = SUBGOAL_HEADER.search(state.raw)
+        assert len(state.goals) == (int(header.group(1)) if state.goals else 0)
 
 
 def test_hypothesis_name_multiplicity():
@@ -149,7 +146,7 @@ def test_other_breaks_are_the_splitlines_breaks_but_lf():
     expected = parse_state(LISTING_2)
     for ch in breaks:
         state = parse_state(LISTING_2.replace("\n", ch))
-        assert state[:3] == expected[:3], repr(ch)
+        assert (state.hypotheses, state.goals) == (expected.hypotheses, expected.goals), repr(ch)
 
 
 # --- normalize_text ---

@@ -20,9 +20,8 @@ def test_replay_golden_fixture():
     assert len(states) == 13
     for state, listing in zip(states, (LISTING_1, LISTING_2)):
         expected = parse_state(listing)
-        assert (state.subgoal_count, state.hypotheses, state.goals) == (
-            expected.subgoal_count, expected.hypotheses, expected.goals)
-    assert states[-1].subgoal_count == 0
+        assert (state.hypotheses, state.goals) == (expected.hypotheses, expected.goals)
+    assert states[-1].goals == ()
 
 
 def test_replay_determinism():
@@ -283,7 +282,7 @@ def test_record_empty_trace(tmp_path):
 
 def test_subgoal_count_sequence_of_golden():
     _, trace = load_trace("conj_imp_equiv")
-    counts = [s.subgoal_count for s in trace.states()[1:]]
+    counts = [len(s.goals) for s in trace.states()[1:]]
     assert counts == [1, 2, 2, 2, 3, 2, 1, 1, 1, 2, 1, 0]
 
 

@@ -4,7 +4,7 @@ from itertools import count
 import pytest
 from hypothesis import given, strategies as st
 
-from coqatoo import Classification, CoqatooError, build_tree, diff_states, parse_state, to_dot
+from coqatoo import CoqatooError, ItemKind, ScriptItem, build_tree, diff_states, parse_state, to_dot
 from coqatoo.tree_builder import AnalyzedStep
 
 from helpers import DONE, analyzed_steps, flatten, leaves, state
@@ -39,15 +39,14 @@ def test_flatten_preserves_tactic_order(corpus_name):
 def test_leaf_count_equals_close_count(corpus_name):
     steps = analyzed_steps(corpus_name)
     root = build_tree(steps)
-    closes = sum(1 for s in steps if s.diff.classification is Classification.CLOSE)
-    assert len(leaves(root)) == closes
-    branches = [s.diff.subgoal_delta for s in steps if s.diff.classification is Classification.BRANCH]
-    assert sum(branches) + 1 == len(leaves(root))
+    deltas = [len(s.after.goals) - len(s.before.goals) for s in steps]
+    assert len(leaves(root)) == sum(1 for d in deltas if d < 0)
+    assert sum(d for d in deltas if d > 0) + 1 == len(leaves(root))
 
 
 def test_every_leaf_ends_with_close(corpus_name):
     for leaf in leaves(build_tree(analyzed_steps(corpus_name))):
-        assert leaf.steps[-1].diff.classification is Classification.CLOSE
+        assert len(leaf.steps[-1].after.goals) < len(leaf.steps[-1].before.goals)
 
 
 def test_case_labels_of_split_and_apply_conj():
@@ -122,3 +121,42 @@ def _linear_trace(tree):
 def test_a_tree_is_rebuilt_from_its_linear_trace(tree):
     steps, expected = _linear_trace(tree)
     assert _shape(build_tree(steps)) == expected
+
+
+def _counted_steps(counts):
+    """One step between each two states of the given goal counts, the tactic of step k at span (2k, 2k + 2)."""
+    states = [parse_state(state([], [f"G{i}" for i in range(n)]) if n else DONE) for n in counts]
+    return [AnalyzedStep(ScriptItem(ItemKind.TACTIC, "t.", (2 * seq, 2 * seq + 2), seq), before, after,
+                         diff_states(before, after))
+            for seq, (before, after) in enumerate(zip(states, states[1:]))]
+
+
+@pytest.mark.parametrize("initial", [2, 3])
+def test_more_than_one_initial_goal_is_reported_at_the_first_tactic(initial):
+    with pytest.raises(CoqatooError) as exc:
+        build_tree(_counted_steps(range(initial, -1, -1)))
+    d = exc.value.diagnostic
+    assert (d.code, d.message, d.span) == ("MALFORMED_TRACE", f"the proof starts with {initial} goals", (0, 2))
+
+
+def test_closing_two_goals_with_a_case_left_is_malformed():
+    with pytest.raises(CoqatooError) as exc:
+        build_tree(_counted_steps([1, 2, 0]))
+    d = exc.value.diagnostic
+    assert (d.code, d.message, d.span) == ("MALFORMED_TRACE", "proof closed with a branch case unfilled", (2, 4))
+
+
+@given(st.integers(0, 3), st.lists(st.integers(-2, 2), max_size=8))
+def test_any_goal_counts_give_the_steps_in_order_or_a_trace_error(initial, changes):
+    """Goal counts drawn at random, none below 0: build_tree keeps every step in
+    pre-order, or rejects the trace as malformed or incomplete, and raises nothing else."""
+    counts = [initial]
+    for change in changes:
+        counts.append(max(counts[-1] + change, 0))
+    steps = _counted_steps(counts)
+    try:
+        root = build_tree(steps)
+    except CoqatooError as exc:
+        assert exc.diagnostic.code in ("MALFORMED_TRACE", "INCOMPLETE_PROOF")
+    else:
+        assert flatten(root) == [step.item for step in steps]
