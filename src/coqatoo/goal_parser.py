@@ -1,8 +1,9 @@
-"""Parser for coqtop's plain goal display.
+"""Parser for coqtop's plain goal display, the one module that knows the prover's wording.
 
 Understands the "N subgoals" header, the hypothesis block above the
 "====" separator, the focused goal below it, and trailing
-"subgoal K is:" blocks.
+"subgoal K is:" blocks; ahead of the header, a finished proof's marker
+and the "(* info auto: *)" report of the tactics an `auto` used.
 
 Hypothesis types are stored normalized (wrapped lines joined, whitespace
 runs collapsed), so later stages compare and print them as they are.
@@ -21,6 +22,11 @@ from .diagnostics import CoqatooError, error
 # where a state starts: its subgoal header, or a marker that the proof is finished
 SUBGOAL_HEADER = re.compile(r"^\s*(\d+)\s+(?:focused\s+)?subgoals?\b", re.M)
 FINISHED_MARKERS = ("No more subgoals", "Proof completed")
+# a line that starts with one of these reports that the prover rejected the sentence
+FAILURE_MARKERS = ("Error", "Toplevel input")
+# the line that opens an info_auto report, then the hint database that ends a reported command
+_AUTO_REPORT = re.compile(r"\(\*\s*info\s+e?auto\s*:\s*\*\)")
+_AUTO_DB = re.compile(r"\s*\(in \w+\)$")
 _SUBGOAL_K = re.compile(r"^\s*subgoal\s+(\d+)\s+is\s*:\s*$")
 # a Coq identifier: a letter (Unicode ones too) or "_", then letters, digits, "_" and "'";
 # the one definition every stage reads: IDENT.match() finds the name a text starts with
@@ -51,8 +57,9 @@ def normalize_text(text: str) -> str:
 
 # names: Tuple[str, ...]; type_expr: str
 Hypothesis = namedtuple("Hypothesis", "names type_expr")
-# hypotheses: Tuple[Hypothesis, ...]; goals: Tuple[str, ...]; raw: str
-ProofState = namedtuple("ProofState", "hypotheses goals raw")
+# hypotheses: Tuple[Hypothesis, ...]; goals: Tuple[str, ...];
+# auto: Tuple[str, ...], the commands of an info_auto report, each without "simple ", "(in <db>)" or "."
+ProofState = namedtuple("ProofState", "hypotheses goals auto")
 
 
 def _parse_context(block: str) -> Tuple[Hypothesis, ...]:
@@ -108,10 +115,23 @@ def parse_state(raw: str, contexts: Optional[Dict[str, Tuple[Hypothesis, ...]]] 
     states with the same block share one `hypotheses` tuple.
     """
     m = SUBGOAL_HEADER.search(raw)
-    # the proof is finished when a marker starts a line ahead of the first subgoal header
+    # the proof is finished when a marker starts a line ahead of the first subgoal header;
+    # an info_auto report there ends at a blank line, a finished marker or the header
     head = raw[:m.start()] if m else raw
-    if head and any(line.lstrip().startswith(FINISHED_MARKERS) for line in head.splitlines()):
-        return ProofState((), (), raw)
+    auto: List[str] = []
+    if head:
+        report = None   # None ahead of the report, True within it, False after it
+        for line in head.splitlines():
+            text = line.strip()
+            if text.startswith(FINISHED_MARKERS):
+                return ProofState((), (), tuple(auto))
+            if report:
+                if not text:
+                    report = False
+                elif not _AUTO_REPORT.match(text):
+                    auto.append(_AUTO_DB.sub("", text.rstrip(".")).removeprefix("simple "))
+            elif report is None and _AUTO_REPORT.match(text):
+                report = True
     if not m:
         raise CoqatooError(error("MALFORMED_STATE", "no subgoal header found in prover output"))
     count = int(m.group(1))
@@ -147,4 +167,4 @@ def parse_state(raw: str, contexts: Optional[Dict[str, Tuple[Hypothesis, ...]]] 
         raise CoqatooError(error(
             "MALFORMED_STATE",
             f"header announces {count} subgoal(s) but {len(goals)} goal block(s) found"))
-    return ProofState(hyps, tuple(goals), raw)
+    return ProofState(hyps, tuple(goals), tuple(auto))

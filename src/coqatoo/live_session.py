@@ -14,7 +14,7 @@ import time
 from typing import Optional
 
 from .diagnostics import CoqatooError, error
-from .goal_parser import normalize_text
+from .goal_parser import FAILURE_MARKERS, normalize_text
 from .script_parser import Script, ScriptItem
 from .state_provider import PROVER_ENV_VAR, SessionTrace, TraceStep, _norm_tactic
 
@@ -113,6 +113,6 @@ def run_live(script: Script, prover_path: Optional[str], timeout_secs: float) ->
 
 def _check_failure(raw: str, item: ScriptItem) -> None:
     for line in raw.splitlines():
-        if line.startswith(("Error", "Toplevel input")):
+        if line.startswith(FAILURE_MARKERS):
             raise CoqatooError(error("TACTIC_FAILED",
                                      f"prover rejected {item.command!r}: {raw.strip()}", item.span))

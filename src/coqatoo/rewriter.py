@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .diagnostics import CoqatooError, decode_utf8, error, warning
 from .diff_engine import classify_bindings, is_heuristic
-from .goal_parser import FINISHED_MARKERS, SUBGOAL_HEADER, ProofState, normalize_text
+from .goal_parser import ProofState, normalize_text
 from .tree_builder import AnalyzedStep, ProofNode, walk
 
 REFERENCE_LANGUAGE = "en"
@@ -142,27 +142,6 @@ def _tactic_arg(command: str) -> Optional[str]:
     return tokens[1] if len(tokens) > 1 else None
 
 
-def _extract_auto_trace(response_raw: str) -> List[str]:
-    """Pull the tactic sequence out of an info_auto response; it ends at a
-    blank line or where goal_parser sees a state start."""
-    tactics: List[str] = []
-    in_trace = False
-    for line in response_raw.splitlines():
-        stripped = line.strip()
-        if re.match(r"\(\*\s*info\s+e?auto\s*:\s*\*\)", stripped):
-            in_trace = True
-            continue
-        if in_trace:
-            if not stripped or SUBGOAL_HEADER.match(stripped) or stripped.startswith(FINISHED_MARKERS):
-                break
-            tactic = stripped.rstrip(".")
-            tactic = re.sub(r"\s*\(in \w+\)$", "", tactic)
-            if tactic.startswith("simple "):
-                tactic = tactic[len("simple "):]
-            tactics.append(tactic)
-    return tactics
-
-
 def rewrite_step(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
     """Produce the explanatory sentences for one executed tactic."""
     row = RULES.get(step.item.head)
@@ -184,7 +163,7 @@ def _rewrite_info_auto(step: AnalyzedStep, templates: TemplateSet) -> Annotation
     as that tactic would be if the script named it, and warns
     UNSUPPORTED_TACTIC with the span of the `auto`.
     """
-    subs = [step.item._replace(text=sub + ".") for sub in _extract_auto_trace(step.after.raw)]
+    subs = [step.item._replace(text=sub) for sub in step.after.auto]
     # a reported auto or info_auto explains nothing; rewriting it would read this same trace again
     annotations = [rewrite_step(step._replace(item=sub), templates) for sub in subs
                    if sub.head not in ("auto", "info_auto")]

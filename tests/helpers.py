@@ -10,6 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from coqatoo import (ItemKind, ProofState, Script, ScriptItem, SessionTrace, load_templates,
                      parse_script, run_replay, tokenize_script)
+from coqatoo.goal_parser import FINISHED_MARKERS, SUBGOAL_HEADER
 from coqatoo.pipeline import analyze_trace
 from coqatoo.tree_builder import ProofNode, walk
 
@@ -112,6 +113,27 @@ def _load_fixture_builder():
 # the coqtop-style state printer and "No more subgoals" block of the committed fixtures
 _builder = _load_fixture_builder()
 state, DONE = _builder.state, _builder.DONE
+
+
+def extract_auto_trace(response_raw: str) -> List[str]:
+    """The rewriter's former reader of an info_auto report, kept as the reference for
+    `ProofState.auto`: the report ends at a blank line or where a state starts."""
+    tactics: List[str] = []
+    in_trace = False
+    for line in response_raw.splitlines():
+        stripped = line.strip()
+        if re.match(r"\(\*\s*info\s+e?auto\s*:\s*\*\)", stripped):
+            in_trace = True
+            continue
+        if in_trace:
+            if not stripped or SUBGOAL_HEADER.match(stripped) or stripped.startswith(FINISHED_MARKERS):
+                break
+            tactic = stripped.rstrip(".")
+            tactic = re.sub(r"\s*\(in \w+\)$", "", tactic)
+            if tactic.startswith("simple "):
+                tactic = tactic[len("simple "):]
+            tactics.append(tactic)
+    return tactics
 
 
 def write_replay_pair(directory: Path, lemma: str, initial: str, steps: Sequence[Tuple[str, str]],

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from coqatoo import CoqatooError, Hypothesis, parse_state
 from coqatoo.goal_parser import _IDENT, SUBGOAL_HEADER, normalize_text
 
-from helpers import LISTING_1, LISTING_2, all_fixture_states
+from helpers import LISTING_1, LISTING_2, extract_auto_trace, load_trace, state as build_state
 
 
 SEPARATOR = "  ============================"
@@ -48,10 +48,27 @@ def test_a_marker_in_a_goal_is_no_finished_proof(goal):
     assert state.goals == (" ".join(goal.split("\n  ")),)
 
 
-@pytest.mark.parametrize("raw", ["(* info auto: *)\nsimple exact I.\n\nNo more subgoals.\n",
-                                 "  Proof completed.\n", "No more subgoals.\r\n"])
-def test_a_marker_that_starts_a_line_finishes_the_proof(raw):
-    assert parse_state(raw) == ((), (), raw)
+@pytest.mark.parametrize("raw, auto", [("(* info auto: *)\nsimple exact I.\n\nNo more subgoals.\n", ("exact I",)),
+                                       ("  Proof completed.\n", ()), ("No more subgoals.\r\n", ())])
+def test_a_marker_that_starts_a_line_finishes_the_proof(raw, auto):
+    assert parse_state(raw) == ((), (), auto)
+
+
+_AUTO_COMMANDS = ["simple apply H", "assumption", "apply H0 (in core)", "intro", "exact I", "auto", "info_auto"]
+# what coqtop prints after a report: a finished proof, or the state the `auto` left
+_AFTER_REPORT = st.sampled_from(["No more subgoals.\n", "Proof completed.\n"]) | st.builds(
+    build_state,
+    st.lists(st.sampled_from(["P, Q : Prop", "H : P -> Q", "H0 : P", "n : nat"]), max_size=3),
+    st.lists(st.sampled_from(["Q", "P /\\ Q", "True"]), min_size=1, max_size=3))
+
+
+@given(st.lists(st.sampled_from(_AUTO_COMMANDS), max_size=4), st.booleans(), _AFTER_REPORT)
+def test_the_auto_report_matches_the_reference_reader(commands, blank, rest):
+    raw = "(* info auto: *)\n" + "".join(f"{command}.\n" for command in commands) + ("\n" if blank else "") + rest
+    parsed, alone = parse_state(raw), parse_state(rest)
+    assert list(parsed.auto) == extract_auto_trace(raw)
+    assert (parsed.hypotheses, parsed.goals) == (alone.hypotheses, alone.goals)
+    assert alone.auto == ()
 
 
 def test_multiple_subgoals():
@@ -122,14 +139,18 @@ def test_identifier_pattern_is_unchanged_on_ascii(text):
     assert bool(_IDENT.match(text)) == bool(_ASCII_IDENT.match(text))
 
 
-def test_raw_is_retained(corpus_name):
-    for state in all_fixture_states(corpus_name):
-        assert parse_state(state.raw).raw == state.raw
+def test_only_an_auto_step_reports_tactics(corpus_name):
+    _, trace = load_trace(corpus_name)
+    reports = {step.tactic: state.auto for step, state in zip(trace.steps, trace.states()[1:], strict=True)
+               if state.auto}
+    assert reports == ({"info_auto": ("apply H", "assumption")} if corpus_name == "modus_ponens" else {})
 
 
 def test_parse_total_on_corpus(corpus_name):
-    for state in all_fixture_states(corpus_name):
-        header = SUBGOAL_HEADER.search(state.raw)
+    _, trace = load_trace(corpus_name)
+    raws = (trace.initial_raw, *(step.raw_state for step in trace.steps))
+    for raw, state in zip(raws, trace.states(), strict=True):
+        header = SUBGOAL_HEADER.search(raw)
         assert len(state.goals) == (int(header.group(1)) if state.goals else 0)
 
 

@@ -181,7 +181,7 @@ def test_info_auto_expands_reported_tactics():
 def test_auto_trace_ends_where_a_state_starts(rest):
     step = analyzed_steps("modus_ponens")[2]
     raw = "(* info auto: *)\nsimple apply H.\nassumption.\n" + rest
-    ann = rewrite_step(step._replace(after=step.after._replace(raw=raw)), EN)
+    ann = rewrite_step(step._replace(after=parse_state(raw)), EN)
     assert ann == rewrite_step(step, EN)
     assert ann.sentences and ann.diagnostics == ()
 
@@ -189,7 +189,7 @@ def test_auto_trace_ends_where_a_state_starts(rest):
 def test_info_auto_reported_by_auto_explains_nothing():
     step = analyzed_steps("modus_ponens")[2]
     raw = "(* info auto: *)\ninfo_auto.\nassumption.\n\nNo more subgoals.\n"
-    ann = rewrite_step(step._replace(after=step.after._replace(raw=raw)), EN)
+    ann = rewrite_step(step._replace(after=parse_state(raw)), EN)
     assert ann.sentences == ("True, because it is one of our assumptions.",)
     assert ann.kind is AnnotationKind.EXPLAIN and ann.diagnostics == ()
 
@@ -198,7 +198,7 @@ def test_auto_reported_by_auto_explains_nothing():
     step = analyzed_steps("modus_ponens")[2]
     assert (step.item.text, step.item.prover_text) == ("auto.", "info_auto.")
     raw = "(* info auto: *)\nauto.\nassumption.\n\nNo more subgoals.\n"
-    ann = rewrite_step(step._replace(after=step.after._replace(raw=raw)), EN)
+    ann = rewrite_step(step._replace(after=parse_state(raw)), EN)
     assert ann.sentences == ("True, because it is one of our assumptions.",)
     assert ann.kind is AnnotationKind.EXPLAIN and ann.diagnostics == ()
 
