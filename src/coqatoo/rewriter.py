@@ -32,6 +32,8 @@ ALLOWED_PLACEHOLDERS = {"list", "type", "goal", "hyp", "consequent", "antecedent
 
 _PLACEHOLDER = re.compile(r"\{(\w+)\}")
 _SENTENCE_SPLIT = re.compile(r"(?<=\.)\s+")
+# a quantifier's scope runs to the end of the type, so its "->" are not top level
+_BINDER = re.compile(r"\s*(?:forall|exists)(?![\w'])")
 
 
 class AnnotationKind(Enum):
@@ -112,12 +114,13 @@ def _sentences(text: str) -> tuple:
 
 
 def split_implication(text: str) -> List[str]:
-    """Split a normalized type on top-level "->", respecting brackets."""
+    """Split a normalized type on top-level "->", respecting brackets; a
+    segment that starts with `forall` or `exists` runs to the end."""
     parts: List[str] = []
     depth = 0
     start = 0
     i = 0
-    while i < len(text):
+    while i < len(text) and not (i == start and _BINDER.match(text, i)):
         ch = text[i]
         if ch in "([{":
             depth += 1

@@ -1,35 +1,24 @@
 """Tokenizer for Coq vernacular proof scripts.
 
-Splits a script into lemma header, Proof/Qed markers, tactic sentences,
-comments, bullet glyphs and focus braces.  A "." terminates a sentence
-only when followed by whitespace or end of input, so qualified names
-survive.  Comments nest.
-`parse_script` is the one place that selects the lemma and the tactics
-the later stages run; they take its `Script`, never the item list.
+Splits a script into its sentences; comments, bullet glyphs and focus
+braces end and separate sentences but are skipped.  A "." terminates a
+sentence only when followed by whitespace or end of input, so qualified
+names survive.  Comments nest.
+`parse_script` is the one place that reads a sentence's role from its
+head and selects the lemma and the tactics the later stages run; they
+take its `Script`, never the sentence list.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from enum import Enum
 from functools import lru_cache
 from typing import List, Tuple
 
 from .diagnostics import Diagnostic, CoqatooError, error, warning
 from .goal_parser import IDENT
 from .rewriter import RULES
-
-
-class ItemKind(Enum):
-    LEMMA_HEADER = "lemma_header"
-    PROOF_BEGIN = "proof_begin"
-    TACTIC = "tactic"
-    COMMENT = "comment"
-    BULLET = "bullet"
-    FOCUS = "focus"
-    PROOF_END = "proof_end"
-
 
 LEMMA_KEYWORDS = {"Lemma", "Theorem", "Corollary", "Fact", "Remark", "Proposition", "Example"}
 PROOF_END_KEYWORDS = {"Qed", "Defined", "Admitted", "Save"}
@@ -43,9 +32,9 @@ _NON_SPACE = re.compile(r"\S")
 _TOKENS = re.compile(r'"|\(\*|\*\)|;|\.(?=\s|\Z)')
 
 
-class ScriptItem(namedtuple("ScriptItem", "kind text span seq")):
-    """One item of the script, with its text as written.
-    kind: ItemKind; text: str; span: Tuple[int, int]; seq: int."""
+class ScriptItem(namedtuple("ScriptItem", "text span seq")):
+    """One sentence of the script, with its text as written.
+    text: str; span: Tuple[int, int]; seq: int, the sentence's index."""
     __slots__ = ()
 
     @property
@@ -113,33 +102,18 @@ def _find_stop(source: str, i: int, stop: str) -> int:
             i = m.end()
 
 
-@lru_cache(maxsize=1024)
-def _classify(sentence: str) -> ItemKind:
-    m = IDENT.match(sentence)
-    word = m.group(0) if m else ""
-    if word in LEMMA_KEYWORDS:
-        return ItemKind.LEMMA_HEADER
-    if word == "Proof":
-        return ItemKind.PROOF_BEGIN
-    if word in PROOF_END_KEYWORDS:
-        return ItemKind.PROOF_END
-    return ItemKind.TACTIC
-
-
 def tokenize_script(source: str) -> List[ScriptItem]:
-    """Tokenize a proof script into document-ordered items.
+    """Tokenize a proof script into its sentences in document order.
 
-    Raises CoqatooError with UNTERMINATED_COMMENT or NO_LEMMA.
+    Raises CoqatooError with UNTERMINATED_COMMENT.
     """
     items: List[ScriptItem] = []
     n = len(source)
     at = _NON_SPACE.search(source)
     while at is not None:
-        start = i = at.start()
+        i = at.start()
         if source.startswith("(*", i):
-            i = _scan_comment(source, i)
-            items.append(ScriptItem(ItemKind.COMMENT, source[start:i], (start, i), len(items)))
-            at = _NON_SPACE.search(source, i)
+            at = _NON_SPACE.search(source, _scan_comment(source, i))
             continue
         if source[i] in "-+*{}":
             glyph = source[i]
@@ -148,17 +122,12 @@ def tokenize_script(source: str) -> List[ScriptItem]:
             while not focus and j < n and source[j] == glyph:
                 j += 1
             if focus or j >= n or source[j].isspace():
-                kind = ItemKind.FOCUS if focus else ItemKind.BULLET
-                items.append(ScriptItem(kind, source[start:j], (start, j), len(items)))
                 at = _NON_SPACE.search(source, j)
                 continue
         stop = _find_stop(source, i, ".")
         j = n if stop < 0 else stop + 1
-        sentence = source[start:j]
-        items.append(ScriptItem(_classify(sentence), sentence, (start, j), len(items)))
+        items.append(ScriptItem(source[i:j], (i, j), len(items)))
         at = _NON_SPACE.search(source, j)
-    if not any(it.kind is ItemKind.LEMMA_HEADER for it in items):
-        raise CoqatooError(error("NO_LEMMA", "no lemma statement found in input"))
     return items
 
 
@@ -173,11 +142,12 @@ def _has_toplevel_semicolon(text: str) -> bool:
 
 def detect_unsupported(items: List[ScriptItem]) -> List[Diagnostic]:
     """Flag chained tactics and goal selectors (fatal), and heads without a
-    rewriting rule (warning).  Each text that raised nothing is checked once."""
+    rewriting rule (warning) in each tactic.  Each text that raised nothing is
+    checked once."""
     diags: List[Diagnostic] = []
     clean = set()
     for it in items:
-        if it.kind is not ItemKind.TACTIC or it.text in clean:
+        if it.text in clean:
             continue
         command = it.command
         if _has_toplevel_semicolon(it.text):
@@ -201,19 +171,26 @@ class Script(namedtuple("Script", "lemma tactics")):
 
 def parse_script(source: str) -> Tuple[Script, List[Diagnostic]]:
     """Tokenize, keep the first lemma through its proof end, and check its
-    tactics.
+    tactics.  A sentence's role is its head: the lemma is the first sentence
+    led by a lemma keyword, and its proof ends at the first proof-end keyword
+    after it; every sentence in between not led by a lemma keyword or `Proof`
+    is a tactic.
 
     Raises CoqatooError with UNTERMINATED_COMMENT or NO_LEMMA.  The
     diagnostics returned are MULTIPLE_LEMMAS and detect_unsupported's.
     """
-    items = tokenize_script(source)
-    start = next(i for i, it in enumerate(items) if it.kind is ItemKind.LEMMA_HEADER)
-    end = next((i + 1 for i in range(start, len(items)) if items[i].kind is ItemKind.PROOF_END), len(items))
+    sentences = tokenize_script(source)
+    heads = [it.head for it in sentences]
+    start = next((i for i, head in enumerate(heads) if head in LEMMA_KEYWORDS), None)
+    if start is None:
+        raise CoqatooError(error("NO_LEMMA", "no lemma statement found in input"))
+    end = next((i for i in range(start + 1, len(heads)) if heads[i] in PROOF_END_KEYWORDS), len(heads))
     diags: List[Diagnostic] = []
-    rest = [it for it in items[end:] if it.kind is ItemKind.LEMMA_HEADER]
+    rest = [it for it, head in zip(sentences[end:], heads[end:]) if head in LEMMA_KEYWORDS]
     if rest:
         diags.append(warning("MULTIPLE_LEMMAS", f"processing the first lemma only ({len(rest)} more ignored)",
                              rest[0].span))
-    tactics = [it for it in items[start:end] if it.kind is ItemKind.TACTIC]
+    tactics = [it for it, head in zip(sentences[start + 1:end], heads[start + 1:end])
+               if head not in LEMMA_KEYWORDS and head != "Proof"]
     diags += detect_unsupported(tactics)
-    return Script(items[start], tuple(tactics)), diags
+    return Script(sentences[start], tuple(tactics)), diags

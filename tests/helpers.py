@@ -8,9 +8,11 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from coqatoo import (ItemKind, ProofState, Script, ScriptItem, SessionTrace, load_templates,
-                     parse_script, run_replay, tokenize_script)
-from coqatoo.goal_parser import FINISHED_MARKERS, SUBGOAL_HEADER
+from coqatoo import (CoqatooError, Diagnostic, ProofState, Script, ScriptItem, SessionTrace, detect_unsupported,
+                     load_templates, parse_script, run_replay, tokenize_script)
+from coqatoo.diagnostics import error, warning
+from coqatoo.goal_parser import FINISHED_MARKERS, IDENT, SUBGOAL_HEADER
+from coqatoo.script_parser import LEMMA_KEYWORDS, PROOF_END_KEYWORDS
 from coqatoo.pipeline import analyze_trace
 from coqatoo.tree_builder import ProofNode, walk
 
@@ -90,13 +92,45 @@ def output_text(lines: Sequence[str]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def tactic_commands(items: List[ScriptItem]) -> List[str]:
-    return [" ".join(it.command.split()) for it in items if it.kind is ItemKind.TACTIC]
+def tactic_commands(tactics: Sequence[ScriptItem]) -> List[str]:
+    return [" ".join(it.command.split()) for it in tactics]
 
 
 def roundtrip_tactics(rendered: str) -> List[str]:
-    """Re-tokenize rendered output and keep only the tactic sentences."""
-    return tactic_commands(tokenize_script(rendered))
+    """Re-parse rendered output and keep only the tactic sentences."""
+    return tactic_commands(parse_script(rendered)[0].tactics)
+
+
+def _classify(sentence: str) -> str:
+    m = IDENT.match(sentence)
+    word = m.group(0) if m else ""
+    if word in LEMMA_KEYWORDS:
+        return "lemma_header"
+    if word == "Proof":
+        return "proof_begin"
+    if word in PROOF_END_KEYWORDS:
+        return "proof_end"
+    return "tactic"
+
+
+def reference_parse(source: str) -> Tuple[Script, List[Diagnostic]]:
+    """`parse_script` as it was when the tokenizer gave each sentence a kind
+    by `_classify`, kept as the reference for the role a head gives.  The
+    comment, bullet and brace items of that tokenizer were never selected,
+    so the sentences alone give the same result."""
+    items = [(_classify(it.text), it) for it in tokenize_script(source)]
+    if not any(kind == "lemma_header" for kind, _ in items):
+        raise CoqatooError(error("NO_LEMMA", "no lemma statement found in input"))
+    start = next(i for i, (kind, _) in enumerate(items) if kind == "lemma_header")
+    end = next((i + 1 for i in range(start, len(items)) if items[i][0] == "proof_end"), len(items))
+    diags: List[Diagnostic] = []
+    rest = [it for kind, it in items[end:] if kind == "lemma_header"]
+    if rest:
+        diags.append(warning("MULTIPLE_LEMMAS", f"processing the first lemma only ({len(rest)} more ignored)",
+                             rest[0].span))
+    tactics = [it for kind, it in items[start:end] if kind == "tactic"]
+    diags += detect_unsupported(tactics)
+    return Script(items[start][1], tuple(tactics)), diags
 
 
 def english_templates():

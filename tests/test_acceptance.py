@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from coqatoo import load_templates, parse_state, record_session, run_live, run_replay, tokenize_script
+from coqatoo import load_templates, parse_state, record_session, run_live, run_replay
 from coqatoo.cli import main
 from coqatoo.pipeline import annotate_steps, generate
 from coqatoo.rewriter import OutputMode
@@ -63,7 +63,7 @@ def test_tree_shape():
 def test_round_trip(name):
     script, trace = load_trace(name)
     lines, _ = generate(script, trace, load_templates(), OutputMode.ANNOTATED)
-    source_tactics = tactic_commands(tokenize_script(script_path(name).read_text()))
+    source_tactics = tactic_commands(load_script(name).tactics)
     assert roundtrip_tactics(output_text(lines)) == source_tactics
     _report(f"round-trip tactic order ({name})")
 

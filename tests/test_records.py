@@ -1,20 +1,21 @@
 """The record types: defaults, copies with `_replace`, hashing and equality."""
 
-from coqatoo import ItemKind, ScriptItem, tokenize_script
+from coqatoo import ScriptItem, tokenize_script
 from coqatoo.tree_builder import ProofNode
 
 from helpers import load_trace
 
 
 def test_script_item_has_one_text():
-    item = ScriptItem(ItemKind.TACTIC, "auto.", (0, 5), 3)
-    assert item._fields == ("kind", "text", "span", "seq")
+    item = ScriptItem("auto.", (0, 5), 3)
+    assert item._fields == ("text", "span", "seq")
     assert (item.text, item.prover_text) == ("auto.", "info_auto.")
 
 
 def test_tokenized_auto_keeps_the_written_text():
-    tactic = tokenize_script("Lemma t : True. Proof. auto with arith. Qed.")[2]
+    tactic = tokenize_script("Lemma t : True. Proof. - (* a *) auto with arith. Qed.")[2]
     assert (tactic.text, tactic.prover_text, tactic.head) == ("auto with arith.", "info_auto with arith.", "auto")
+    assert (tactic.span, tactic.seq) == ((33, 49), 2)
     assert type(tactic) is ScriptItem
 
 

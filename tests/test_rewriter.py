@@ -6,19 +6,18 @@ from coqatoo.diff_engine import diff_states
 from coqatoo.pipeline import annotate_steps, generate
 from coqatoo.rewriter import (_LATEX_SPECIALS, _PLACEHOLDER, ALLOWED_PLACEHOLDERS, REQUIRED_KEYS, RULES,
                               AnnotationKind, OutputMode, TemplateSet, latex_escape, split_implication)
-from coqatoo.script_parser import ItemKind, ScriptItem
+from coqatoo.script_parser import ScriptItem
 from coqatoo.tree_builder import AnalyzedStep, ProofNode
 
-from helpers import (DONE, GOLDEN_DIR, LISTING_1, LISTING_2, analyzed_steps, conjunction_chain, load_trace,
-                     normalize_rendering, output_text, roundtrip_tactics, script_path, state, tactic_commands,
+from helpers import (DONE, GOLDEN_DIR, LISTING_1, LISTING_2, analyzed_steps, conjunction_chain, load_script,
+                     load_trace, normalize_rendering, output_text, roundtrip_tactics, state, tactic_commands,
                      write_replay_pair)
-from coqatoo import tokenize_script
 
 EN = load_templates()
 
 
 def _tactic(text, seq=0):
-    return ScriptItem(ItemKind.TACTIC, text, (0, len(text)), seq)
+    return ScriptItem(text, (0, len(text)), seq)
 
 
 def _step(text, before, after):
@@ -101,6 +100,12 @@ def test_missing_language_file(tmp_path, layout):
     ("P -> Q -> R", ["P", "Q", "R"]),
     ("(A -> B) -> C", ["(A -> B)", "C"]),
     ("P", ["P"]),
+    # a quantifier's scope runs to the end of the type
+    ("forall x : A, P x -> Q x", ["forall x : A, P x -> Q x"]),
+    ("exists x, P x -> Q", ["exists x, P x -> Q"]),
+    ("P -> forall x, Q x -> R x", ["P", "forall x, Q x -> R x"]),
+    ("(forall x, P x) -> Q", ["(forall x, P x)", "Q"]),
+    ("forall_x -> Q", ["forall_x", "Q"]),
 ])
 def test_split_implication(expr, parts):
     assert split_implication(expr) == parts
@@ -330,6 +335,19 @@ def test_apply_of_a_hypothesis_without_an_arrow_is_silent(tmp_path):
     assert (lines[3:], codes) == (["apply H.", "Qed."], [])
 
 
+@pytest.mark.parametrize("mode", [OutputMode.ANNOTATED, OutputMode.PLAIN])
+def test_apply_of_a_quantified_hypothesis_is_silent(tmp_path, mode):
+    """The "->" of `forall x : A, P x -> Q x` is inside the binder's scope:
+    no antecedent of H is true on its own, so no sentence says one is."""
+    ctx = ["A : Type", "P, Q : A -> Prop", "a : A", "H : forall x : A, P x -> Q x", "HP : P a"]
+    statement = "forall (A : Type) (P Q : A -> Prop) (a : A), (forall x : A, P x -> Q x) -> P a -> Q a"
+    steps = [("intros A P Q a H HP", state(ctx, ["Q a"])), ("apply H", state(ctx, ["P a"])), ("assumption", DONE)]
+    lines, codes = _render_pair(tmp_path, mode, f"Lemma t : {statement}.", state([], [statement]), steps)
+    silent, _ = _render_pair(tmp_path, mode, f"Lemma t : {statement}.", state([], [statement]),
+                             [steps[0], ("apply I", steps[1][1]), steps[2]])
+    assert (lines, codes) == ([line.replace("apply I.", "apply H.") for line in silent], [])
+
+
 def test_plain_proof_of_silent_tactics_prints_one_empty_line(tmp_path):
     lines, codes = _render_pair(tmp_path, OutputMode.PLAIN, "Lemma t : True.", state([], ["True"]),
                                 [("apply I", DONE)])
@@ -349,7 +367,7 @@ def test_french_rendering_completes(corpus_name):
 
 def test_round_trip_tactic_order(corpus_name):
     out = _generate(corpus_name, OutputMode.ANNOTATED)
-    source_tactics = tactic_commands(tokenize_script(script_path(corpus_name).read_text()))
+    source_tactics = tactic_commands(load_script(corpus_name).tactics)
     assert roundtrip_tactics(out) == source_tactics
 
 

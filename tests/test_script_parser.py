@@ -2,14 +2,14 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from coqatoo import CoqatooError, ItemKind, detect_unsupported, parse_script, tokenize_script
+from coqatoo import CoqatooError, detect_unsupported, parse_script, tokenize_script
 from coqatoo.diagnostics import Severity
 from coqatoo.rewriter import RULES
-from coqatoo.script_parser import _head
+from coqatoo.script_parser import LEMMA_KEYWORDS, PROOF_END_KEYWORDS, _head
 
-from helpers import script_path, tactic_commands
+from helpers import load_script, reference_parse, script_path, tactic_commands
 
 LISTING_4_TACTICS = [
     "intros", "split", "intros H HP HQ", "apply H", "apply conj",
@@ -18,33 +18,41 @@ LISTING_4_TACTICS = [
 ]
 
 
-def kinds(items):
-    return [it.kind for it in items]
+def _tactics_of(src):
+    return parse_script(src)[0].tactics
+
+
+def _sentences_at(src, texts):
+    """Each sentence of `src` with its span: texts[k] at its first place after sentence k - 1."""
+    spans, pos = [], 0
+    for text in texts:
+        start = src.index(text, pos)
+        spans.append((text, (start, start + len(text))))
+        pos = start + len(text)
+    return spans
 
 
 def test_worked_example_tokenization():
     items = tokenize_script(script_path("conj_imp_equiv").read_text())
-    assert kinds(items) == ([ItemKind.LEMMA_HEADER, ItemKind.PROOF_BEGIN]
-                            + [ItemKind.TACTIC] * 12 + [ItemKind.PROOF_END])
-    assert tactic_commands(items) == LISTING_4_TACTICS
+    assert [it.head for it in items] == ["Lemma", "Proof"] + [_head(t) for t in LISTING_4_TACTICS] + ["Qed"]
+    assert [it.seq for it in items] == list(range(15))
+    assert tactic_commands(load_script("conj_imp_equiv").tactics) == LISTING_4_TACTICS
 
 
 def test_empty_proof_body():
-    items = tokenize_script("Lemma t : True. Proof. Qed.")
-    assert kinds(items) == [ItemKind.LEMMA_HEADER, ItemKind.PROOF_BEGIN, ItemKind.PROOF_END]
+    src = "Lemma t : True. Proof. Qed."
+    assert [it.head for it in tokenize_script(src)] == ["Lemma", "Proof", "Qed"]
+    assert _tactics_of(src) == ()
 
 
-def test_nested_comment_is_one_item():
-    src = "Lemma t : True.\nProof.\n(* a (* b *) c *)\nsplit.\nQed."
-    items = tokenize_script(src)
-    comments = [it for it in items if it.kind is ItemKind.COMMENT]
-    assert len(comments) == 1
-    assert comments[0].text == "(* a (* b *) c *)"
+def test_nested_comment_is_skipped():
+    src = "Lemma t : True.\nProof.\n(* a (* b *) c. Qed. *)\nsplit.\nQed."
+    assert [(it.text, it.span) for it in tokenize_script(src)] == _sentences_at(
+        src, ["Lemma t : True.", "Proof.", "split.", "Qed."])
 
 
 def test_qualified_name_does_not_split_sentence():
-    items = tokenize_script("Lemma t : True. Proof. apply Coq.Init.Logic.I. Qed.")
-    tactics = [it for it in items if it.kind is ItemKind.TACTIC]
+    tactics = _tactics_of("Lemma t : True. Proof. apply Coq.Init.Logic.I. Qed.")
     assert len(tactics) == 1
     assert tactics[0].command == "apply Coq.Init.Logic.I"
 
@@ -56,15 +64,16 @@ def test_unterminated_comment():
 
 
 def test_no_lemma():
+    assert [it.text for it in tokenize_script("split. assumption.")] == ["split.", "assumption."]
     with pytest.raises(CoqatooError) as exc:
-        tokenize_script("split. assumption.")
+        parse_script("split. assumption.")
     assert exc.value.diagnostic.code == "NO_LEMMA"
 
 
-def test_bullets_are_their_own_items():
-    items = tokenize_script("Lemma t : True.\nProof.\nsplit.\n- assumption.\n-- apply x.\nQed.")
-    bullets = [it.text for it in items if it.kind is ItemKind.BULLET]
-    assert bullets == ["-", "--"]
+def test_bullets_are_skipped():
+    src = "Lemma t : True.\nProof.\nsplit.\n- assumption.\n-- apply x.\n*-x.\nQed."
+    assert [(it.text, it.span) for it in tokenize_script(src)] == _sentences_at(
+        src, ["Lemma t : True.", "Proof.", "split.", "assumption.", "apply x.", "*-x.", "Qed."])
 
 
 def test_spans_cover_source(corpus_name):
@@ -80,9 +89,8 @@ def test_spans_cover_source(corpus_name):
 
 
 def test_tactic_dot_only_terminal(corpus_name):
-    for it in tokenize_script(script_path(corpus_name).read_text()):
-        if it.kind is ItemKind.TACTIC:
-            assert "." not in it.text[:-1]
+    for it in load_script(corpus_name).tactics:
+        assert "." not in it.text[:-1]
 
 
 # --- prover_text: the prover runs auto as info_auto ---
@@ -92,15 +100,13 @@ def _prover_spelled(item):
 
 
 def test_auto_head_rewritten():
-    items = tokenize_script("Lemma t : True. Proof. auto. Qed.")
-    tactic = [it for it in items if it.kind is ItemKind.TACTIC][0]
+    tactic, = _tactics_of("Lemma t : True. Proof. auto. Qed.")
     assert tactic.prover_text == "info_auto."
     assert tactic.text == "auto."
 
 
 def test_auto_with_arguments():
-    items = tokenize_script("Lemma t : True. Proof. auto with arith. Qed.")
-    tactics = [it for it in items if it.kind is ItemKind.TACTIC]
+    tactics = _tactics_of("Lemma t : True. Proof. auto with arith. Qed.")
     assert [it.command for it in tactics] == ["auto with arith"]
     assert [_prover_spelled(it).command for it in tactics] == ["info_auto with arith"]
 
@@ -125,28 +131,25 @@ def test_preprocess_idempotent(corpus_name):
 # --- detect_unsupported ---
 
 def test_chain_operator_rejected():
-    items = tokenize_script("Lemma t : True. Proof. split; intros. Qed.")
-    diags = detect_unsupported(items)
+    diags = detect_unsupported(_tactics_of("Lemma t : True. Proof. split; intros. Qed."))
     assert [d.code for d in diags] == ["UNSUPPORTED_CHAIN"]
     assert diags[0].severity is Severity.ERROR
 
 
 def test_worked_example_has_no_errors():
-    items = tokenize_script(script_path("conj_imp_equiv").read_text())
-    assert [d for d in detect_unsupported(items) if d.severity is Severity.ERROR] == []
+    tactics = load_script("conj_imp_equiv").tactics
+    assert [d for d in detect_unsupported(tactics) if d.severity is Severity.ERROR] == []
 
 
 def test_unknown_tactic_is_a_warning():
-    items = tokenize_script("Lemma t : True. Proof. ring. Qed.")
-    diags = detect_unsupported(items)
+    diags = detect_unsupported(_tactics_of("Lemma t : True. Proof. ring. Qed."))
     assert [d.code for d in diags] == ["UNSUPPORTED_TACTIC"]
     assert diags[0].severity is Severity.WARNING
 
 
 @pytest.mark.parametrize("head", sorted(RULES))
 def test_every_rule_head_is_supported(head):
-    items = tokenize_script(f"Lemma t : True. Proof. {head} H. Qed.")
-    assert detect_unsupported(items) == []
+    assert detect_unsupported(_tactics_of(f"Lemma t : True. Proof. {head} H. Qed.")) == []
 
 
 @pytest.mark.parametrize("command, head", [
@@ -158,26 +161,26 @@ def test_head_is_the_identifier_a_command_starts_with(command, head):
 
 
 def test_a_non_ascii_tactic_is_warned_by_its_name():
-    items = tokenize_script("Lemma t : True. Proof. τακτική H. Qed.")
-    assert [d.message for d in detect_unsupported(items)] == ['no rewriting rule for tactic "τακτική"']
+    tactics = _tactics_of("Lemma t : True. Proof. τακτική H. Qed.")
+    assert [d.message for d in detect_unsupported(tactics)] == ['no rewriting rule for tactic "τακτική"']
 
 
 @pytest.mark.parametrize("selector", ["2:", "1-2:", "1, 3:", "1,2-3:", "all:", "par:", "!:", "[H]:", "2 :"])
 def test_goal_selector_is_rejected(selector):
-    items = tokenize_script(f"Lemma t : True. Proof. {selector} assumption. Qed.")
-    diags = detect_unsupported(items)
+    tactics = _tactics_of(f"Lemma t : True. Proof. {selector} assumption. Qed.")
+    diags = detect_unsupported(tactics)
     assert [(d.code, d.severity) for d in diags] == [("UNSUPPORTED_SELECTOR", Severity.ERROR)]
-    assert diags[0].span == next(it.span for it in items if it.kind is ItemKind.TACTIC)
+    assert diags[0].span == tactics[0].span
 
 
 def test_colon_equals_and_typed_binders_are_no_selectors():
-    items = tokenize_script("Lemma t : True. Proof. pose (x := 1). assert (H : True). Qed.")
-    assert [d.code for d in detect_unsupported(items)] == ["UNSUPPORTED_TACTIC"] * 2
+    tactics = _tactics_of("Lemma t : True. Proof. pose (x := 1). assert (H : True). Qed.")
+    assert [d.code for d in detect_unsupported(tactics)] == ["UNSUPPORTED_TACTIC"] * 2
 
 
 def test_semicolon_inside_comment_or_string_is_fine():
-    items = tokenize_script('Lemma t : True. Proof. (* a; b *) idtac "x; y". Qed.')
-    assert [d.code for d in detect_unsupported(items)] == ["UNSUPPORTED_TACTIC"]
+    tactics = _tactics_of('Lemma t : True. Proof. (* a; b *) idtac "x; y". Qed.')
+    assert [d.code for d in detect_unsupported(tactics)] == ["UNSUPPORTED_TACTIC"]
 
 
 # --- parse_script ---
@@ -192,11 +195,10 @@ def test_parse_script_keeps_the_first_lemma_and_warns():
     assert diags[0].span[0] == src.index("Lemma b")
 
 
-def test_focus_braces_are_their_own_items():
+def test_focus_braces_are_skipped():
     src = "Lemma t : True /\\ True.\nProof.\n  split.\n  { exact I. }\n  {split. {assumption. }\n}\nQed."
-    items = tokenize_script(src)
-    assert [it.text for it in items if it.kind is ItemKind.FOCUS] == ["{", "}", "{", "{", "}", "}"]
-    assert items[-1].kind is ItemKind.PROOF_END
+    assert [(it.text, it.span) for it in tokenize_script(src)] == _sentences_at(
+        src, ["Lemma t : True /\\ True.", "Proof.", "split.", "exact I.", "split.", "assumption.", "Qed."])
     script, diags = parse_script(src)
     assert [it.command for it in script.tactics] == ["split", "exact I", "split", "assumption"]
     assert [d.message for d in diags] == ['no rewriting rule for tactic "exact"']
@@ -204,47 +206,52 @@ def test_focus_braces_are_their_own_items():
 
 # --- property-based lexing ---
 
-_tactics = st.sampled_from(["intros", "apply H", "assumption", "split", "auto", "ring", "intros H HP",
-                            # a ".", "(*" or ";" inside a string or a comment ends nothing
-                            'idtac "a. b"', 'idtac "x (* y"', 'idtac "p; q"', 'idtac "say ""hi"". "',
-                            "apply H (* why. (* nested; *) ok *)", "exact (conj I I) (* . *)"])
+_tactic_texts = st.sampled_from(["intros", "apply H", "assumption", "split", "auto", "ring", "intros H HP",
+                                 # a ".", "(*" or ";" inside a string or a comment ends nothing
+                                 'idtac "a. b"', 'idtac "x (* y"', 'idtac "p; q"', 'idtac "say ""hi"". "',
+                                 "apply H (* why. (* nested; *) ok *)", "exact (conj I I) (* . *)"])
 _gaps = st.sampled_from([" ", "  ", "\n", "\n  ", "\t\n", "\x0c", "\xa0", "\u2028", "\u3000", "\x1c"])
 
 
 @st.composite
 def _scripts(draw):
-    """(source, the text of each item in order)."""
-    parts = ["Lemma t : True.", "Proof."]
+    """(source, [(the gap before a piece, the piece, whether it is a sentence)])."""
+    pieces = [("Lemma t : True.", True), ("Proof.", True)]
     for _ in range(draw(st.integers(0, 5))):
         if draw(st.booleans()):
-            parts.append("(* note (* nested *) *)")
+            pieces.append(("(* note. (* nested *) *)", False))
         if draw(st.booleans()):
-            parts.append(draw(st.sampled_from(["{", "}", "-", "--", "+"])))
-        parts.append(draw(_tactics) + ".")
-    parts.append("Qed.")
+            pieces.append((draw(st.sampled_from(["{", "}", "-", "--", "+"])), False))
+        pieces.append((draw(_tactic_texts) + ".", True))
+    pieces.append(("Qed.", True))
     unterminated = draw(st.booleans())
     if unterminated:
-        parts.append(draw(_tactics))   # a sentence without its ".", which runs to the end
-    gaps = [draw(_gaps) for _ in parts]
-    # the last item may end at the end of the input
+        pieces.append((draw(_tactic_texts), True))   # a sentence without its ".", which runs to the end
+    parts = [(draw(_gaps), piece, sentence) for piece, sentence in pieces]
+    # the last sentence may end at the end of the input
     end = "" if unterminated else draw(_gaps | st.just(""))
-    return "".join(g + p for g, p in zip(gaps, parts)) + end, parts
+    return "".join(g + p for g, p, _ in parts) + end, parts
 
 
 @given(_scripts())
 def test_lossless_lexing(drawn):
     src, parts = drawn
     items = tokenize_script(src)
-    assert [it.text for it in items] == parts
+    assert [it.text for it in items] == [piece for _, piece, sentence in parts if sentence]
+    # before each sentence: the blanks, comments, bullets and braces drawn there
+    between, skipped = [], ""
+    for gap, piece, sentence in parts:
+        if sentence:
+            between.append(skipped + gap)
+            skipped = ""
+        else:
+            skipped += gap + piece
     pos = 0
-    rebuilt = []
-    for it in items:
-        assert src[pos:it.span[0]].strip() == ""
-        rebuilt.append(src[pos:it.span[0]])
-        rebuilt.append(it.text)
+    for it, gap in zip(items, between):
+        assert src[pos:it.span[0]] == gap
+        assert src[it.span[0]:it.span[1]] == it.text
         pos = it.span[1]
-    rebuilt.append(src[pos:])
-    assert "".join(rebuilt) == src
+    assert src[pos:].strip() == ""
 
 
 def test_regex_whitespace_is_str_isspace():
@@ -257,3 +264,45 @@ def test_regex_whitespace_is_str_isspace():
 def test_preprocess_idempotence_property(drawn):
     once = [_prover_spelled(it) for it in tokenize_script(drawn[0])]
     assert [_prover_spelled(it) for it in once] == once
+
+
+# --- a sentence's role: parse_script against the kind-based reference ---
+
+_role_pieces = st.sampled_from(
+    [f"{keyword} t : True." for keyword in sorted(LEMMA_KEYWORDS)] + ["Proof.", "Proof using H."]
+    + [f"{keyword}." for keyword in sorted(PROOF_END_KEYWORDS)]
+    + ["Require Import Arith.", "(* a (* Qed. *) Lemma b. *)", "-", "--", "+", "*", "{", "}",
+       "split.", "auto.", "intros H.", "ring.", "2: assumption.", "split; intros.", "Proofs.", "Qed_x."])
+
+
+@st.composite
+def _role_scripts(draw):
+    """A script in a proof file's shape: pieces before the lemma, the lemma,
+    its proof and pieces after it, any of which may hold another lemma or
+    proof end; the lemma may be missing and the last "." too."""
+    some = st.lists(_role_pieces, max_size=6)
+    parts = draw(some)
+    if draw(st.booleans()):
+        parts.append(draw(st.sampled_from(sorted(LEMMA_KEYWORDS))) + " t : True.")
+        parts += draw(st.lists(st.sampled_from(["Proof.", "Proof using H."]), max_size=1)) + draw(some)
+        if draw(st.booleans()):
+            parts.append(draw(st.sampled_from(sorted(PROOF_END_KEYWORDS))) + ".")
+        parts += draw(some)
+    if parts and parts[-1].endswith(".") and draw(st.booleans()):
+        parts[-1] = parts[-1][:-1]
+    return "".join(draw(_gaps) + part for part in parts)
+
+
+def _parsed(parse, src):
+    try:
+        script, diags = parse(src)
+    except CoqatooError as exc:
+        return exc.diagnostic
+    return ((script.lemma.text, script.lemma.span),
+            [(it.text, it.span, it.head, it.prover_text) for it in script.tactics], diags)
+
+
+@settings(max_examples=500)
+@given(_role_scripts())
+def test_roles_by_head_match_the_reference(src):
+    assert _parsed(parse_script, src) == _parsed(reference_parse, src)

@@ -4,7 +4,7 @@ from itertools import count
 import pytest
 from hypothesis import given, strategies as st
 
-from coqatoo import CoqatooError, ItemKind, ScriptItem, build_tree, diff_states, parse_state, to_dot
+from coqatoo import CoqatooError, ScriptItem, build_tree, diff_states, parse_state, to_dot
 from coqatoo.tree_builder import AnalyzedStep
 
 from helpers import DONE, analyzed_steps, flatten, leaves, state
@@ -126,7 +126,7 @@ def test_a_tree_is_rebuilt_from_its_linear_trace(tree):
 def _counted_steps(counts):
     """One step between each two states of the given goal counts, the tactic of step k at span (2k, 2k + 2)."""
     states = [parse_state(state([], [f"G{i}" for i in range(n)]) if n else DONE) for n in counts]
-    return [AnalyzedStep(ScriptItem(ItemKind.TACTIC, "t.", (2 * seq, 2 * seq + 2), seq), before, after,
+    return [AnalyzedStep(ScriptItem("t.", (2 * seq, 2 * seq + 2), seq), before, after,
                          diff_states(before, after))
             for seq, (before, after) in enumerate(zip(states, states[1:]))]
 
