@@ -6,7 +6,7 @@ from .diagnostics import CoqatooError, Diagnostic, Severity
 from .goal_parser import Hypothesis, ProofState, parse_state
 from .rewriter import OutputMode, TemplateSet, load_templates, render, rewrite_step
 from .script_parser import Script, ScriptItem, detect_unsupported, parse_script, tokenize_script
-from .state_provider import SessionTrace, TraceStep, record_session, run_live, run_replay
+from .state_provider import SessionTrace, record_session, run_live, run_replay
 from .diff_engine import classify_bindings, diff_states
 from .tree_builder import ProofNode, build_tree, to_dot
 
@@ -17,7 +17,7 @@ __all__ = [
     "Hypothesis", "ProofState", "parse_state",
     "OutputMode", "TemplateSet", "load_templates", "render", "rewrite_step",
     "Script", "ScriptItem", "detect_unsupported", "parse_script", "tokenize_script",
-    "SessionTrace", "TraceStep", "record_session", "run_live", "run_replay",
+    "SessionTrace", "record_session", "run_live", "run_replay",
     "classify_bindings", "diff_states",
     "ProofNode", "build_tree", "to_dot",
 ]

@@ -110,6 +110,8 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
                 value = int(value)
             except ValueError:
                 _usage_error(f"argument {option}: invalid int value: {value!r}")
+        elif kind is str and not value:
+            _usage_error(f"argument {option}: must not be empty")
         elif kind is not str and value not in kind:
             _usage_error(f"argument {option}: invalid choice: {value!r} (choose from {', '.join(map(repr, kind))})")
         setattr(config, setting, value)
@@ -199,7 +201,7 @@ def run(argv: Sequence[str]) -> int:
         else:
             trace = state_provider.run_live(script, config.prover_path, config.timeout_secs)
             if config.record_path:
-                state_provider.record_session(trace, config.record_path)
+                state_provider.record_session(script, trace, config.record_path)
 
         if config.dot:
             lines = to_dot(pipeline.build_proof_tree(script, trace))

@@ -14,9 +14,9 @@ import time
 from typing import Optional
 
 from .diagnostics import CoqatooError, error
-from .goal_parser import FAILURE_MARKERS, normalize_text
+from .goal_parser import FAILURE_MARKERS
 from .script_parser import Script, ScriptItem
-from .state_provider import PROVER_ENV_VAR, SessionTrace, TraceStep, _norm_tactic
+from .state_provider import PROVER_ENV_VAR, SessionTrace
 
 _PROMPT_MARKER = b"</prompt>"
 _CHUNK_BYTES = 64 * 1024
@@ -94,19 +94,16 @@ def _exited(stderr: bytes) -> CoqatooError:
 
 def run_live(script: Script, prover_path: Optional[str], timeout_secs: float) -> SessionTrace:
     """`state_provider.run_live`: the prover's response to the lemma and to each tactic."""
-    lemma = script.lemma
     session = _ProverSession(prover_path or os.environ.get(PROVER_ENV_VAR) or "coqtop", timeout_secs)
     try:
         banner = session.read_response()
         version = next((line.strip() for line in banner.splitlines() if line.strip()), "")
-        initial_raw = session.submit(lemma.text)
-        _check_failure(initial_raw, lemma)
-        steps = []
-        for it in script.tactics:
-            raw = session.submit(it.prover_text)
-            _check_failure(raw, it)
-            steps.append(TraceStep(_norm_tactic(it.prover_text), raw))
-        return SessionTrace(normalize_text(lemma.text), initial_raw, tuple(steps), version)
+        responses = []
+        for item in (script.lemma, *script.tactics):
+            raw = session.submit(item.prover_text)
+            _check_failure(raw, item)
+            responses.append(raw)
+        return SessionTrace(tuple(responses), version)
     finally:
         session.close()
 

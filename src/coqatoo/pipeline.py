@@ -15,9 +15,9 @@ from .tree_builder import AnalyzedStep, ProofNode, build_tree
 def analyze_trace(script: Script, trace: SessionTrace) -> List[AnalyzedStep]:
     """Pair each tactic with the states around it and the hypotheses it added."""
     tactics = script.tactics
-    if len(tactics) != len(trace.steps):
-        raise CoqatooError(error("FIXTURE_MISMATCH",
-                                 f"script has {len(tactics)} tactics but trace has {len(trace.steps)} steps"))
+    if len(trace.responses) != len(tactics) + 1:
+        raise CoqatooError(error("FIXTURE_MISMATCH", f"trace has {len(trace.responses)} responses "
+                                 f"for a lemma and {len(tactics)} tactics"))
     states = trace.states()
     return [AnalyzedStep(item, states[i], states[i + 1], diff_states(states[i], states[i + 1]))
             for i, item in enumerate(tactics)]

@@ -25,23 +25,19 @@ DEFAULT_TIMEOUT_SECS = 10
 PROVER_ENV_VAR = "COQATOO_PROVER"
 
 
-# tactic, raw_state: str
-TraceStep = namedtuple("TraceStep", "tactic raw_state")
-
-
-class SessionTrace(namedtuple("SessionTrace", "lemma initial_raw steps prover_version", defaults=((), ""))):
-    """lemma, initial_raw: str; steps: Sequence[TraceStep]; prover_version: str."""
+class SessionTrace(namedtuple("SessionTrace", "responses prover_version", defaults=("",))):
+    """responses: Sequence[str], the prover's answer to the lemma, then to each
+    tactic, in the order they were sent; prover_version: str."""
     __slots__ = ()
 
     def states(self) -> List[ProofState]:
-        """The initial state, then the state after each step.
+        """The state after each response.
 
         A hypothesis block is parsed once per call: states that print the
         same block share one `hypotheses` tuple.
         """
         contexts: Dict[str, Tuple[Hypothesis, ...]] = {}
-        return [parse_state(raw, contexts)
-                for raw in (self.initial_raw, *(step.raw_state for step in self.steps))]
+        return [parse_state(raw, contexts) for raw in self.responses]
 
 
 @lru_cache(maxsize=1024)
@@ -79,13 +75,14 @@ def _fields(record, fields: Dict[str, Optional[str]], fixture_path: str, number:
     return values
 
 
-def _read_fixture(fh: BinaryIO, fixture_path: str) -> Tuple[str, str, str, Tuple[TraceStep, ...]]:
-    """Lemma, initial response, prover version and steps of an open fixture,
-    read one record at a time.  The first record that is not UTF-8, is not
-    JSON or has the wrong fields raises FIXTURE_PARSE; no later one is read."""
+def _read_fixture(fh: BinaryIO, fixture_path: str) -> Tuple[str, str, str, Tuple[Tuple[str, str], ...]]:
+    """Lemma, initial response, prover version and (tactic, response) steps of
+    an open fixture, read one record at a time.  The first record that is not
+    UTF-8, is not JSON or has the wrong fields raises FIXTURE_PARSE; no later
+    one is read."""
     name = f"fixture {fixture_path}"
     header: Optional[Tuple[str, ...]] = None
-    steps: List[TraceStep] = []
+    steps: List[Tuple[str, ...]] = []
     offset = 0
     for raw in fh:   # a record ends at "\n" only: a JSON string may hold U+2028 and the like raw
         text = decode_utf8(raw, name, "FIXTURE_PARSE", offset)
@@ -101,7 +98,7 @@ def _read_fixture(fh: BinaryIO, fixture_path: str) -> Tuple[str, str, str, Tuple
         if header is None:
             header = _fields(record, _HEADER_FIELDS, fixture_path, 1)
         else:
-            steps.append(TraceStep(*_fields(record, _STEP_FIELDS, fixture_path, len(steps) + 2)))
+            steps.append(_fields(record, _STEP_FIELDS, fixture_path, len(steps) + 2))
     if header is None:
         raise CoqatooError(error("FIXTURE_PARSE", f"fixture {fixture_path} is empty"))
     return (*header, tuple(steps))
@@ -121,24 +118,25 @@ def run_replay(script: Script, fixture_path: str) -> SessionTrace:
             "FIXTURE_MISMATCH",
             f"fixture records lemma {fixture_lemma!r}, script states {script_lemma!r}"))
     script_tactics = [_norm_tactic(it.prover_text) for it in script.tactics]
-    fixture_tactics = [_norm_tactic(s.tactic) for s in steps]
+    fixture_tactics = [_norm_tactic(tactic) for tactic, _ in steps]
     for i, (a, b) in enumerate(zip_longest(script_tactics, fixture_tactics, fillvalue="(end of proof)")):
         if a != b:
             raise CoqatooError(error(
                 "FIXTURE_MISMATCH",
                 f"fixture diverges from script at tactic {i}: script has {a!r}, fixture has {b!r}"))
-    return SessionTrace(lemma, initial, steps, version)
+    return SessionTrace((initial, *(raw for _, raw in steps)), version)
 
 
-def record_session(trace: SessionTrace, out_path: str) -> None:
-    """Write a trace as a replayable .cqtrace fixture."""
+def record_session(script: Script, trace: SessionTrace, out_path: str) -> None:
+    """Write the trace of a live run of `script` as a replayable .cqtrace fixture."""
+    initial, *raws = trace.responses
+    records = [{"lemma": normalize_text(script.lemma.text), "initial_raw_state": initial,
+                "prover_version": trace.prover_version}]
+    records += [{"tactic": _norm_tactic(it.prover_text), "raw_state": raw}
+                for it, raw in zip(script.tactics, raws, strict=True)]
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"lemma": trace.lemma,
-                                 "initial_raw_state": trace.initial_raw,
-                                 "prover_version": trace.prover_version}) + "\n")
-            for step in trace.steps:
-                fh.write(json.dumps({"tactic": step.tactic, "raw_state": step.raw_state}) + "\n")
+            fh.writelines(json.dumps(record) + "\n" for record in records)
     except OSError as exc:
         raise CoqatooError(error("IO", f"cannot write fixture {out_path}: {exc}"))
 

@@ -106,7 +106,7 @@ def test_unsupported_construct_handling(tmp_path, capsys):
     script, trace = load_trace("modus_ponens")
     assert [(it.command, it.prover_text) for it in script.tactics if it.head == "auto"] == [("auto", "info_auto.")]
     recorded = tmp_path / "mp.cqtrace"
-    record_session(trace, str(recorded))
+    record_session(script, trace, str(recorded))
     assert '"tactic": "info_auto"' in recorded.read_text()
     with capsys.disabled():
         _report("unsupported ';' rejected; auto recorded as info_auto")
@@ -116,7 +116,7 @@ def test_live_prover_integration(tmp_path, live_prover, corpus_name):
     script = load_script(corpus_name)
     trace = run_live(script, live_prover(fixture_path(corpus_name)))
     out = tmp_path / "live.cqtrace"
-    record_session(trace, str(out))
+    record_session(script, trace, str(out))
     replayed = run_replay(script, str(out))
     for a, b in zip(replayed.states(), trace.states(), strict=True):
         assert a == b

@@ -135,6 +135,18 @@ def test_usage_error_exits_2_after_the_usage(capsys, argv, message):
     assert "error" not in usage
 
 
+@pytest.mark.parametrize("name", ["out", "record", "prover", "templates", "fixture", "lang"])
+def test_empty_value_is_a_usage_error(capsys, name):
+    """An empty path or name is never read as the option left unset."""
+    for argv in (["a.v", f"--{name}", ""], ["a.v", f"--{name}="]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: coqatoo")
+        assert captured.err.endswith(f"\ncoqatoo: error: argument --{name}: must not be empty\n")
+
+
 def _outcome(argv):
     """parse_args's settings, or its exit status and what it printed."""
     out, err = io.StringIO(), io.StringIO()
@@ -485,6 +497,23 @@ def test_prover_closing_its_input_exits_2_without_waiting(tmp_path, capsys):
     assert time.monotonic() - start < 1.0
     assert code == 2
     assert "PROVER_EXITED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chunk_bytes", [live_session._CHUNK_BYTES, 1])
+def test_prover_quitting_after_its_first_answer_exits_2(tmp_path, capsys, monkeypatch, chunk_bytes):
+    """The prover answers the lemma, prompts and exits.  Where the reader meets its end,
+    in the read loop or in the read after the prompt, depends on timing: either way
+    the run ends PROVER_EXITED at once."""
+    monkeypatch.setattr(live_session, "_CHUNK_BYTES", chunk_bytes)
+    prover = write_prover(tmp_path, "echo 'Coq 8.9'\nprintf '<prompt>Coq < </prompt>' >&2\nread -r line\n"
+                                    "printf '1 subgoal\\n\\n  ============================\\n  True\\n'\n"
+                                    "printf '<prompt>t < </prompt>' >&2")
+    start = time.monotonic()
+    code = main(_live_args(script_path("and_commutes"), prover, "--timeout", "10"))
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "PROVER_EXITED" in err and "Traceback" not in err
 
 
 def test_prover_never_prompting_times_out(tmp_path, capsys):

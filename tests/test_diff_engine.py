@@ -1,6 +1,6 @@
 from hypothesis import given, strategies as st
 
-from coqatoo import Hypothesis, SessionTrace, TraceStep, classify_bindings, diff_states, parse_state
+from coqatoo import Hypothesis, SessionTrace, classify_bindings, diff_states, parse_state
 from coqatoo.diff_engine import is_heuristic
 
 from helpers import LISTING_1, LISTING_2, all_fixture_states, analyzed_steps, state
@@ -17,10 +17,8 @@ def test_reflexive_diff_is_empty_transform(corpus_name):
 
 def test_unchanged_context_is_shared_and_diffs_empty():
     ctx = ["P, Q : Prop", "HP : P", "HQ : Q"]
-    steps = [("split", state(ctx, ["P", "Q"])), ("assumption", state(ctx, ["Q"])),
-             ("simpl", state(ctx, ["Q /\\ True"]))]
-    trace = SessionTrace("Lemma t : P /\\ Q.", state(ctx, ["P /\\ Q"]),
-                         tuple(TraceStep(t, raw) for t, raw in steps))
+    trace = SessionTrace((state(ctx, ["P /\\ Q"]), state(ctx, ["P", "Q"]), state(ctx, ["Q"]),
+                          state(ctx, ["Q /\\ True"])))
     states = trace.states()
     assert all(s.hypotheses is states[0].hypotheses for s in states)
     assert [diff_states(a, b) for a, b in zip(states, states[1:])] == [(), (), ()]

@@ -140,16 +140,15 @@ def test_identifier_pattern_is_unchanged_on_ascii(text):
 
 
 def test_only_an_auto_step_reports_tactics(corpus_name):
-    _, trace = load_trace(corpus_name)
-    reports = {step.tactic: state.auto for step, state in zip(trace.steps, trace.states()[1:], strict=True)
+    script, trace = load_trace(corpus_name)
+    reports = {it.command: state.auto for it, state in zip(script.tactics, trace.states()[1:], strict=True)
                if state.auto}
-    assert reports == ({"info_auto": ("apply H", "assumption")} if corpus_name == "modus_ponens" else {})
+    assert reports == ({"auto": ("apply H", "assumption")} if corpus_name == "modus_ponens" else {})
 
 
 def test_parse_total_on_corpus(corpus_name):
     _, trace = load_trace(corpus_name)
-    raws = (trace.initial_raw, *(step.raw_state for step in trace.steps))
-    for raw, state in zip(raws, trace.states(), strict=True):
+    for raw, state in zip(trace.responses, trace.states(), strict=True):
         header = SUBGOAL_HEADER.search(raw)
         assert len(state.goals) == (int(header.group(1)) if state.goals else 0)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from coqatoo import SessionTrace, TraceStep, parse_state
+from coqatoo import SessionTrace, parse_state
 from coqatoo.cli import main
 
 from helpers import DONE, state, write_replay_pair
@@ -57,5 +57,5 @@ raw_states = st.tuples(open_states | st.just(DONE), line_breaks).map(lambda p: p
 @settings(max_examples=200, deadline=None)
 @given(raw_states, st.lists(raw_states, max_size=12))
 def test_states_equal_parsing_each_raw(initial, raws):
-    trace = SessionTrace(LEMMA, initial, tuple(TraceStep("split", raw) for raw in raws))
+    trace = SessionTrace((initial, *raws))
     assert trace.states() == [parse_state(raw) for raw in [initial, *raws]]

@@ -7,15 +7,16 @@ from hypothesis import given, strategies as st
 from coqatoo import (CoqatooError, SessionTrace, live_session, parse_script, parse_state,
                      record_session, run_live, run_replay)
 from coqatoo.diagnostics import decode_utf8, error
-from coqatoo.state_provider import _HEADER_FIELDS, _STEP_FIELDS, TraceStep, _fields, _read_fixture
+from coqatoo.pipeline import analyze_trace
+from coqatoo.state_provider import _HEADER_FIELDS, _STEP_FIELDS, _fields, _read_fixture
 
-from helpers import (LISTING_1, LISTING_2, fixture_path, load_script, load_trace, write_prover,
-                     write_split_coqtop)
+from helpers import (LISTING_1, LISTING_2, conjunction_chain, fixture_path, load_script, load_trace, narrow_chain,
+                     write_prover, write_replay_pair, write_split_coqtop)
 
 
 def test_replay_golden_fixture():
     _, trace = load_trace("conj_imp_equiv")
-    assert len(trace.steps) == 12
+    assert len(trace.responses) == 13
     states = trace.states()
     assert len(states) == 13
     for state, listing in zip(states, (LISTING_1, LISTING_2)):
@@ -28,7 +29,7 @@ def test_replay_determinism():
     script = load_script("conj_imp_equiv")
     t1 = run_replay(script, str(fixture_path("conj_imp_equiv")))
     t2 = run_replay(script, str(fixture_path("conj_imp_equiv")))
-    assert [a.tactic for a in t1.steps] == [b.tactic for b in t2.steps]
+    assert t1 == t2
     for a, b in zip(t1.states(), t2.states(), strict=True):
         assert a == b
 
@@ -79,7 +80,7 @@ def test_fixture_for_another_lemma_mismatch(tmp_path):
 def test_fixture_lemma_compared_modulo_whitespace(tmp_path):
     lemma = json.loads(fixture_path("conj_imp_equiv").read_text().splitlines()[0])["lemma"]
     path = _rewrite_header(tmp_path, lemma="  " + lemma.replace(" ", "\n   "))
-    assert len(run_replay(load_script("conj_imp_equiv"), str(path)).steps) == 12
+    assert len(run_replay(load_script("conj_imp_equiv"), str(path)).responses) == 13
 
 
 @pytest.mark.parametrize("record", [
@@ -156,7 +157,7 @@ def _whole_file_reference(path):
     if not records:
         raise CoqatooError(error("FIXTURE_PARSE", f"fixture {path} is empty"))
     lemma, initial, version = _reference_fields(records[0], _HEADER_FIELDS, str(path), 1)
-    steps = tuple(TraceStep(*_reference_fields(rec, _STEP_FIELDS, str(path), i))
+    steps = tuple(_reference_fields(rec, _STEP_FIELDS, str(path), i)
                   for i, rec in enumerate(records[1:], start=2))
     return lemma, initial, version, steps
 
@@ -263,21 +264,66 @@ def test_missing_fixture_file(tmp_path):
     assert exc.value.diagnostic.code == "IO"
 
 
-def test_record_then_replay_round_trip(tmp_path, corpus_name):
-    script, trace = load_trace(corpus_name)
-    out = tmp_path / f"{corpus_name}.cqtrace"
-    record_session(trace, str(out))
-    replayed = run_replay(script, str(out))
-    for a, b in zip(replayed.states(), trace.states(), strict=True):
-        assert a == b
+_CHAINS = [(chain, n) for chain in (conjunction_chain, narrow_chain) for n in (1, 2, 7, 40)]
+
+
+def _source(tmp_path, proof):
+    """A committed proof's script and fixture, or those `write_replay_pair` writes for a chain."""
+    if isinstance(proof, str):
+        return load_script(proof), fixture_path(proof)
+    chain, n = proof
+    script_file, trace_file = write_replay_pair(tmp_path, *chain(n))
+    return parse_script(script_file.read_text(encoding="utf-8"))[0], trace_file
+
+
+def _assert_recording_round_trips(script, trace, out, source_fixture):
+    """`trace` recorded at `out` replays as itself, and its step records are those of
+    `source_fixture`, the fixture it was read or answered from, unless that is None."""
+    record_session(script, trace, str(out))
+    assert run_replay(script, str(out)) == trace
+    if source_fixture is not None:
+        assert out.read_text().splitlines()[1:] == source_fixture.read_text().splitlines()[1:]
+
+
+@pytest.mark.parametrize("proof", ["conj_imp_equiv", "and_commutes", "modus_ponens", *_CHAINS],
+                         ids=lambda p: p if isinstance(p, str) else f"{p[0].__name__}-{p[1]}")
+def test_record_then_replay_round_trip(tmp_path, proof):
+    script, fixture = _source(tmp_path, proof)
+    _assert_recording_round_trips(script, run_replay(script, str(fixture)), tmp_path / "out.cqtrace", fixture)
+
+
+@pytest.mark.parametrize("proof", _CHAINS, ids=lambda p: f"{p[0].__name__}-{p[1]}")
+def test_live_record_then_replay_round_trip(tmp_path, fake_prover, proof):
+    script, fixture = _source(tmp_path, proof)
+    trace = run_live(script, fake_prover(fixture))
+    _assert_recording_round_trips(script, trace, tmp_path / "out.cqtrace", fixture)
 
 
 def test_record_empty_trace(tmp_path):
-    trace = SessionTrace("Lemma t : True.", "1 subgoal\n\n  ============================\n  True\n")
+    initial = "1 subgoal\n\n  ============================\n  True\n"
     out = tmp_path / "empty.cqtrace"
-    record_session(trace, str(out))
     script, _ = parse_script("Lemma t : True. Proof. Qed.")
-    assert run_replay(script, str(out)).steps == ()
+    record_session(script, SessionTrace((initial,)), str(out))
+    assert run_replay(script, str(out)).responses == (initial,)
+
+
+def test_trace_missing_a_response_is_not_recorded(tmp_path):
+    script, trace = load_trace("and_commutes")
+    out = tmp_path / "short.cqtrace"
+    with pytest.raises(ValueError):
+        record_session(script, trace._replace(responses=trace.responses[:-1]), str(out))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_trace_with_a_response_too_few_or_too_many_is_a_mismatch(change):
+    script, trace = load_trace("and_commutes")
+    responses = trace.responses[:change] if change < 0 else (*trace.responses, trace.responses[-1])
+    with pytest.raises(CoqatooError) as exc:
+        analyze_trace(script, SessionTrace(responses))
+    assert exc.value.diagnostic.code == "FIXTURE_MISMATCH"
+    assert f"{len(script.tactics)} tactics" in exc.value.diagnostic.message
+    assert f"{len(trace.responses) + change} responses" in exc.value.diagnostic.message
 
 
 def test_subgoal_count_sequence_of_golden():
@@ -287,9 +333,9 @@ def test_subgoal_count_sequence_of_golden():
 
 
 def test_auto_rewritten_in_recorded_command_stream(tmp_path):
-    _, trace = load_trace("modus_ponens")
+    script, trace = load_trace("modus_ponens")
     out = tmp_path / "mp.cqtrace"
-    record_session(trace, str(out))
+    record_session(script, trace, str(out))
     tactics = [json.loads(ln)["tactic"] for ln in out.read_text().splitlines()[1:]]
     assert "info_auto" in tactics
     assert "auto" not in tactics
@@ -298,11 +344,8 @@ def test_auto_rewritten_in_recorded_command_stream(tmp_path):
 def _assert_live_matches_replay(tmp_path, prover, corpus_name):
     script = load_script(corpus_name)
     trace = run_live(script, prover)
-    out = tmp_path / "live.cqtrace"
-    record_session(trace, str(out))
-    replayed = run_replay(script, str(out))
-    for a, b in zip(replayed.states(), trace.states(), strict=True):
-        assert a == b
+    source = None if prover == "coqtop" else fixture_path(corpus_name)   # a real prover answers in its own words
+    _assert_recording_round_trips(script, trace, tmp_path / "live.cqtrace", source)
 
 
 def test_live_session_matches_replay(tmp_path, live_prover, corpus_name):
@@ -325,9 +368,10 @@ def test_response_still_in_the_pipe_at_the_prompt_is_read_with_it(tmp_path, monk
 
 
 def test_live_recording_has_no_banner(tmp_path, fake_prover):
-    trace = run_live(load_script("conj_imp_equiv"), fake_prover(fixture_path("conj_imp_equiv")))
+    script = load_script("conj_imp_equiv")
+    trace = run_live(script, fake_prover(fixture_path("conj_imp_equiv")))
     out = tmp_path / "live.cqtrace"
-    record_session(trace, str(out))
+    record_session(script, trace, str(out))
     header = json.loads(out.read_text().splitlines()[0])
     assert header["initial_raw_state"].startswith("1 subgoal")
 
@@ -340,7 +384,8 @@ def test_blank_banner_records_an_empty_prover_version(tmp_path):
                                     "  printf '<prompt>Coq < </prompt>' >&2\n"
                                     "done")
     out = tmp_path / "live.cqtrace"
-    record_session(run_live(load_script("modus_ponens"), prover), str(out))
+    script = load_script("modus_ponens")
+    record_session(script, run_live(script, prover), str(out))
     assert json.loads(out.read_text().splitlines()[0])["prover_version"] == ""
 
 
@@ -360,7 +405,7 @@ def test_prover_missing():
 def test_live_prover_from_the_environment(monkeypatch, fake_prover):
     monkeypatch.setenv("COQATOO_PROVER", fake_prover(fixture_path("and_commutes")))
     script = load_script("and_commutes")
-    assert run_live(script).steps == run_replay(script, str(fixture_path("and_commutes"))).steps
+    assert run_live(script).responses == run_replay(script, str(fixture_path("and_commutes"))).responses
 
 
 def test_prover_from_the_environment_that_cannot_start(monkeypatch):
