@@ -29,9 +29,8 @@ _AUTO_REPORT = re.compile(r"\(\*\s*info\s+e?auto\s*:\s*\*\)")
 _AUTO_DB = re.compile(r"\s*\(in \w+\)$")
 _SUBGOAL_K = re.compile(r"^\s*subgoal\s+(\d+)\s+is\s*:\s*$")
 # a Coq identifier: a letter (Unicode ones too) or "_", then letters, digits, "_" and "'";
-# the one definition every stage reads: IDENT.match() finds the name a text starts with
+# the one definition every stage reads: match() finds the name a text starts with, fullmatch() checks one
 IDENT = re.compile(r"[^\W\d][\w']*")
-_IDENT = re.compile(f"^{IDENT.pattern}$")   # match() checks a whole name
 # below this length the normal-form check costs more than the split it saves
 _SHORT_TEXT = 16
 
@@ -81,7 +80,7 @@ def _parse_context(block: str) -> Tuple[Hypothesis, ...]:
             indent = depth
         names_part, sep, type_part = line.partition(" : ")
         names = tuple(n.strip() for n in names_part.split(","))
-        if sep and depth <= indent and all(_IDENT.match(n) for n in names):
+        if sep and depth <= indent and all(IDENT.fullmatch(n) for n in names):
             pending.append((names, [type_part]))
         elif pending:
             pending[-1][1].append(line)

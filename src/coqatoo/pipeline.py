@@ -5,11 +5,26 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from .diagnostics import CoqatooError, Diagnostic, error
-from .diff_engine import diff_states
+from .goal_parser import Hypothesis, ProofState
 from .rewriter import Annotation, OutputMode, TemplateSet, render, rewrite_step
 from .script_parser import Script
 from .state_provider import SessionTrace
 from .tree_builder import AnalyzedStep, ProofNode, build_tree
+
+
+def diff_states(before: ProofState, after: ProofState) -> Tuple[Hypothesis, ...]:
+    """The hypotheses that one tactic added to the context of the focused goal."""
+    if before.hypotheses == after.hypotheses:
+        # the common case, a tactic that leaves the context as it was;
+        # states parsed together share the tuple, so this compares pointers
+        return ()
+    present = {(name, h.type_expr) for h in before.hypotheses for name in h.names}
+    added = []
+    for h in after.hypotheses:
+        names = tuple(n for n in h.names if (n, h.type_expr) not in present)
+        if names:
+            added.append(Hypothesis(names, h.type_expr))
+    return tuple(added)
 
 
 def analyze_trace(script: Script, trace: SessionTrace) -> List[AnalyzedStep]:

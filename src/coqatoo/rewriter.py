@@ -22,8 +22,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .diagnostics import CoqatooError, decode_utf8, error, warning
-from .diff_engine import classify_bindings, is_heuristic
-from .goal_parser import ProofState, normalize_text
+from .goal_parser import IDENT, Hypothesis, ProofState, normalize_text
 from .tree_builder import AnalyzedStep, ProofNode, walk
 
 REFERENCE_LANGUAGE = "en"
@@ -36,19 +35,14 @@ _SENTENCE_SPLIT = re.compile(r"(?<=\.)\s+")
 _BINDER = re.compile(r"\s*(?:forall|exists)(?![\w'])")
 
 
-class AnnotationKind(Enum):
-    EXPLAIN = "explain"
-    OMITTED = "omitted"
-
-
 class OutputMode(Enum):
     ANNOTATED = "annotated"
     PLAIN = "plain"
     LATEX = "latex"
 
 
-# sentences: tuple; kind: AnnotationKind; diagnostics: Tuple[Diagnostic, ...]
-Annotation = namedtuple("Annotation", "sentences kind diagnostics", defaults=(AnnotationKind.EXPLAIN, ()))
+# sentences: tuple; diagnostics: Tuple[Diagnostic, ...]
+Annotation = namedtuple("Annotation", "sentences diagnostics", defaults=((),))
 _SILENT = Annotation(())   # one for every tactic that explains nothing
 
 
@@ -148,11 +142,7 @@ def _tactic_arg(command: str) -> Optional[str]:
 def rewrite_step(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
     """Produce the explanatory sentences for one executed tactic."""
     row = RULES.get(step.item.head)
-    if row is not None:
-        return row[0](step, templates)
-    if len(step.after.goals) > len(step.before.goals):   # a branch: its case labels say what it did
-        return _SILENT
-    return Annotation((), AnnotationKind.OMITTED)
+    return _SILENT if row is None else row[0](step, templates)
 
 
 def _silent(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
@@ -162,9 +152,9 @@ def _silent(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
 def _rewrite_info_auto(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
     """Explain each tactic that `auto`, run as info_auto, reports it used.
 
-    A reported tactic without a row in RULES makes the annotation OMITTED,
-    as that tactic would be if the script named it, and warns
-    UNSUPPORTED_TACTIC with the span of the `auto`.
+    A reported tactic without a row in RULES explains nothing, as it would
+    if the script named it, and warns UNSUPPORTED_TACTIC with the span of
+    the `auto`.
     """
     subs = [step.item._replace(text=sub) for sub in step.after.auto]
     # a reported auto or info_auto explains nothing; rewriting it would read this same trace again
@@ -174,12 +164,42 @@ def _rewrite_info_auto(step: AnalyzedStep, templates: TemplateSet) -> Annotation
                        step.item.span)
                for sub in subs if sub.head not in RULES]
     return Annotation(tuple(s for a in annotations for s in a.sentences),
-                      AnnotationKind.OMITTED if unruled else AnnotationKind.EXPLAIN,
                       tuple(d for a in annotations for d in a.diagnostics) + tuple(unruled))
 
 
 def _rewrite_assumption(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
     return Annotation(_sentences(templates.fill("assumption.default")))
+
+
+SORT_KEYWORDS = {"Prop", "Set", "Type"}
+
+
+def classify_bindings(added: Sequence[Hypothesis],
+                      before: ProofState) -> Tuple[List[Hypothesis], List[Hypothesis]]:
+    """Partition introduced bindings into (variables, hypotheses).
+
+    A binding is a variable when its type is a sort keyword, or an
+    identifier bound in the prior context as a Set/Type variable
+    (i.e. the new binding is an element of that type, not a proof).
+    Everything else is a proof hypothesis.
+    """
+    type_vars = {name for h in before.hypotheses if h.type_expr in {"Set", "Type"} for name in h.names}
+    variables: List[Hypothesis] = []
+    hypotheses: List[Hypothesis] = []
+    for h in added:
+        if h.type_expr in SORT_KEYWORDS or h.type_expr in type_vars:
+            variables.append(h)
+        else:
+            hypotheses.append(h)
+    return variables, hypotheses
+
+
+def is_heuristic(h: Hypothesis) -> bool:
+    """True when classify_bindings calls h a hypothesis only by default:
+    its type is neither an identifier nor built from a logical connective."""
+    t = h.type_expr
+    return not (IDENT.fullmatch(t.replace(" ", ""))
+                or any(op in t for op in ("->", "/\\", "\\/", "<->", "~", "=", "forall", "exists")))
 
 
 def _rewrite_intros(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
@@ -236,7 +256,7 @@ def _rewrite_inversion(step: AnalyzedStep, templates: TemplateSet) -> Annotation
     subject = types.get(arg, arg or "")
     added_types = [h.type_expr for h in step.added for _ in h.names]
     if not added_types:   # e.g. `inversion H` with `H : False`, which closes the goal
-        return Annotation((), AnnotationKind.OMITTED)
+        return _SILENT
     text = templates.fill("inversion.default", hyp=subject, list=", ".join(added_types))
     return Annotation(_sentences(text))
 
@@ -292,16 +312,15 @@ def render(tree: ProofNode, annotations: Mapping[int, Annotation], mode: OutputM
                     tactic = tactics[step.item.text] = normalize_text(step.item.text)
                 lines.append(f"{indent}{tactic}" if text is None else f"{indent}(* {text} *) {tactic}")
                 continue
-            if text is None and ann.kind is AnnotationKind.OMITTED:
+            if text is None:
+                if len(step.after.goals) > len(step.before.goals):
+                    continue   # a branch: its case labels say what it did
                 text = templates.fill("plain.omitted")
-            if text is not None:
-                lines.append(latex_escape(text) if latex else text)
+            lines.append(latex_escape(text) if latex else text)
         if latex and node.children:
             lines.append(r"\begin{itemize}")
     if annotated:
         lines.append("Qed.")
-    if not lines:
-        lines.append("")   # an empty body prints as one empty line
     if latex:
         lines.insert(0, r"\begin{proof}")
         lines.append(r"\end{proof}")

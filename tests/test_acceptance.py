@@ -5,12 +5,11 @@ import time
 
 import pytest
 
-from coqatoo import load_templates, parse_state, record_session, run_live, run_replay
+from coqatoo import classify_bindings, diff_states, load_templates, parse_state, record_session, run_live, run_replay
 from coqatoo.cli import main
 from coqatoo.pipeline import annotate_steps, generate
 from coqatoo.rewriter import OutputMode
 from coqatoo.tree_builder import build_tree
-from coqatoo.diff_engine import classify_bindings, diff_states
 from coqatoo.goal_parser import Hypothesis
 
 from helpers import (CORPUS, GOLDEN_DIR, LISTING_1, LISTING_2, all_fixture_states,

@@ -1,7 +1,7 @@
 from hypothesis import given, strategies as st
 
 from coqatoo import Hypothesis, SessionTrace, classify_bindings, diff_states, parse_state
-from coqatoo.diff_engine import is_heuristic
+from coqatoo.rewriter import is_heuristic
 
 from helpers import LISTING_1, LISTING_2, all_fixture_states, analyzed_steps, state
 

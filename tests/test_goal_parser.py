@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coqatoo import CoqatooError, Hypothesis, parse_state
-from coqatoo.goal_parser import _IDENT, SUBGOAL_HEADER, normalize_text
+from coqatoo.goal_parser import IDENT, SUBGOAL_HEADER, normalize_text
 
 from helpers import LISTING_1, LISTING_2, extract_auto_trace, load_trace, state as build_state
 
@@ -131,12 +131,25 @@ def test_unicode_hypothesis_names():
     assert state.goals == ("α",)
 
 
-_ASCII_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_']*$")
+_ASCII_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 
 @given(st.text(st.sampled_from("aZ_09' -")) | st.text(st.characters(max_codepoint=127)))
 def test_identifier_pattern_is_unchanged_on_ascii(text):
-    assert bool(_IDENT.match(text)) == bool(_ASCII_IDENT.match(text))
+    assert bool(IDENT.fullmatch(text)) == bool(_ASCII_NAME.fullmatch(text))
+
+
+_ANCHORED_NAME = re.compile(f"^{IDENT.pattern}$")   # how a whole name was once checked, with match()
+
+
+@given(st.text(st.sampled_from("aα_0'\n ,") | st.characters()))
+def test_fullmatch_is_the_anchored_pattern_but_at_a_final_newline(text):
+    r"""`$` also matches before a final "\n", which no name that is checked
+    can hold: each is stripped or normalized first."""
+    if text.endswith("\n"):
+        assert not IDENT.fullmatch(text)
+    else:
+        assert bool(IDENT.fullmatch(text)) == bool(_ANCHORED_NAME.match(text))
 
 
 def test_only_an_auto_step_reports_tactics(corpus_name):

@@ -1,17 +1,16 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coqatoo import CoqatooError, load_templates, parse_script, parse_state, render, rewrite_step, run_replay
-from coqatoo.diff_engine import diff_states
-from coqatoo.pipeline import annotate_steps, generate
+from coqatoo.pipeline import annotate_steps, diff_states, generate
 from coqatoo.rewriter import (_LATEX_SPECIALS, _PLACEHOLDER, ALLOWED_PLACEHOLDERS, REQUIRED_KEYS, RULES,
-                              AnnotationKind, OutputMode, TemplateSet, latex_escape, split_implication)
+                              OutputMode, TemplateSet, latex_escape, split_implication)
 from coqatoo.script_parser import ScriptItem
 from coqatoo.tree_builder import AnalyzedStep, ProofNode
 
 from helpers import (DONE, GOLDEN_DIR, LISTING_1, LISTING_2, analyzed_steps, conjunction_chain, load_script,
-                     load_trace, normalize_rendering, output_text, roundtrip_tactics, state, tactic_commands,
-                     write_replay_pair)
+                     load_trace, narrow_chain, normalize_rendering, output_text, roundtrip_tactics, state,
+                     tactic_commands, write_replay_pair)
 
 EN = load_templates()
 
@@ -195,8 +194,7 @@ def test_info_auto_reported_by_auto_explains_nothing():
     step = analyzed_steps("modus_ponens")[2]
     raw = "(* info auto: *)\ninfo_auto.\nassumption.\n\nNo more subgoals.\n"
     ann = rewrite_step(step._replace(after=parse_state(raw)), EN)
-    assert ann.sentences == ("True, because it is one of our assumptions.",)
-    assert ann.kind is AnnotationKind.EXPLAIN and ann.diagnostics == ()
+    assert (ann.sentences, ann.diagnostics) == (("True, because it is one of our assumptions.",), ())
 
 
 def test_auto_reported_by_auto_explains_nothing():
@@ -204,14 +202,14 @@ def test_auto_reported_by_auto_explains_nothing():
     assert (step.item.text, step.item.prover_text) == ("auto.", "info_auto.")
     raw = "(* info auto: *)\nauto.\nassumption.\n\nNo more subgoals.\n"
     ann = rewrite_step(step._replace(after=parse_state(raw)), EN)
-    assert ann.sentences == ("True, because it is one of our assumptions.",)
-    assert ann.kind is AnnotationKind.EXPLAIN and ann.diagnostics == ()
+    assert (ann.sentences, ann.diagnostics) == (("True, because it is one of our assumptions.",), ())
 
 
 def test_unsupported_tactic_marked_omitted():
+    """No sentence and no warning from the rewriter (the script parser warns);
+    `render` prints plain.omitted for it unless it branches."""
     ann = rewrite_step(_step("ring.", parse_state(LISTING_2), parse_state(LISTING_2)), EN)
-    assert ann.sentences == ()
-    assert ann.kind is AnnotationKind.OMITTED
+    assert (ann.sentences, ann.diagnostics) == ((), ())
 
 
 def test_mixed_intros_stays_within_two_sentences():
@@ -309,7 +307,8 @@ def test_fill_with_one_value_is_the_placeholder_pattern(template, name, value):
 def _render_pair(directory, mode, lemma, initial, steps):
     """The lines and the warnings of a proof written as a replay pair, rendered in `mode`."""
     script_file, trace_file = write_replay_pair(directory, lemma, initial, steps)
-    script, diags = parse_script(script_file.read_text(encoding="utf-8"))
+    # a step's tactic is as the prover ran it: the script's `auto` runs as `info_auto`
+    script, diags = parse_script(script_file.read_text(encoding="utf-8").replace("info_auto.", "auto."))
     lines, warnings = generate(script, run_replay(script, str(trace_file)), EN, mode)
     return lines, [d.code for d in diags + warnings]
 
@@ -348,10 +347,57 @@ def test_apply_of_a_quantified_hypothesis_is_silent(tmp_path, mode):
     assert (lines, codes) == ([line.replace("apply I.", "apply H.") for line in silent], [])
 
 
-def test_plain_proof_of_silent_tactics_prints_one_empty_line(tmp_path):
+def test_plain_proof_of_silent_tactics_prints_the_omission_marker(tmp_path):
     lines, codes = _render_pair(tmp_path, OutputMode.PLAIN, "Lemma t : True.", state([], ["True"]),
                                 [("apply I", DONE)])
-    assert (output_text(lines), codes) == ("\n", [])
+    assert (output_text(lines), codes) == ("(details omitted)\n", [])
+
+
+_OMITTED = EN.fill("plain.omitted")
+_ASSUMPTION = EN.fill("assumption.default")
+
+
+@pytest.mark.parametrize("mode", [OutputMode.PLAIN, OutputMode.LATEX])
+@pytest.mark.parametrize("lemma, initial, steps, expected, codes", [
+    ("Lemma t : True.", state([], ["True"]), [("apply I", DONE)], [_OMITTED], []),
+    ("Lemma t : P \\/ Q.", state(["P, Q : Prop", "HP : P"], ["P \\/ Q"]),
+     [("apply or_introl", state(["P, Q : Prop", "HP : P"], ["P"])), ("assumption", DONE)],
+     [_OMITTED, _ASSUMPTION], []),
+    ("Lemma t : P.", state(["HP : P"], ["P"]), [("intros", state(["HP : P"], ["P"])), ("assumption", DONE)],
+     [_OMITTED, _ASSUMPTION], []),
+    ("Lemma t : True.", state([], ["True"]), [("info_auto", "(* info auto: *)\n\n" + DONE)], [_OMITTED], []),
+    ("Lemma t : True.", state(["H : False"], ["True"]), [("inversion H", DONE)], [_OMITTED], []),
+    ("Lemma t : 1 + 1 = 2.", state([], ["1 + 1 = 2"]), [("ring", DONE)], [_OMITTED], ["UNSUPPORTED_TACTIC"]),
+], ids=["apply-closes", "apply-global-leaves-one-goal", "intros-adds-nothing", "auto-empty-report",
+        "inversion-of-false", "unsupported-closes"])
+def test_a_step_that_does_not_branch_prints_its_sentence_or_the_marker(tmp_path, mode, lemma, initial, steps,
+                                                                       expected, codes):
+    lines, warned = _render_pair(tmp_path, mode, lemma, initial, steps)
+    if mode is OutputMode.LATEX:
+        expected = [r"\begin{proof}", *map(latex_escape, expected), r"\end{proof}"]
+    assert (lines, warned) == (expected, codes)
+
+
+@pytest.mark.parametrize("mode", list(OutputMode))
+def test_a_branching_apply_renders_as_split_does(tmp_path, mode):
+    """`apply conj` says nothing and branches, so, like `split` and
+    `constructor`, it prints no plain.omitted."""
+    lemma, initial, steps = conjunction_chain(2)
+    split_lines, _ = _render_pair(tmp_path, mode, lemma, initial, steps)
+    steps[1] = ("apply conj", steps[1][1])
+    lines, codes = _render_pair(tmp_path, mode, lemma, initial, steps)
+    assert (lines, codes) == ([line.replace("split.", "apply conj.") for line in split_lines], [])
+    assert _OMITTED not in output_text(lines)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([conjunction_chain, narrow_chain]), st.integers(1, 40))
+def test_plain_lines_are_the_steps_that_do_not_branch_and_the_case_labels(tmp_path_factory, chain, n):
+    lemma, initial, steps = chain(n)
+    lines, _ = _render_pair(tmp_path_factory.mktemp("chain"), OutputMode.PLAIN, lemma, initial, steps)
+    goals = [len(parse_state(raw).goals) for raw in [initial] + [raw for _, raw in steps]]
+    deltas = [after - before for before, after in zip(goals, goals[1:])]
+    assert len(lines) == sum(d <= 0 for d in deltas) + sum(d + 1 for d in deltas if d > 0)
 
 
 def test_empty_proof_render():
