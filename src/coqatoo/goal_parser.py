@@ -54,15 +54,16 @@ def normalize_text(text: str) -> str:
     return text
 
 
-# names: Tuple[str, ...]; type_expr: str
-Hypothesis = namedtuple("Hypothesis", "names type_expr")
+# one binding of the context: name: str; type_expr: str
+Hypothesis = namedtuple("Hypothesis", "name type_expr")
 # hypotheses: Tuple[Hypothesis, ...]; goals: Tuple[str, ...];
 # auto: Tuple[str, ...], the commands of an info_auto report, each without "simple ", "(in <db>)" or "."
 ProofState = namedtuple("ProofState", "hypotheses goals auto")
 
 
 def _parse_context(block: str) -> Tuple[Hypothesis, ...]:
-    """Parse the "\n"-separated hypothesis lines above the separator.
+    """Parse the "\n"-separated hypothesis lines above the separator into one
+    binding per name, in display order: `P, Q : Prop` gives two of type `Prop`.
 
     A line opens a hypothesis only when it is indented no deeper than the
     block's first hypothesis line and the text before its first " : " is
@@ -88,7 +89,8 @@ def _parse_context(block: str) -> Tuple[Hypothesis, ...]:
             raise CoqatooError(error("MALFORMED_HYP", f"cannot parse hypothesis names in: {line!r}"))
         else:
             raise CoqatooError(error("MALFORMED_HYP", f"hypothesis line without ' : ': {line!r}"))
-    return tuple(Hypothesis(names, normalize_text(" ".join(parts))) for names, parts in pending)
+    return tuple(Hypothesis(name, type_expr) for names, parts in pending
+                 for type_expr in (normalize_text(" ".join(parts)),) for name in names)
 
 
 def _find_separator(text: str) -> Tuple[int, int]:

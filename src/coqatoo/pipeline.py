@@ -13,18 +13,13 @@ from .tree_builder import AnalyzedStep, ProofNode, build_tree
 
 
 def diff_states(before: ProofState, after: ProofState) -> Tuple[Hypothesis, ...]:
-    """The hypotheses that one tactic added to the context of the focused goal."""
+    """The bindings that one tactic added to the focused goal's context: those of `after` that `before` lacks."""
     if before.hypotheses == after.hypotheses:
         # the common case, a tactic that leaves the context as it was;
         # states parsed together share the tuple, so this compares pointers
         return ()
-    present = {(name, h.type_expr) for h in before.hypotheses for name in h.names}
-    added = []
-    for h in after.hypotheses:
-        names = tuple(n for n in h.names if (n, h.type_expr) not in present)
-        if names:
-            added.append(Hypothesis(names, h.type_expr))
-    return tuple(added)
+    present = set(before.hypotheses)
+    return tuple(h for h in after.hypotheses if h not in present)
 
 
 def analyze_trace(script: Script, trace: SessionTrace) -> List[AnalyzedStep]:

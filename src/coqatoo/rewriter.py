@@ -130,15 +130,6 @@ def split_implication(text: str) -> List[str]:
     return parts
 
 
-def _binding_types(ctx: ProofState) -> Dict[str, str]:
-    return {name: h.type_expr for h in ctx.hypotheses for name in h.names}
-
-
-def _tactic_arg(command: str) -> Optional[str]:
-    tokens = command.split()
-    return tokens[1] if len(tokens) > 1 else None
-
-
 def rewrite_step(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
     """Produce the explanatory sentences for one executed tactic."""
     row = RULES.get(step.item.head)
@@ -183,7 +174,7 @@ def classify_bindings(added: Sequence[Hypothesis],
     (i.e. the new binding is an element of that type, not a proof).
     Everything else is a proof hypothesis.
     """
-    type_vars = {name for h in before.hypotheses if h.type_expr in {"Set", "Type"} for name in h.names}
+    type_vars = {h.name for h in before.hypotheses if h.type_expr in {"Set", "Type"}}
     variables: List[Hypothesis] = []
     hypotheses: List[Hypothesis] = []
     for h in added:
@@ -205,40 +196,33 @@ def is_heuristic(h: Hypothesis) -> bool:
 def _rewrite_intros(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
     variables, hypotheses = classify_bindings(step.added, step.before)
     diagnostics = tuple(warning("HEURISTIC_CLASSIFICATION",
-                                f"treating {', '.join(h.names)} : {h.type_expr} as a hypothesis", step.item.span)
+                                f"treating {h.name} : {h.type_expr} as a hypothesis", step.item.span)
                         for h in hypotheses if is_heuristic(h))
     # the goal the tactic leaves, unless it closed its goal or left an empty one
     goal = normalize_text(len(step.after.goals) >= len(step.before.goals) and step.after.goals[0]
                          or step.before.goals[0])
-    var_names = [n for h in variables for n in h.names]
-    hyp_types = sorted((h.type_expr for h in hypotheses for _ in h.names), key=len)
+    names = templates.join([h.name for h in variables])
+    hyp_types = templates.join(sorted((h.type_expr for h in hypotheses), key=len))
     if variables and hypotheses:
-        key = ("intros.mixed" + ("_one_variable" if len(var_names) == 1 else "")
-               + ("_one_hypothesis" if len(hyp_types) == 1 else ""))
-        text = templates.fill(key,
-                              list=templates.join(var_names),
-                              type=variables[0].type_expr,
-                              hyp=templates.join(hyp_types),
-                              goal=goal)
+        key = ("intros.mixed" + ("_one_variable" if len(variables) == 1 else "")
+               + ("_one_hypothesis" if len(hypotheses) == 1 else ""))
+        text = templates.fill(key, list=names, type=variables[0].type_expr, hyp=hyp_types, goal=goal)
     elif variables:
-        key = "intros.variables" if len(var_names) > 1 else "intros.variables_one"
-        text = templates.fill(key, list=templates.join(var_names),
-                              type=variables[0].type_expr, goal=goal)
+        key = "intros.variables" if len(variables) > 1 else "intros.variables_one"
+        text = templates.fill(key, list=names, type=variables[0].type_expr, goal=goal)
     elif hypotheses:
-        key = "intros.hypotheses" if len(hyp_types) > 1 else "intros.hypotheses_one"
-        text = templates.fill(key, list=templates.join(hyp_types), goal=goal)
+        key = "intros.hypotheses" if len(hypotheses) > 1 else "intros.hypotheses_one"
+        text = templates.fill(key, list=hyp_types, goal=goal)
     else:
         return _SILENT
     return Annotation(_sentences(text), diagnostics=diagnostics)
 
 
 def _rewrite_apply(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
-    arg = _tactic_arg(step.item.command)
-    types = _binding_types(step.before)
-    if arg is None or arg not in types:
+    hyp_type = dict(step.before.hypotheses).get(step.item.argument)
+    if hyp_type is None:
         # applying a global constant is rendered silently
         return _SILENT
-    hyp_type = types[arg]
     segments = split_implication(hyp_type)
     if len(segments) < 2:
         return _SILENT
@@ -251,10 +235,9 @@ def _rewrite_apply(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
 
 
 def _rewrite_inversion(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
-    arg = _tactic_arg(step.item.command)
-    types = _binding_types(step.before)
-    subject = types.get(arg, arg or "")
-    added_types = [h.type_expr for h in step.added for _ in h.names]
+    arg = step.item.argument
+    subject = dict(step.before.hypotheses).get(arg, arg or "")
+    added_types = [h.type_expr for h in step.added]
     if not added_types:   # e.g. `inversion H` with `H : False`, which closes the goal
         return _SILENT
     text = templates.fill("inversion.default", hyp=subject, list=", ".join(added_types))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .diagnostics import Diagnostic, CoqatooError, error, warning
 from .goal_parser import IDENT
@@ -45,6 +45,21 @@ class ScriptItem(namedtuple("ScriptItem", "text span seq")):
     @property
     def head(self) -> str:
         return _head(self.command)
+
+    @property
+    def argument(self) -> Optional[str]:
+        """The command's second word, or None.  A comment separates words as a
+        blank does, so `apply (* by H *) H` has the argument `H`; an
+        unterminated one hides the rest."""
+        command, words, i = self.command, [], 0
+        try:
+            while (at := _find_stop(command, i, "(*")) >= 0:
+                words += command[i:at].split()
+                i = _scan_comment(command, at)
+            words += command[i:].split()
+        except CoqatooError:
+            pass
+        return words[1] if len(words) > 1 else None
 
     @property
     def prover_text(self) -> str:

@@ -5,6 +5,10 @@ that leaves k more goals than it found branches and opens k + 1 child
 nodes, one that leaves fewer closes its case and pops back to the nearest
 ancestor that still has unfilled children.  Bullet depth falls out of the
 nesting.
+
+A tactic acts on the focused goal alone, so the goals behind it must end
+the goal list it leaves, unchanged.  A goal that shows an evar (`?`),
+which a tactic on another goal may fill, must be there but may change.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from collections import namedtuple
 from typing import List, Optional, Sequence, Tuple
 
 from .diagnostics import CoqatooError, error
+from .goal_parser import normalize_text
 
 # one tactic: its item: ScriptItem, the states around it, before and after: ProofState,
 # and the hypotheses it added: Tuple[Hypothesis, ...]
@@ -40,10 +45,15 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
     parents: List[ProofNode] = []   # the parent of each case still to open, the next one last
 
     for step in steps:
-        if current is None or not step.before.goals:
+        before, after = step.before.goals, step.after.goals
+        if current is None or not before:
             raise CoqatooError(error("MALFORMED_TRACE", "tactic after the proof was complete", step.item.span))
+        delta = len(after) - len(before)
+        # the goals behind the focused one end `after` as they were, in the common case as the same text
+        if before[1:] != after[delta + 1:] and (changed := _changed_goal(before, after)) is not None:
+            raise CoqatooError(error("MALFORMED_TRACE", f"goal {changed!r}, which the tactic does not "
+                                     "focus, was changed or closed", step.item.span))
         current.steps.append(step)
-        delta = len(step.after.goals) - len(step.before.goals)
         if delta > 0:
             parents += [current] * delta
             parent = current
@@ -52,12 +62,9 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
         elif not parents:
             current = None   # the last case is closed: the proof is done
             continue
-        elif not step.after.goals:
-            raise CoqatooError(error("MALFORMED_TRACE", "proof closed with a branch case unfilled",
-                                     step.item.span))
         else:
             parent = parents.pop()
-        current = ProofNode(depth=parent.depth + 1, case_goal=step.after.goals[0])
+        current = ProofNode(depth=parent.depth + 1, case_goal=after[0])
         parent.children.append(current)
 
     if steps and steps[-1].after.goals:
@@ -66,6 +73,19 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
     if not steps:
         raise CoqatooError(error("INCOMPLETE_PROOF", "no tactics were executed"))
     return root
+
+
+def _changed_goal(before: Tuple[str, ...], after: Tuple[str, ...]) -> Optional[str]:
+    """The first goal behind the focused one in `before` that is not in its
+    place at the end of `after`, normalized, or None: `before[1:]` must be a
+    suffix of `after`, whitespace aside, but a goal with an evar may change."""
+    offset = len(after) - len(before)
+    for i in range(1, len(before)):
+        goal, j = before[i], i + offset
+        if j < 0 or (goal != after[j] and "?" not in goal
+                     and normalize_text(goal) != normalize_text(after[j])):
+            return normalize_text(goal)
+    return None
 
 
 def walk(root: ProofNode) -> List[Tuple[bool, ProofNode]]:

@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence, Tuple
 from coqatoo import (CoqatooError, Diagnostic, ProofState, Script, ScriptItem, SessionTrace, detect_unsupported,
                      load_templates, parse_script, run_replay, tokenize_script)
 from coqatoo.diagnostics import error, warning
-from coqatoo.goal_parser import FINISHED_MARKERS, IDENT, SUBGOAL_HEADER
+from coqatoo.goal_parser import FINISHED_MARKERS, IDENT, SUBGOAL_HEADER, normalize_text
 from coqatoo.script_parser import LEMMA_KEYWORDS, PROOF_END_KEYWORDS
 from coqatoo.pipeline import analyze_trace
 from coqatoo.tree_builder import ProofNode, walk
@@ -168,6 +168,32 @@ def extract_auto_trace(response_raw: str) -> List[str]:
                 tactic = tactic[len("simple "):]
             tactics.append(tactic)
     return tactics
+
+
+def grouped_context(block: str) -> List[Tuple[Tuple[str, ...], str]]:
+    """`goal_parser._parse_context` as it was when a record held a display group,
+    kept as the reference for the bindings it now gives one per name: each group's
+    names and normalized type, `P, Q : Prop` as (("P", "Q"), "Prop")."""
+    pending: List[Tuple[Tuple[str, ...], List[str]]] = []
+    indent = -1
+    for line in block.split("\n"):
+        text = line.lstrip()
+        if not text:
+            continue
+        depth = len(line) - len(text)
+        if indent < 0:
+            indent = depth
+        names_part, sep, type_part = line.partition(" : ")
+        names = tuple(n.strip() for n in names_part.split(","))
+        if sep and depth <= indent and all(IDENT.fullmatch(n) for n in names):
+            pending.append((names, [type_part]))
+        elif pending:
+            pending[-1][1].append(line)
+        elif sep:
+            raise CoqatooError(error("MALFORMED_HYP", f"cannot parse hypothesis names in: {line!r}"))
+        else:
+            raise CoqatooError(error("MALFORMED_HYP", f"hypothesis line without ' : ': {line!r}"))
+    return [(names, normalize_text(" ".join(parts))) for names, parts in pending]
 
 
 def write_replay_pair(directory: Path, lemma: str, initial: str, steps: Sequence[Tuple[str, str]],

@@ -40,7 +40,7 @@ def test_state_parsing():
     assert initial.hypotheses == ()
     assert initial.goals == ("forall P Q R : Prop, (P /\\ Q -> R) <-> (P -> Q -> R)",)
     after = parse_state(LISTING_2)
-    assert after.hypotheses == (Hypothesis(("P", "Q", "R"), "Prop"),)
+    assert after.hypotheses == (Hypothesis("P", "Prop"), Hypothesis("Q", "Prop"), Hypothesis("R", "Prop"))
     assert after.goals == ("(P /\\ Q -> R) <-> (P -> Q -> R)",)
     _report("state parsing of the worked-example blocks")
 
@@ -73,8 +73,7 @@ def test_diff_properties(name):
         assert diff_states(state, state) == ()
     for step in analyzed_steps(name):
         variables, hypotheses = classify_bindings(step.added, step.before)
-        flat = [n for h in variables + hypotheses for n in h.names]
-        assert sorted(flat) == sorted(n for h in step.added for n in h.names)
+        assert sorted(variables + hypotheses) == sorted(step.added)
     _report(f"diff and classification properties ({name})")
 
 

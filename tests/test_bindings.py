@@ -7,7 +7,7 @@ from helpers import LISTING_1, LISTING_2, all_fixture_states, analyzed_steps, st
 
 
 def test_intros_diff_from_listings():
-    assert diff_states(parse_state(LISTING_1), parse_state(LISTING_2)) == (Hypothesis(("P", "Q", "R"), "Prop"),)
+    assert diff_states(parse_state(LISTING_1), parse_state(LISTING_2)) == tuple(Hypothesis(n, "Prop") for n in "PQR")
 
 
 def test_reflexive_diff_is_empty_transform(corpus_name):
@@ -43,45 +43,40 @@ def test_split_branches():
 
 
 def test_antisymmetry(corpus_name):
-    def bindings(hyps):
-        return {(n, h.type_expr) for h in hyps for n in h.names}
-
     for step in analyzed_steps(corpus_name):
-        assert bindings(diff_states(step.before, step.after)) == (bindings(step.after.hypotheses)
-                                                                  - bindings(step.before.hypotheses))
-        assert bindings(diff_states(step.after, step.before)) == (bindings(step.before.hypotheses)
-                                                                  - bindings(step.after.hypotheses))
+        assert set(diff_states(step.before, step.after)) == set(step.after.hypotheses) - set(step.before.hypotheses)
+        assert set(diff_states(step.after, step.before)) == set(step.before.hypotheses) - set(step.after.hypotheses)
 
 
 # --- classify_bindings ---
 
 def test_variables_from_prop_sort():
     before = parse_state(LISTING_1)
-    variables, hypotheses = classify_bindings([Hypothesis(("P", "Q", "R"), "Prop")], before)
-    assert [n for h in variables for n in h.names] == ["P", "Q", "R"]
+    variables, hypotheses = classify_bindings([Hypothesis(n, "Prop") for n in "PQR"], before)
+    assert [h.name for h in variables] == ["P", "Q", "R"]
     assert hypotheses == []
 
 
 def test_proofs_of_propositions_are_hypotheses():
     before = parse_state(LISTING_2)  # P, Q, R : Prop in context
-    added = [Hypothesis(("H",), "P /\\ Q -> R"), Hypothesis(("HP",), "P"), Hypothesis(("HQ",), "Q")]
+    added = [Hypothesis("H", "P /\\ Q -> R"), Hypothesis("HP", "P"), Hypothesis("HQ", "Q")]
     variables, hypotheses = classify_bindings(added, before)
     assert variables == []
-    assert [n for h in hypotheses for n in h.names] == ["H", "HP", "HQ"]
+    assert [h.name for h in hypotheses] == ["H", "HP", "HQ"]
 
 
 def test_element_of_set_variable_is_a_variable():
     before = parse_state("1 subgoal\n\n  A : Set\n  ============================\n  True\n")
-    variables, hypotheses = classify_bindings([Hypothesis(("x",), "A")], before)
-    assert [n for h in variables for n in h.names] == ["x"]
+    variables, hypotheses = classify_bindings([Hypothesis("x", "A")], before)
+    assert [h.name for h in variables] == ["x"]
     assert hypotheses == []
 
 
 def test_unrecognized_type_is_a_heuristic_hypothesis():
-    odd = Hypothesis(("p",), "nat * nat")
+    odd = Hypothesis("p", "nat * nat")
     assert classify_bindings([odd], parse_state(LISTING_1)) == ([], [odd])
     assert is_heuristic(odd)
-    assert not any(is_heuristic(Hypothesis(("H",), t)) for t in ("P", "P /\\ Q", "x = y", "A -> B"))
+    assert not any(is_heuristic(Hypothesis("H", t)) for t in ("P", "P /\\ Q", "x = y", "A -> B"))
 
 
 def test_classify_empty():
@@ -90,7 +85,7 @@ def test_classify_empty():
 
 _hyps = st.lists(
     st.builds(Hypothesis,
-              st.tuples(st.sampled_from(["H", "HP", "x", "y", "n"])),
+              st.sampled_from(["H", "HP", "x", "y", "n"]),
               st.sampled_from(["Prop", "Set", "Type", "P", "P /\\ Q", "nat", "A -> B"])),
     max_size=6)
 

@@ -446,6 +446,18 @@ def test_heuristic_classification_is_a_diagnostic(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_heuristic_classification_warns_once_per_binding(tmp_path, capsys):
+    """A display group `p, q : nat * nat` is two bindings, and each is explained by default."""
+    lemma = "Lemma t : forall p q : nat * nat, True."
+    steps = [("intros", state(["p, q : nat * nat"], ["True"])), ("assumption", DONE)]
+    script, trace = write_replay_pair(tmp_path, lemma, state([], ["forall p q : nat * nat, True"]), steps)
+    assert main([str(script), "--provider", "replay", "--fixture", str(trace)]) == 0
+    start, end = parse_script(script.read_text())[0].tactics[0].span
+    assert capsys.readouterr().err == "".join(
+        f"warning[HEURISTIC_CLASSIFICATION] at {start}..{end}: treating {name} : nat * nat as a hypothesis\n"
+        for name in "pq")
+
+
 def _live_args(script, prover, *extra):
     return [str(script), "--provider", "live", "--prover", prover, *extra]
 
@@ -614,7 +626,8 @@ def test_inversion_that_adds_no_hypothesis_is_omitted(tmp_path, capsys, mode, la
     assert omitted.get(mode, omitted[lang]) in captured.out.splitlines()
 
 
-_AFTER_DONE, _UNFILLED = "tactic after the proof was complete", "proof closed with a branch case unfilled"
+_AFTER_DONE = "tactic after the proof was complete"
+_UNFILLED = "goal 'True', which the tactic does not focus, was changed or closed"
 
 
 @pytest.mark.parametrize("dot", [[], ["--dot"]])
@@ -633,6 +646,21 @@ def test_malformed_trace_exits_1(tmp_path, capsys, initial, steps, bad, message,
     start, end = parse_script(script.read_text())[0].tactics[bad].span
     assert main([str(script), "--provider", "replay", "--fixture", str(trace), *dot]) == 1
     assert capsys.readouterr().err == f"error[MALFORMED_TRACE] at {start}..{end}: {message}\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--dot"], ["--mode", "plain", "--lang", "fr"]])
+def test_a_trace_whose_unfocused_goal_changes_exits_1(tmp_path, capsys, extra):
+    """and_commutes.cqtrace with the goal left after the first `assumption` reading `Q -> False`, not `P`:
+    that `assumption` acted on `P`, which it does not focus."""
+    lines = fixture_path("and_commutes").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[5] = lines[5].replace('=\\n  P\\n"', '=\\n  Q -> False\\n"')
+    trace = tmp_path / "mutated.cqtrace"
+    trace.write_text("".join(lines), encoding="utf-8")
+    script = script_path("and_commutes")
+    start, end = parse_script(script.read_text())[0].tactics[4].span
+    assert main([str(script), "--provider", "replay", "--fixture", str(trace), *extra]) == 1
+    assert capsys.readouterr() == ("", f"error[MALFORMED_TRACE] at {start}..{end}: goal 'P', which the tactic "
+                                       "does not focus, was changed or closed\n")
 
 
 @pytest.mark.parametrize("dot", [[], ["--dot"]])
@@ -843,6 +871,23 @@ def test_unreadable_template_file_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error[IO]: cannot read {locked}: [Errno 13] Permission denied: {str(locked)!r}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="needs Linux's /proc/self/mem")
+@pytest.mark.parametrize("reader", ["script", "fixture", "templates"])
+def test_a_read_that_fails_after_the_open_exits_2(tmp_path, capsys, reader):
+    """A link to /proc/self/mem opens, for root too, but reading its offset 0,
+    which no process maps, fails with EIO."""
+    mem = tmp_path / ("en.properties" if reader == "templates" else "mem")
+    mem.symlink_to("/proc/self/mem")
+    args, what = {"script": ([str(mem), "--provider", "replay", "--fixture", str(fixture_path("and_commutes"))], ""),
+                  "fixture": ([str(script_path("and_commutes")), "--provider", "replay", "--fixture", str(mem)],
+                              "fixture "),
+                  "templates": (replay_args("and_commutes", "--templates", str(tmp_path)), "")}[reader]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[IO]: cannot read {what}{mem}: [Errno 5] Input/output error\n"
 
 
 def _surrogate_pair(directory):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from coqatoo import CoqatooError, Hypothesis, parse_state
 from coqatoo.goal_parser import IDENT, SUBGOAL_HEADER, normalize_text
 
-from helpers import LISTING_1, LISTING_2, extract_auto_trace, load_trace, state as build_state
+from helpers import LISTING_1, LISTING_2, extract_auto_trace, grouped_context, load_trace, state as build_state
 
 
 SEPARATOR = "  ============================"
@@ -20,7 +20,7 @@ SEPARATOR = "  ============================"
     (LISTING_1.replace("\n", "\x0c"), ()),
     (LISTING_1.replace(SEPARATOR, SEPARATOR + "   "), ()),
     (LISTING_1.replace(SEPARATOR, "  H : a ==== b\n  ====>\n" + SEPARATOR),
-     (Hypothesis(("H",), "a ==== b ====>"),)),
+     (Hypothesis("H", "a ==== b ====>"),)),
 ], ids=["lf", "crlf", "cr", "formfeed", "trailing-blanks", "equals-in-type"])
 def test_initial_state_block(raw, hypotheses):
     state = parse_state(raw)
@@ -30,9 +30,7 @@ def test_initial_state_block(raw, hypotheses):
 
 def test_state_after_intros_block():
     state = parse_state(LISTING_2)
-    assert len(state.hypotheses) == 1
-    assert state.hypotheses[0].names == ("P", "Q", "R")
-    assert state.hypotheses[0].type_expr == "Prop"
+    assert state.hypotheses == (Hypothesis("P", "Prop"), Hypothesis("Q", "Prop"), Hypothesis("R", "Prop"))
     assert state.goals == ("(P /\\ Q -> R) <-> (P -> Q -> R)",)
 
 
@@ -87,19 +85,17 @@ def test_wrapped_hypothesis_type():
     raw = ("1 subgoal\n\n  H : forall x : nat,\n        x = x\n"
            "  ============================\n  True\n")
     state = parse_state(raw)
-    assert state.hypotheses[0].names == ("H",)
-    assert state.hypotheses[0].type_expr == "forall x : nat, x = x"
+    assert state.hypotheses == (Hypothesis("H", "forall x : nat, x = x"),)
     # a continuation line may itself contain " : "
     raw = ("1 subgoal\n\n  H : forall x : nat,\n      forall y : nat, x = y\n  n, m : nat\n"
            "  ============================\n  True\n")
-    assert [(h.names, h.type_expr) for h in parse_state(raw).hypotheses] == [
-        (("H",), "forall x : nat, forall y : nat, x = y"), (("n", "m"), "nat")]
+    assert parse_state(raw).hypotheses == (
+        ("H", "forall x : nat, forall y : nat, x = y"), ("n", "nat"), ("m", "nat"))
     # a deeper-indented line continues the hypothesis above, even when it
     # reads like one
     raw = ("1 subgoal\n\n  H : forall\n        x : nat, x = x\n  y : nat\n"
            "  ============================\n  True\n")
-    assert [(h.names, h.type_expr) for h in parse_state(raw).hypotheses] == [
-        (("H",), "forall x : nat, x = x"), (("y",), "nat")]
+    assert parse_state(raw).hypotheses == (("H", "forall x : nat, x = x"), ("y", "nat"))
 
 
 @pytest.mark.parametrize("raw", [
@@ -127,7 +123,7 @@ def test_bad_hypothesis_line():
 def test_unicode_hypothesis_names():
     # Coq identifiers may start with a Unicode letter
     state = parse_state("1 subgoal\n\n  α, β : Prop\n  Hα : α\n  ====\n  α\n")
-    assert state.hypotheses == (Hypothesis(("α", "β"), "Prop"), Hypothesis(("Hα",), "α"))
+    assert state.hypotheses == (Hypothesis("α", "Prop"), Hypothesis("β", "Prop"), Hypothesis("Hα", "α"))
     assert state.goals == ("α",)
 
 
@@ -168,7 +164,28 @@ def test_parse_total_on_corpus(corpus_name):
 
 def test_hypothesis_name_multiplicity():
     state = parse_state(LISTING_2)
-    assert sum(len(h.names) for h in state.hypotheses) == 3
+    assert [h.name for h in state.hypotheses] == ["P", "Q", "R"]
+
+
+# lines above a separator: display groups, continuations (one holding " : "), and lines that open nothing
+_CONTEXT_LINES = st.sampled_from(["  P, Q : Prop", "  H : P -> Q", "  α, β,  γ : Set", "  x, y : nat * nat",
+                                  "  H0 : forall x : nat,", "        x  =  x", "      forall y : nat, y = y",
+                                  "    n : nat", "  12 bogus", "  P", ""])
+
+
+@given(st.lists(_CONTEXT_LINES, max_size=8))
+def test_each_name_of_a_display_group_is_a_binding_of_its_type(lines):
+    """The grouped reference reader and parse_state agree: one binding per
+    name in display order, or the same MALFORMED_HYP."""
+    raw = "1 subgoal\n\n" + "\n".join(lines) + f"\n{SEPARATOR}\n  P\n"
+    try:
+        groups = grouped_context("\n".join(lines))
+    except CoqatooError as exc:
+        with pytest.raises(CoqatooError) as parsed:
+            parse_state(raw)
+        assert parsed.value.diagnostic == exc.diagnostic
+    else:
+        assert parse_state(raw).hypotheses == tuple(Hypothesis(n, t) for names, t in groups for n in names)
 
 
 def test_other_breaks_are_the_splitlines_breaks_but_lf():

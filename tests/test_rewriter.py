@@ -313,6 +313,29 @@ def _render_pair(directory, mode, lemma, initial, steps):
     return lines, [d.code for d in diags + warnings]
 
 
+# a proof by `<tactic> H`, then `assumption`: its lemma, and the states before and after `<tactic> H`
+_BY_H = {
+    "apply": ("Lemma t : forall P Q : Prop, (P -> Q) -> P -> Q.",
+              state(["P, Q : Prop", "H : P -> Q", "HP : P"], ["Q"]),
+              state(["P, Q : Prop", "H : P -> Q", "HP : P"], ["P"])),
+    "inversion": ("Lemma t : forall P Q : Prop, P /\\ Q -> P.", state(["P, Q : Prop", "H : P /\\ Q"], ["P"]),
+                  state(["P, Q : Prop", "H : P /\\ Q", "H0 : P", "H1 : Q"], ["P"])),
+}
+
+
+@pytest.mark.parametrize("mode", list(OutputMode))
+@pytest.mark.parametrize("comment", ["(* by H *)", "(* by (* nested *) H *)"], ids=["plain", "nested"])
+@pytest.mark.parametrize("tactic", ["apply", "inversion"])
+def test_a_comment_inside_a_tactic_is_a_blank(tmp_path, mode, comment, tactic):
+    """`apply (* c *) H` explains what `apply H` explains, and so does `inversion`."""
+    lemma, before, after = _BY_H[tactic]
+    rendered = [_render_pair(tmp_path, mode, lemma, before, [(text, after), ("assumption", DONE)])
+                for text in (f"{tactic} H", f"{tactic} {comment} H")]
+    (bare, bare_codes), (commented, codes) = rendered
+    assert [line.replace(f"{tactic} {comment} H.", f"{tactic} H.") for line in commented] == bare
+    assert (bare_codes, codes) == ([], []) and _OMITTED not in commented
+
+
 @pytest.mark.parametrize("mode", list(OutputMode))
 def test_branching_tactic_without_a_rule_renders_as_split_does(tmp_path, mode):
     """`constructor`, which has no row, splits the goal as `split`, whose rule is

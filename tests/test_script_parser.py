@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from coqatoo import CoqatooError, detect_unsupported, parse_script, tokenize_script
 from coqatoo.diagnostics import Severity
 from coqatoo.rewriter import RULES
-from coqatoo.script_parser import LEMMA_KEYWORDS, PROOF_END_KEYWORDS, _head
+from coqatoo.script_parser import LEMMA_KEYWORDS, PROOF_END_KEYWORDS, ScriptItem, _head
 
 from helpers import load_script, reference_parse, script_path, tactic_commands
 
@@ -158,6 +158,16 @@ def test_every_rule_head_is_supported(head):
 ])
 def test_head_is_the_identifier_a_command_starts_with(command, head):
     assert _head(command) == head
+
+
+@pytest.mark.parametrize("text, argument", [
+    ("apply H.", "H"), ("apply (* by H *) H.", "H"), ("apply(* c *)H.", "H"), ("apply (* (* nested *) *) H.", "H"),
+    ("inversion (* H0 *) H (* then *).", "H"), ("apply (* no argument *).", None), ("split.", None),
+    ('apply "(*" H.', '"(*"'), ("apply (* an unterminated comment hides H", None),
+], ids=["plain", "comment", "no-blanks", "nested", "inversion", "only-comment", "no-argument", "string",
+        "unterminated"])
+def test_argument_is_the_second_word_outside_comments(text, argument):
+    assert ScriptItem(text, (0, len(text)), 0).argument == argument
 
 
 def test_a_non_ascii_tactic_is_warned_by_its_name():

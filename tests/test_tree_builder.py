@@ -123,12 +123,19 @@ def test_a_tree_is_rebuilt_from_its_linear_trace(tree):
     assert _shape(build_tree(steps)) == expected
 
 
-def _counted_steps(counts):
-    """One step between each two states of the given goal counts, the tactic of step k at span (2k, 2k + 2)."""
-    states = [parse_state(state([], [f"G{i}" for i in range(n)]) if n else DONE) for n in counts]
+def _steps(goal_lists):
+    """One step between each two states of the given goals, none for a finished proof,
+    the tactic of step k at span (2k, 2k + 2)."""
+    states = [parse_state(state([], goals) if goals else DONE) for goals in goal_lists]
     return [AnalyzedStep(ScriptItem("t.", (2 * seq, 2 * seq + 2), seq), before, after,
                          diff_states(before, after))
             for seq, (before, after) in enumerate(zip(states, states[1:]))]
+
+
+def _counted_steps(counts):
+    """`_steps` of the given goal counts.  A state of n goals holds G(n - 1), ..., G0, so each
+    step keeps the goals behind the focused one where it can: it must, unless it closes two."""
+    return _steps([[f"G{i}" for i in reversed(range(n))] for n in counts])
 
 
 @pytest.mark.parametrize("initial", [2, 3])
@@ -143,7 +150,31 @@ def test_closing_two_goals_with_a_case_left_is_malformed():
     with pytest.raises(CoqatooError) as exc:
         build_tree(_counted_steps([1, 2, 0]))
     d = exc.value.diagnostic
-    assert (d.code, d.message, d.span) == ("MALFORMED_TRACE", "proof closed with a branch case unfilled", (2, 4))
+    assert (d.code, d.message, d.span) == (
+        "MALFORMED_TRACE", "goal 'G0', which the tactic does not focus, was changed or closed", (2, 4))
+
+
+@pytest.mark.parametrize("rest, after, changed", [
+    ("Q /\\ P", ["Q /\\ P"], None),
+    ("Q /\\ P", ["A", "B", "Q /\\ P"], None),
+    ("Q /\\ P", ["Q  /\\\n  P"], None),
+    ("Q /\\ P", ["Q -> False"], "Q /\\ P"),
+    ("Q /\\ P", [], "Q /\\ P"),
+    ("Q /\\ P", ["Q /\\ P", "A"], "Q /\\ P"),
+    ("?n = 1", ["1 = 1"], None),
+    ("?n = 1", [], "?n = 1"),
+], ids=["closed-focused", "branched", "rewrapped", "changed", "closed-two", "moved", "evar-filled", "evar-closed"])
+def test_the_goals_behind_the_focused_one_end_what_a_step_leaves(rest, after, changed):
+    """The second step finds goals G and `rest`, and leaves `after`; the steps after it close one goal each."""
+    steps = _steps([["G"], ["G", rest], after] + [after[i:] for i in range(1, len(after) + 1)])
+    if changed is None:
+        assert flatten(build_tree(steps)) == [step.item for step in steps]
+        return
+    with pytest.raises(CoqatooError) as exc:
+        build_tree(steps)
+    d = exc.value.diagnostic
+    assert (d.code, d.message, d.span) == (
+        "MALFORMED_TRACE", f"goal {changed!r}, which the tactic does not focus, was changed or closed", (2, 4))
 
 
 @given(st.integers(0, 3), st.lists(st.integers(-2, 2), max_size=8))
