@@ -29,7 +29,7 @@ _OPTIONS = {
     "fixture": ("fixture_path", None, str, "recorded session file (required with --provider replay)"),
     "record": ("record_path", None, str, "record the live session to this .cqtrace file"),
     "lang": ("language", "en", str, "output language tag"),
-    "mode": ("mode", "annotated", ("annotated", "plain", "latex"), "output style"),
+    "mode": ("mode", OutputMode.ANNOTATED.value, tuple(mode.value for mode in OutputMode), "output style"),
     "templates": ("templates_dir", None, str, "template directory override"),
     "out": ("out_path", None, str, "write output here instead of stdout"),
     "strict": ("strict", False, bool, "treat warnings as errors"),
@@ -39,36 +39,20 @@ _OPTIONS = {
 }
 
 
-def _invocation(name: str) -> str:
-    setting, _, kind, _ = _OPTIONS[name]
-    value = "" if kind is bool else f" {{{','.join(kind)}}}" if isinstance(kind, tuple) else " " + setting.upper()
-    return f"--{name}{value}"
-
-
-def _usage() -> str:
-    """The usage lines, wrapped as argparse wraps them on 80 columns."""
-    lines, line = [], "usage: coqatoo [-h]"
-    for name in _OPTIONS:
-        part = f"[{_invocation(name)}]"
-        if len(line) + 1 + len(part) > 78:
-            lines.append(line)
-            line = " " * 14
-        line += " " + part
-    return "\n".join([*lines, line, " " * 15 + "input"]) + "\n"
+_USAGE = "usage: coqatoo [-h] [options] input"
 
 
 def _help() -> List[str]:
-    rows = [("-h, --help", "show this help message and exit")]
-    rows += [(_invocation(name), text) for name, (_, _, _, text) in _OPTIONS.items()]
-    # each help text starts at column 24, under its option when the option is longer than 20
-    lines = [_usage(), "Generate a natural-language version of a Coq proof script.", "",
-             "positional arguments:", f"  {'input':<22}path to a .v file, or - for standard input", "", "options:"]
-    return lines + [f"  {option:<22}{text}" if len(option) <= 20 else f"  {option}\n{'':<24}{text}"
-                    for option, text in rows]
+    """The usage line, then a line for each option: how it is written, then what it does."""
+    lines = [_USAGE]
+    for name, (setting, _, kind, text) in _OPTIONS.items():
+        value = "" if kind is bool else f" {{{','.join(kind)}}}" if isinstance(kind, tuple) else " " + setting.upper()
+        lines.append(f"  {'--' + name + value:<32}{text}")
+    return lines
 
 
 def _usage_error(message: str) -> NoReturn:
-    _write([f"{_usage()}coqatoo: error: {message}"], "stderr")
+    _write([_USAGE, f"coqatoo: error: {message}"], "stderr")
     sys.exit(2)
 
 

@@ -236,11 +236,11 @@ def _rewrite_apply(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
 
 def _rewrite_inversion(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
     arg = step.item.argument
-    subject = dict(step.before.hypotheses).get(arg, arg or "")
     added_types = [h.type_expr for h in step.added]
-    if not added_types:   # e.g. `inversion H` with `H : False`, which closes the goal
+    if arg is None or not added_types:   # no subject, or e.g. `inversion H` with `H : False`, which adds nothing
         return _SILENT
-    text = templates.fill("inversion.default", hyp=subject, list=", ".join(added_types))
+    key = "inversion.default" if len(added_types) > 1 else "inversion.one"
+    text = templates.fill(key, hyp=dict(step.before.hypotheses).get(arg, arg), list=", ".join(added_types))
     return Annotation(_sentences(text))
 
 
@@ -256,7 +256,7 @@ RULES: Dict[str, Tuple[Callable[..., Annotation], Tuple[str, ...]]] = {
     "split": (_silent, ()),
     "apply": (_rewrite_apply, ("apply.hypothesis_one", "apply.hypothesis_many")),
     "assumption": (_rewrite_assumption, ("assumption.default",)),
-    "inversion": (_rewrite_inversion, ("inversion.default",)),
+    "inversion": (_rewrite_inversion, ("inversion.default", "inversion.one")),
     "auto": (_rewrite_info_auto, ()),
     "info_auto": (_rewrite_info_auto, ()),
 }

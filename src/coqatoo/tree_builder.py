@@ -6,9 +6,9 @@ nodes, one that leaves fewer closes its case and pops back to the nearest
 ancestor that still has unfilled children.  Bullet depth falls out of the
 nesting.
 
-A tactic acts on the focused goal alone, so the goals behind it must end
-the goal list it leaves, unchanged.  A goal that shows an evar (`?`),
-which a tactic on another goal may fill, must be there but may change.
+Each tactic starts from the goals the last one left and acts on the first
+alone, so the rest must end the goal list it leaves, unchanged.  A goal
+with an evar (`?`), which a tactic on another goal may fill, may change.
 """
 
 from __future__ import annotations
@@ -37,41 +37,40 @@ class ProofNode:
 
 def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
     """Rebuild the proof tree; raises INCOMPLETE_PROOF / MALFORMED_TRACE."""
-    if steps and len(steps[0].before.goals) > 1:
-        raise CoqatooError(error("MALFORMED_TRACE", f"the proof starts with {len(steps[0].before.goals)} goals",
-                                 steps[0].item.span))
-    root = ProofNode(depth=0)
-    current: Optional[ProofNode] = root
+    if not steps:
+        raise CoqatooError(error("INCOMPLETE_PROOF", "no tactics were executed"))
+    goals = steps[0].before.goals   # the goals the last step left: the next one starts from them
+    if len(goals) > 1:
+        raise CoqatooError(error("MALFORMED_TRACE", f"the proof starts with {len(goals)} goals", steps[0].item.span))
+    root = current = ProofNode(depth=0)
     parents: List[ProofNode] = []   # the parent of each case still to open, the next one last
 
     for step in steps:
         before, after = step.before.goals, step.after.goals
-        if current is None or not before:
+        if not goals:
             raise CoqatooError(error("MALFORMED_TRACE", "tactic after the proof was complete", step.item.span))
+        # analyze_trace hands each step the state object the last one left, so this compares pointers
+        if before is not goals and before != goals:
+            raise CoqatooError(error("MALFORMED_TRACE", "the tactic does not start where the last one ended", step.item.span))
         delta = len(after) - len(before)
         # the goals behind the focused one end `after` as they were, in the common case as the same text
         if before[1:] != after[delta + 1:] and (changed := _changed_goal(before, after)) is not None:
             raise CoqatooError(error("MALFORMED_TRACE", f"goal {changed!r}, which the tactic does not "
                                      "focus, was changed or closed", step.item.span))
         current.steps.append(step)
+        goals = after
         if delta > 0:
             parents += [current] * delta
             parent = current
-        elif not delta:
-            continue
-        elif not parents:
-            current = None   # the last case is closed: the proof is done
+        elif not delta or not parents:   # a step within the case, or the close of the last case
             continue
         else:
             parent = parents.pop()
         current = ProofNode(depth=parent.depth + 1, case_goal=after[0])
         parent.children.append(current)
 
-    if steps and steps[-1].after.goals:
-        raise CoqatooError(error("INCOMPLETE_PROOF",
-                                 f"proof ends with {len(steps[-1].after.goals)} open subgoal(s)"))
-    if not steps:
-        raise CoqatooError(error("INCOMPLETE_PROOF", "no tactics were executed"))
+    if goals:
+        raise CoqatooError(error("INCOMPLETE_PROOF", f"proof ends with {len(goals)} open subgoal(s)"))
     return root
 
 

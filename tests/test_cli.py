@@ -76,7 +76,12 @@ def test_help_exits_0_with_the_usage_on_stdout(capsys):
         parse_args(["--help"])
     assert exc.value.code == 0
     captured = capsys.readouterr()
-    assert captured.out.startswith("usage: coqatoo")
+    lines = captured.out.splitlines()
+    assert lines[0] == "usage: coqatoo [-h] [options] input"
+    # then one line for each option, its help text in one column
+    assert [line.split()[0] for line in lines[1:]] == [f"--{name}" for name in _OPTIONS]
+    assert len({line.index(text) for line, (_, _, _, text) in zip(lines[1:], _OPTIONS.values())}) == 1
+    assert "  --mode {annotated,plain,latex}  output style" in lines
     assert captured.err == ""
 
 
@@ -129,10 +134,7 @@ def test_usage_error_exits_2_after_the_usage(capsys, argv, message):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage: coqatoo")
-    usage, _, error_line = captured.err.rstrip("\n").rpartition("\n")
-    assert error_line == f"coqatoo: error: {message}"
-    assert "error" not in usage
+    assert captured.err == f"usage: coqatoo [-h] [options] input\ncoqatoo: error: {message}\n"
 
 
 @pytest.mark.parametrize("name", ["out", "record", "prover", "templates", "fixture", "lang"])
@@ -624,6 +626,26 @@ def test_inversion_that_adds_no_hypothesis_is_omitted(tmp_path, capsys, mode, la
     assert captured.err == "" and "  " not in captured.out
     assert "By inversion" not in captured.out and "Par inversion" not in captured.out
     assert omitted.get(mode, omitted[lang]) in captured.out.splitlines()
+
+
+_INVERTED = {"annotated": "(* By inversion on P /\\ Q, we know that P is also true. *) inversion H.",
+             "plain": "By inversion on P /\\ Q, we know that P is also true.",
+             "fr": "Par inversion sur P /\\ Q, nous savons que P est aussi vrai."}
+_BARE = {"annotated": "inversion.", "plain": "(details omitted)", "fr": "(détails omis)"}
+
+
+@pytest.mark.parametrize("key, args", [("annotated", ["--mode", "annotated"]), ("plain", ["--mode", "plain"]),
+                                       ("fr", ["--mode", "plain", "--lang", "fr"])], ids=["annotated", "plain", "fr"])
+@pytest.mark.parametrize("tactic, added, said", [("inversion H", ["H0 : P"], _INVERTED),
+                                                 ("inversion", ["H0 : P", "H1 : Q"], _BARE)], ids=["one", "bare"])
+def test_inversion_agrees_in_number_and_needs_its_argument(tmp_path, capsys, key, args, tactic, added, said):
+    """One added binding is said in the singular; a bare `inversion`, which names nothing, says nothing."""
+    ctx = ["P, Q : Prop", "H : P /\\ Q"]
+    script, trace = write_replay_pair(tmp_path, "Lemma t : P /\\ Q -> P.", state(["P, Q : Prop"], ["P /\\ Q -> P"]), [
+        ("intros H", state(ctx, ["P"])), (tactic, state(ctx + added, ["P"])), ("assumption", DONE)])
+    assert main([str(script), "--provider", "replay", "--fixture", str(trace), *args]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and said[key] in out.splitlines()
 
 
 _AFTER_DONE = "tactic after the proof was complete"

@@ -177,14 +177,42 @@ def test_the_goals_behind_the_focused_one_end_what_a_step_leaves(rest, after, ch
         "MALFORMED_TRACE", f"goal {changed!r}, which the tactic does not focus, was changed or closed", (2, 4))
 
 
-@given(st.integers(0, 3), st.lists(st.integers(-2, 2), max_size=8))
-def test_any_goal_counts_give_the_steps_in_order_or_a_trace_error(initial, changes):
-    """Goal counts drawn at random, none below 0: build_tree keeps every step in
-    pre-order, or rejects the trace as malformed or incomplete, and raises nothing else."""
-    counts = [initial]
-    for change in changes:
-        counts.append(max(counts[-1] + change, 0))
-    steps = _counted_steps(counts)
+def test_a_step_that_does_not_start_where_the_last_one_ended_is_malformed():
+    """A split from G to A and B, then a step from X to no goals."""
+    first, _, second = _steps([["G"], ["A", "B"], ["X"], []])
+    with pytest.raises(CoqatooError) as exc:
+        build_tree([first, second])
+    d = exc.value.diagnostic
+    assert (d.code, d.message, d.span) == (
+        "MALFORMED_TRACE", "the tactic does not start where the last one ended", (4, 6))
+
+
+def test_a_step_may_start_from_an_equal_state_parsed_apart():
+    """States parsed apart are equal goals in distinct tuples: the chain holds."""
+    steps = _steps([["G"], ["A", "B"]]) + _steps([["A", "B"], ["B"], []])
+    assert steps[0].after.goals is not steps[1].before.goals
+    assert flatten(build_tree(steps)) == [step.item for step in steps]
+
+
+def _named_state(n, name="G"):
+    """A state of the n goals name(n - 1), ..., name0, or a finished proof."""
+    return parse_state(state([], [f"{name}{i}" for i in reversed(range(n))]) if n else DONE)
+
+
+@given(st.integers(0, 3), st.lists(st.tuples(st.integers(-2, 2), st.none() | st.tuples(st.integers(0, 3),
+                                                                                      st.sampled_from("GX"))),
+                                   max_size=8))
+def test_any_goal_counts_give_the_steps_in_order_or_a_trace_error(initial, moves):
+    """Goal counts drawn at random, none below 0: each step changes the count
+    by `change` and starts where the last one ended, or, given (n, name), from
+    a state of its own with n goals named as `_named_state` names them.
+    build_tree keeps every step in pre-order, or rejects the trace as
+    malformed or incomplete, and raises nothing else."""
+    steps, after = [], _named_state(initial)
+    for seq, (change, start) in enumerate(moves):
+        before = after if start is None else _named_state(*start)
+        after = _named_state(max(len(before.goals) + change, 0))
+        steps.append(AnalyzedStep(ScriptItem("t.", (2 * seq, 2 * seq + 2), seq), before, after, ()))
     try:
         root = build_tree(steps)
     except CoqatooError as exc:
