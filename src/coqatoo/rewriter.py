@@ -1,9 +1,9 @@
 """Per-tactic rewriting rules and output rendering.
 
 `RULES` is the one table of tactics: it maps a tactic head to the rule
-that explains it and the template keys that rule fills.  The script
-parser warns about any head without a row, and `rewrite_step` looks the
-head up there.
+that explains it and the template keys that rule fills.  `rewrite_step`
+looks each head up there, and is the one place that warns
+UNSUPPORTED_TACTIC, for a head without a row.
 
 Sentence templates live in data files (templates/<lang>.properties) so
 wording can change, or a new language can be added, without touching
@@ -43,7 +43,7 @@ class OutputMode(Enum):
 
 # sentences: tuple; diagnostics: Tuple[Diagnostic, ...]
 Annotation = namedtuple("Annotation", "sentences diagnostics", defaults=((),))
-_SILENT = Annotation(())   # one for every tactic that explains nothing
+_SILENT = Annotation(())   # one for every rule that explains nothing
 
 
 class TemplateSet(namedtuple("TemplateSet", "language entries")):
@@ -120,7 +120,7 @@ def split_implication(text: str) -> List[str]:
             depth += 1
         elif ch in ")]}":
             depth -= 1
-        elif depth == 0 and text.startswith("->", i):
+        elif depth == 0 and text.startswith("->", i) and text[i - 1:i] != "<":   # not the arrow of "<->"
             parts.append(text[start:i].strip())
             i += 2
             start = i
@@ -131,9 +131,13 @@ def split_implication(text: str) -> List[str]:
 
 
 def rewrite_step(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
-    """Produce the explanatory sentences for one executed tactic."""
+    """Produce the explanatory sentences for one executed tactic; a head
+    without a row in RULES explains nothing and warns UNSUPPORTED_TACTIC."""
     row = RULES.get(step.item.head)
-    return _SILENT if row is None else row[0](step, templates)
+    if row is None:
+        return Annotation((), (warning("UNSUPPORTED_TACTIC", f'no rewriting rule for tactic "{step.item.head}"',
+                                       step.item.span),))
+    return row[0](step, templates)
 
 
 def _silent(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
@@ -141,21 +145,16 @@ def _silent(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
 
 
 def _rewrite_info_auto(step: AnalyzedStep, templates: TemplateSet) -> Annotation:
-    """Explain each tactic that `auto`, run as info_auto, reports it used.
-
-    A reported tactic without a row in RULES explains nothing, as it would
-    if the script named it, and warns UNSUPPORTED_TACTIC with the span of
-    the `auto`.
+    """Explain each tactic that `auto`, run as info_auto, reports it used,
+    as `rewrite_step` explains it in a script: a reported tactic without a
+    row in RULES explains nothing and warns, at the span of the `auto`.
     """
     subs = [step.item._replace(text=sub) for sub in step.after.auto]
     # a reported auto or info_auto explains nothing; rewriting it would read this same trace again
     annotations = [rewrite_step(step._replace(item=sub), templates) for sub in subs
                    if sub.head not in ("auto", "info_auto")]
-    unruled = [warning("UNSUPPORTED_TACTIC", f'no rewriting rule for tactic "{sub.head}", which auto used',
-                       step.item.span)
-               for sub in subs if sub.head not in RULES]
     return Annotation(tuple(s for a in annotations for s in a.sentences),
-                      tuple(d for a in annotations for d in a.diagnostics) + tuple(unruled))
+                      tuple(d for a in annotations for d in a.diagnostics))
 
 
 def _rewrite_assumption(step: AnalyzedStep, templates: TemplateSet) -> Annotation:

@@ -18,7 +18,6 @@ from typing import List, Optional, Tuple
 
 from .diagnostics import Diagnostic, CoqatooError, error, warning
 from .goal_parser import IDENT
-from .rewriter import RULES
 
 LEMMA_KEYWORDS = {"Lemma", "Theorem", "Corollary", "Fact", "Remark", "Proposition", "Example"}
 PROOF_END_KEYWORDS = {"Qed", "Defined", "Admitted", "Save"}
@@ -147,8 +146,6 @@ def tokenize_script(source: str) -> List[ScriptItem]:
 
 
 def _has_toplevel_semicolon(text: str) -> bool:
-    if ";" not in text:
-        return False
     try:
         return _find_stop(text, 0, ";") >= 0
     except CoqatooError:   # an unterminated comment hides the rest
@@ -156,25 +153,17 @@ def _has_toplevel_semicolon(text: str) -> bool:
 
 
 def detect_unsupported(items: List[ScriptItem]) -> List[Diagnostic]:
-    """Flag chained tactics and goal selectors (fatal), and heads without a
-    rewriting rule (warning) in each tactic.  Each text that raised nothing is
-    checked once."""
+    """Flag what the prover cannot be given one tactic at a time: chained
+    tactics and goal selectors (fatal).  Whether a tactic can be explained
+    is `rewrite_step`'s to say."""
     diags: List[Diagnostic] = []
-    clean = set()
     for it in items:
-        if it.text in clean:
-            continue
-        command = it.command
-        if _has_toplevel_semicolon(it.text):
-            diags.append(error("UNSUPPORTED_CHAIN", f'chained tactics are not supported: "{command}"', it.span))
-        elif ":" in command and _SELECTOR.match(command):   # every selector form ends in ":"
-            diags.append(error("UNSUPPORTED_SELECTOR", f'goal selectors are not supported: "{command}"', it.span))
-        else:
-            head = _head(command)
-            if head not in RULES:
-                diags.append(warning("UNSUPPORTED_TACTIC", f'no rewriting rule for tactic "{head}"', it.span))
-            else:
-                clean.add(it.text)
+        text = it.text
+        if ";" in text and _has_toplevel_semicolon(text):
+            diags.append(error("UNSUPPORTED_CHAIN", f'chained tactics are not supported: "{it.command}"', it.span))
+        elif ":" in text and _SELECTOR.match(text):   # every selector form ends in ":"
+            diags.append(error("UNSUPPORTED_SELECTOR", f'goal selectors are not supported: "{it.command}"',
+                               it.span))
     return diags
 
 

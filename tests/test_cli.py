@@ -274,7 +274,8 @@ def test_braced_cases_render_like_bulleted_ones(tmp_path, capsys, extra):
         assert main([str(script), "--provider", "replay", "--fixture", str(trace), *extra]) == 0
         captured = capsys.readouterr()
         outputs[style] = captured.out
-        assert captured.err.count("warning[UNSUPPORTED_TACTIC]") == 1   # simpl
+        # simpl; --dot writes no prose, so it warns of no tactic
+        assert captured.err.count("warning[UNSUPPORTED_TACTIC]") == (0 if extra == ["--dot"] else 1)
     assert outputs["braces"] == outputs["bullets"]
     if extra[-1] in ("annotated", "plain", "latex"):
         assert outputs["braces"] == (GOLDEN_DIR / f"three_cases.{extra[-1]}.en.txt").read_text(encoding="utf-8")
@@ -397,18 +398,30 @@ def test_dot_flag(capsys):
     assert capsys.readouterr().out.startswith("digraph proof {")
 
 
-def test_strict_promotes_warnings(tmp_path, capsys):
-    src = tmp_path / "warn.v"
+def _ring_args(directory):
+    """A replay run of a proof by `ring`, a tactic without a rewriting rule."""
+    src = directory / "warn.v"
     src.write_text("Lemma t : True. Proof. ring. Qed.")
-    fixture = tmp_path / "warn.cqtrace"
+    fixture = directory / "warn.cqtrace"
     fixture.write_text(
         '{"lemma": "Lemma t : True.", "initial_raw_state": '
         '"1 subgoal\\n\\n  ============================\\n  True\\n"}\n'
         '{"tactic": "ring", "raw_state": "No more subgoals.\\n"}\n')
-    args = [str(src), "--provider", "replay", "--fixture", str(fixture)]
+    return [str(src), "--provider", "replay", "--fixture", str(fixture)]
+
+
+def test_strict_promotes_warnings(tmp_path, capsys):
+    args = _ring_args(tmp_path)
     assert main(args + ["--strict"]) == 1
-    assert "UNSUPPORTED_TACTIC" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and "warning[UNSUPPORTED_TACTIC] at " in captured.err
     assert main(args) == 0
+
+
+def test_dot_warns_of_no_tactic_since_it_writes_no_prose(tmp_path, capsys):
+    """Whether a tactic can be explained is said while rewriting, which --dot skips."""
+    assert main(_ring_args(tmp_path) + ["--dot", "--strict"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_multiple_lemmas_warns(tmp_path, capsys):
@@ -628,6 +641,21 @@ def test_inversion_that_adds_no_hypothesis_is_omitted(tmp_path, capsys, mode, la
     assert omitted.get(mode, omitted[lang]) in captured.out.splitlines()
 
 
+_IFF_APPLY = {"annotated": "apply H.", "plain": "(details omitted)"}
+
+
+@pytest.mark.parametrize("mode", ["annotated", "plain"])
+def test_apply_of_an_iff_hypothesis_names_no_antecedent(tmp_path, capsys, mode):
+    """The arrow of `<->` is no implication arrow: `apply H` with `H : P <-> Q` says nothing."""
+    ctx = ["P, Q : Prop", "H : P <-> Q", "HP : P"]
+    script, trace = write_replay_pair(tmp_path, "Lemma t : Q.", state(ctx, ["Q"]),
+                                      [("apply H", state(ctx, ["P"])), ("assumption", DONE)])
+    assert main([str(script), "--provider", "replay", "--fixture", str(trace), "--mode", mode]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "we know" not in out
+    assert out.splitlines()[2 if mode == "annotated" else 0] == _IFF_APPLY[mode]
+
+
 _INVERTED = {"annotated": "(* By inversion on P /\\ Q, we know that P is also true. *) inversion H.",
              "plain": "By inversion on P /\\ Q, we know that P is also true.",
              "fr": "Par inversion sur P /\\ Q, nous savons que P est aussi vrai."}
@@ -828,7 +856,7 @@ def test_auto_using_a_tactic_without_a_rule_is_omitted_and_warned(tmp_path, caps
     assert captured.out == "(details omitted)\n"
     auto_start = script.read_text(encoding="utf-8").index("auto.")
     assert captured.err == (f"warning[UNSUPPORTED_TACTIC] at {auto_start}..{auto_start + 5}: "
-                            'no rewriting rule for tactic "exact", which auto used\n')
+                            'no rewriting rule for tactic "exact"\n')
     assert main(args + ["--strict"]) == 1
     assert capsys.readouterr().out == ""
 
@@ -940,15 +968,15 @@ def test_fixture_string_with_a_lone_surrogate_exits_1_before_any_output(tmp_path
 def test_crlf_script_spans_are_offsets_into_the_decoded_file(tmp_path, capsys, monkeypatch):
     """From a path and from standard input, a span slices its sentence out of the file as decoded."""
     script = tmp_path / "crlf.v"
-    script.write_bytes(b"Lemma t : True.\r\nProof.\r\n  trivial.\r\nQed.\r\n")
+    script.write_bytes(b"Lemma t : True.\r\nProof.\r\n  split; trivial.\r\nQed.\r\n")
     text = script.read_bytes().decode("utf-8")
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(script.read_bytes())))
     errs = []
     for source in (str(script), "-"):
-        assert main([source, "--strict"]) == 1
+        assert main([source]) == 1
         errs.append(capsys.readouterr().err)
-    start, end = map(int, re.match(r"warning\[UNSUPPORTED_TACTIC\] at (\d+)\.\.(\d+): ", errs[0]).groups())
-    assert (text[start:end], errs[1]) == ("trivial.", errs[0])
+    start, end = map(int, re.match(r"error\[UNSUPPORTED_CHAIN\] at (\d+)\.\.(\d+): ", errs[0]).groups())
+    assert (text[start:end], errs[1]) == ("split; trivial.", errs[0])
 
 
 def _added_modules(code):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coqatoo import CoqatooError, load_templates, parse_script, parse_state, render, rewrite_step, run_replay
+from coqatoo.diagnostics import Severity
 from coqatoo.pipeline import annotate_steps, diff_states, generate
 from coqatoo.rewriter import (_LATEX_SPECIALS, _PLACEHOLDER, ALLOWED_PLACEHOLDERS, REQUIRED_KEYS, RULES,
                               OutputMode, TemplateSet, latex_escape, split_implication)
@@ -105,9 +106,27 @@ def test_missing_language_file(tmp_path, layout):
     ("P -> forall x, Q x -> R x", ["P", "forall x, Q x -> R x"]),
     ("(forall x, P x) -> Q", ["(forall x, P x)", "Q"]),
     ("forall_x -> Q", ["forall_x", "Q"]),
+    # the arrow of "<->" is no implication arrow, and "<->" binds tighter than "->"
+    ("P <-> Q", ["P <-> Q"]),
+    ("P -> Q <-> R", ["P", "Q <-> R"]),
 ])
 def test_split_implication(expr, parts):
     assert split_implication(expr) == parts
+
+
+def _connected(inner):
+    return st.one_of(st.builds("{} {} {}".format, inner, st.sampled_from(["->", "<->", "/\\"]), inner),
+                     inner.map("~ {}".format), inner.map("({})".format))
+
+
+_normalized_types = st.recursive(st.sampled_from(["P", "Q", "R x", "True", "forall_x"]), _connected,
+                                 max_leaves=8)
+
+
+@given(_normalized_types)
+def test_split_implication_parts_join_back_to_the_type(text):
+    parts = split_implication(text)
+    assert " -> ".join(parts) == text and "" not in parts
 
 
 # --- rewrite_step rules ---
@@ -205,11 +224,22 @@ def test_auto_reported_by_auto_explains_nothing():
     assert (ann.sentences, ann.diagnostics) == (("True, because it is one of our assumptions.",), ())
 
 
-def test_unsupported_tactic_marked_omitted():
-    """No sentence and no warning from the rewriter (the script parser warns);
-    `render` prints plain.omitted for it unless it branches."""
-    ann = rewrite_step(_step("ring.", parse_state(LISTING_2), parse_state(LISTING_2)), EN)
-    assert (ann.sentences, ann.diagnostics) == ((), ())
+@pytest.mark.parametrize("head", ["ring", "τακτική"])
+def test_a_head_without_a_rule_explains_nothing_and_warns(head):
+    """One warning, at the tactic's span, naming its head; `render` prints
+    plain.omitted for it unless it branches."""
+    text = f"{head} H."
+    item = ScriptItem(text, (12, 12 + len(text)), 0)
+    ann = rewrite_step(AnalyzedStep(item, parse_state(LISTING_2), parse_state(LISTING_2), ()), EN)
+    assert ann.sentences == ()
+    assert [(d.code, d.severity, d.message, d.span) for d in ann.diagnostics] == [
+        ("UNSUPPORTED_TACTIC", Severity.WARNING, f'no rewriting rule for tactic "{head}"', item.span)]
+
+
+@pytest.mark.parametrize("head", sorted(RULES))
+def test_no_rule_head_warns(head):
+    ann = rewrite_step(_step(f"{head} H.", parse_state(LISTING_2), parse_state(LISTING_2)), EN)
+    assert ann.diagnostics == ()
 
 
 def test_mixed_intros_stays_within_two_sentences():
