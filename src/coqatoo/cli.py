@@ -156,9 +156,11 @@ def _write(lines: Sequence[str], stream: str = "stdout", path: Optional[str] = N
         start = size = 0
         for end, line in enumerate(lines, 1):
             size += len(line) + 1
-            if size >= _CHUNK_CHARS or end == len(lines):
+            if size >= _CHUNK_CHARS:
                 fh.write("\n".join(lines[start:end]) + "\n")
                 start, size = end, 0
+        if start < len(lines):
+            fh.write("\n".join(lines[start:]) + "\n")
         fh.flush()
     except OSError as exc:
         if fh is not None:   # the stream is flushed again, at close or at exit: that write goes nowhere

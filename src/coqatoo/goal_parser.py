@@ -27,7 +27,8 @@ FAILURE_MARKERS = ("Error", "Toplevel input")
 # the line that opens an info_auto report, then the hint database that ends a reported command
 _AUTO_REPORT = re.compile(r"\(\*\s*info\s+e?auto\s*:\s*\*\)")
 _AUTO_DB = re.compile(r"\s*\(in \w+\)$")
-_SUBGOAL_K = re.compile(r"^\s*subgoal\s+(\d+)\s+is\s*:\s*$")
+# a "subgoal K is:" line, from the line break ahead of it, which ends the goal above it
+_SUBGOAL_K = re.compile(r"\n[^\S\n]*subgoal[^\S\n]+\d+[^\S\n]+is[^\S\n]*:[^\S\n]*(?=\n|\Z)")
 # a Coq identifier: a letter (Unicode ones too) or "_", then letters, digits, "_" and "'";
 # the one definition every stage reads: match() finds the name a text starts with, fullmatch() checks one
 IDENT = re.compile(r"[^\W\d][\w']*")
@@ -154,18 +155,20 @@ def parse_state(raw: str, contexts: Optional[Dict[str, Tuple[Hypothesis, ...]]] 
     if hyps is None:
         hyps = contexts[block] = _parse_context(block)
 
-    goals: List[str] = []
-    current: List[str] = []
-    for line in text[end + 1:].split("\n"):
-        line = line.strip()
-        if line.startswith("subgoal") and _SUBGOAL_K.match(line):
-            goals.append(" ".join(current))
-            current = []
-        elif line:
-            current.append(line)
-    goals.append(" ".join(current))
+    goal = text[end:].strip()
+    if "\n" in goal or goal.startswith("subgoal"):   # lines to join, or a "subgoal K is:" line that ends a goal
+        goals = tuple(map(_joined, _SUBGOAL_K.split(text[end:])))
+    else:
+        goals = (goal,)
     if len(goals) != count:
         raise CoqatooError(error(
             "MALFORMED_STATE",
             f"header announces {count} subgoal(s) but {len(goals)} goal block(s) found"))
-    return ProofState(hyps, tuple(goals), tuple(auto))
+    return ProofState(hyps, goals, tuple(auto))
+
+
+def _joined(text: str) -> str:
+    """The lines of a goal, stripped, the blank ones dropped, joined by " ".  A goal
+    of one line is split by no str.split, which costs a step per character."""
+    text = text.strip()
+    return " ".join(filter(None, map(str.strip, text.split("\n")))) if "\n" in text else text

@@ -29,8 +29,8 @@ def analyze_trace(script: Script, trace: SessionTrace) -> List[AnalyzedStep]:
         raise CoqatooError(error("FIXTURE_MISMATCH", f"trace has {len(trace.responses)} responses "
                                  f"for a lemma and {len(tactics)} tactics"))
     states = trace.states()
-    return [AnalyzedStep(item, states[i], states[i + 1], diff_states(states[i], states[i + 1]))
-            for i, item in enumerate(tactics)]
+    return [AnalyzedStep(item, before, after, diff_states(before, after))
+            for item, before, after in zip(tactics, states, states[1:])]
 
 
 def annotate_steps(steps: Sequence[AnalyzedStep], templates: TemplateSet) -> Dict[int, Annotation]:

@@ -55,8 +55,10 @@ class TemplateSet(namedtuple("TemplateSet", "language entries")):
             raise CoqatooError(error("TEMPLATE_MISSING_KEY",
                                      f"template key {key!r} missing for language {self.language!r}"))
         template = self.entries[key]
+        # the pattern maps a placeholder without a value to itself: no value is the template, one is one replace
+        if not values:
+            return template
         if len(values) == 1:
-            # the pattern maps a placeholder without a value to itself, so one value is one replace
             (name, value), = values.items()
             return template.replace(f"{{{name}}}", value)
         return _PLACEHOLDER.sub(lambda m: values.get(m.group(1), m.group(0)), template)
@@ -271,6 +273,7 @@ def render(tree: ProofNode, annotations: Mapping[int, Annotation], mode: OutputM
     annotated, latex = mode is OutputMode.ANNOTATED, mode is OutputMode.LATEX
     lines = [normalize_text(lemma), "Proof."] if annotated else []
     tactics: Dict[str, str] = {}   # a tactic's text as written -> as printed
+    case_label = templates.fill("case.label")
     for entering, node in walk(tree):
         if not entering:
             if latex and node.children:
@@ -278,20 +281,21 @@ def render(tree: ProofNode, annotations: Mapping[int, Annotation], mode: OutputM
             continue
         indent = ""
         if node.case_goal is not None:
-            label = templates.fill("case.label", goal=normalize_text(node.case_goal))
+            label = case_label.replace("{goal}", normalize_text(node.case_goal))
             if annotated:
-                glyph = "-" * node.depth
-                lines.append(f"{' ' * (2 * node.depth)}{glyph} (* {label} *)")
-                indent = " " * (2 * node.depth + len(glyph) + 1)
+                depth = node.depth
+                lines.append(f"{' ' * (2 * depth)}{'-' * depth} (* {label} *)")
+                indent = " " * (3 * depth + 1)
             else:
                 lines.append(r"\item \textbf{" + latex_escape(label) + "}" if latex else label)
         for step in node.steps:
-            ann = annotations[step.item.seq]
-            text = " ".join(ann.sentences) if ann.sentences else None
+            item = step.item
+            sentences = annotations[item.seq].sentences
+            text = " ".join(sentences) if sentences else None
             if annotated:
-                tactic = tactics.get(step.item.text)
+                tactic = tactics.get(item.text)
                 if tactic is None:
-                    tactic = tactics[step.item.text] = normalize_text(step.item.text)
+                    tactic = tactics[item.text] = normalize_text(item.text)
                 lines.append(f"{indent}{tactic}" if text is None else f"{indent}(* {text} *) {tactic}")
                 continue
             if text is None:

@@ -43,7 +43,7 @@ class ScriptItem(namedtuple("ScriptItem", "text span seq")):
 
     @property
     def head(self) -> str:
-        return _head(self.command)
+        return _head(self.text)
 
     @property
     def argument(self) -> Optional[str]:
@@ -70,8 +70,10 @@ class ScriptItem(namedtuple("ScriptItem", "text span seq")):
 
 
 @lru_cache(maxsize=1024)
-def _head(command: str) -> str:
-    """The tactic name a command starts with, or the whole command."""
+def _head(text: str) -> str:
+    """The tactic name a sentence starts with, or its whole command: the text
+    without its final "." and its outer blanks, found after the cache is."""
+    command = text[:-1].strip() if text.endswith(".") else text.strip()
     m = IDENT.match(command)
     return m.group(0) if m else command
 

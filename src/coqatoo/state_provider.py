@@ -15,6 +15,7 @@ import json
 from collections import namedtuple
 from functools import lru_cache
 from itertools import zip_longest
+from operator import itemgetter
 from typing import BinaryIO, Dict, List, Optional, Tuple
 
 from .diagnostics import CoqatooError, decode_utf8, error
@@ -49,21 +50,19 @@ def _norm_tactic(text: str) -> str:
 # the fields of a fixture's header record and of each later record -> the value of a missing one
 _HEADER_FIELDS = {"lemma": None, "initial_raw_state": None, "prover_version": ""}
 _STEP_FIELDS = {"tactic": None, "raw_state": None}
+# one JSON value at an index, and the index after it: what json.loads runs, without its Python frames
+_scan = json.JSONDecoder().scan_once
+# a step record's fields, KeyError or TypeError when one is missing or the record is no object
+_step_fields = itemgetter(*_STEP_FIELDS)
 
 
 def _fields(record, fields: Dict[str, Optional[str]], fixture_path: str, number: int) -> Tuple[str, ...]:
     """The values of `fields` in one decoded fixture record, each a string that UTF-8
     can encode, which a string holding a lone surrogate (a JSON "\\ud800") is not."""
-    if isinstance(record, dict):
-        values = tuple(map(record.get, fields, fields.values()))
-        try:
-            if all(map(str.isascii, values)):   # the common record, checked without a Python loop
-                return values
-        except TypeError:   # a value that is not a string, which the checks below name
-            pass
     where = f"malformed fixture {fixture_path} record {number}"
     if not isinstance(record, dict):
         raise CoqatooError(error("FIXTURE_PARSE", f"{where}: expected an object"))
+    values = tuple(map(record.get, fields, fields.values()))
     for name, value in zip(fields, values):
         if not isinstance(value, str):
             raise CoqatooError(error("FIXTURE_PARSE", f"{where}: expected a string {name}"))
@@ -75,40 +74,51 @@ def _fields(record, fields: Dict[str, Optional[str]], fixture_path: str, number:
     return values
 
 
-def _read_fixture(fh: BinaryIO, fixture_path: str) -> Tuple[str, str, str, Tuple[Tuple[str, str], ...]]:
-    """Lemma, initial response, prover version and (tactic, response) steps of
-    an open fixture, read one record at a time.  The first record that is not
+def _read_fixture(fh: BinaryIO, fixture_path: str) -> Tuple[str, str, str, List[str], List[str]]:
+    """Lemma, initial response, prover version, tactics and responses of an
+    open fixture, read one record at a time.  The first record that is not
     UTF-8, is not JSON or has the wrong fields raises FIXTURE_PARSE; no later
     one is read."""
-    name = f"fixture {fixture_path}"
     header: Optional[Tuple[str, ...]] = None
-    steps: List[Tuple[str, ...]] = []
+    tactics: List[str] = []
+    raws: List[str] = []
     offset = 0
     for raw in fh:   # a record ends at "\n" only: a JSON string may hold U+2028 and the like raw
-        text = decode_utf8(raw, name, "FIXTURE_PARSE", offset)
         offset += len(raw)
-        if text.endswith("\n"):   # a "\r\n" line end is one record end
-            text = text[:-2] if text.endswith("\r\n") else text[:-1]
-        if not text or text.isspace():
-            continue
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {fixture_path}: {exc}"))
+        try:   # the common record, one JSON value and then "\n", read with no Python frame of json.loads
+            record, end = _scan(text := raw.decode(), 0)
+            if text[end:] != "\n":
+                raise ValueError
+        except (StopIteration, ValueError):   # any other line, read as json.loads reads it without its end
+            text = decode_utf8(raw, f"fixture {fixture_path}", "FIXTURE_PARSE", offset - len(raw))
+            text = text[:-2] if text.endswith("\r\n") else text.removesuffix("\n")   # "\r\n" is one record end
+            if not text or text.isspace():
+                continue
+            try:
+                record = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {fixture_path}: {exc}"))
         if header is None:
             header = _fields(record, _HEADER_FIELDS, fixture_path, 1)
-        else:
-            steps.append(_fields(record, _STEP_FIELDS, fixture_path, len(steps) + 2))
+            continue
+        try:   # the common step, two ASCII strings, read and checked with no call of _fields
+            tactic, response = _step_fields(record)
+            if not (tactic.isascii() and response.isascii()):
+                raise TypeError
+        except (KeyError, TypeError, AttributeError):
+            tactic, response = _fields(record, _STEP_FIELDS, fixture_path, len(tactics) + 2)
+        tactics.append(tactic)
+        raws.append(response)
     if header is None:
         raise CoqatooError(error("FIXTURE_PARSE", f"fixture {fixture_path} is empty"))
-    return (*header, tuple(steps))
+    return (*header, tactics, raws)
 
 
 def run_replay(script: Script, fixture_path: str) -> SessionTrace:
     """Replay a recorded session, verifying it matches the script."""
     try:
         with open(fixture_path, "rb") as fh:
-            lemma, initial, version, steps = _read_fixture(fh, fixture_path)
+            lemma, initial, version, tactics, raws = _read_fixture(fh, fixture_path)
     except OSError as exc:
         raise CoqatooError(error("IO", f"cannot read fixture {fixture_path}: {exc}"))
 
@@ -118,13 +128,14 @@ def run_replay(script: Script, fixture_path: str) -> SessionTrace:
             "FIXTURE_MISMATCH",
             f"fixture records lemma {fixture_lemma!r}, script states {script_lemma!r}"))
     script_tactics = [_norm_tactic(it.prover_text) for it in script.tactics]
-    fixture_tactics = [_norm_tactic(tactic) for tactic, _ in steps]
-    for i, (a, b) in enumerate(zip_longest(script_tactics, fixture_tactics, fillvalue="(end of proof)")):
-        if a != b:
-            raise CoqatooError(error(
-                "FIXTURE_MISMATCH",
-                f"fixture diverges from script at tactic {i}: script has {a!r}, fixture has {b!r}"))
-    return SessionTrace((initial, *(raw for _, raw in steps)), version)
+    fixture_tactics = list(map(_norm_tactic, tactics))
+    if script_tactics != fixture_tactics:
+        for i, (a, b) in enumerate(zip_longest(script_tactics, fixture_tactics, fillvalue="(end of proof)")):
+            if a != b:
+                raise CoqatooError(error(
+                    "FIXTURE_MISMATCH",
+                    f"fixture diverges from script at tactic {i}: script has {a!r}, fixture has {b!r}"))
+    return SessionTrace((initial, *raws), version)
 
 
 def record_session(script: Script, trace: SessionTrace, out_path: str) -> None:

@@ -53,8 +53,9 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
         if before is not goals and before != goals:
             raise CoqatooError(error("MALFORMED_TRACE", "the tactic does not start where the last one ended", step.item.span))
         delta = len(after) - len(before)
-        # the goals behind the focused one end `after` as they were, in the common case as the same text
-        if before[1:] != after[delta + 1:] and (changed := _changed_goal(before, after)) is not None:
+        # the goals behind the focused one, if any, end `after` as they were, in the common case as the same text
+        if (len(before) > 1 and before[1:] != after[delta + 1:]
+                and (changed := _changed_goal(before, after)) is not None):
             raise CoqatooError(error("MALFORMED_TRACE", f"goal {changed!r}, which the tactic does not "
                                      "focus, was changed or closed", step.item.span))
         current.steps.append(step)
@@ -66,7 +67,7 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
             continue
         else:
             parent = parents.pop()
-        current = ProofNode(depth=parent.depth + 1, case_goal=after[0])
+        current = ProofNode(parent.depth + 1, after[0])
         parent.children.append(current)
 
     if goals:

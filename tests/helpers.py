@@ -170,6 +170,27 @@ def extract_auto_trace(response_raw: str) -> List[str]:
     return tactics
 
 
+_SUBGOAL_K = re.compile(r"^\s*subgoal\s+(\d+)\s+is\s*:\s*$")
+
+
+def reference_goals(body: str) -> List[str]:
+    """`goal_parser.parse_state`'s goal loop as it was when it read the text
+    below the separator line one line at a time, kept as the reference for its
+    goal join: each line stripped, a "subgoal K is:" line ending a goal, the
+    other non-blank lines of a goal joined by " "."""
+    goals: List[str] = []
+    current: List[str] = []
+    for line in body.split("\n"):
+        line = line.strip()
+        if line.startswith("subgoal") and _SUBGOAL_K.match(line):
+            goals.append(" ".join(current))
+            current = []
+        elif line:
+            current.append(line)
+    goals.append(" ".join(current))
+    return goals
+
+
 def grouped_context(block: str) -> List[Tuple[Tuple[str, ...], str]]:
     """`goal_parser._parse_context` as it was when a record held a display group,
     kept as the reference for the bindings it now gives one per name: each group's

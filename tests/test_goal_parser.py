@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from coqatoo import CoqatooError, Hypothesis, parse_state
 from coqatoo.goal_parser import IDENT, SUBGOAL_HEADER, normalize_text
 
-from helpers import LISTING_1, LISTING_2, extract_auto_trace, grouped_context, load_trace, state as build_state
+from helpers import (LISTING_1, LISTING_2, extract_auto_trace, grouped_context, load_trace, reference_goals,
+                     state as build_state)
 
 
 SEPARATOR = "  ============================"
@@ -186,6 +187,46 @@ def test_each_name_of_a_display_group_is_a_binding_of_its_type(lines):
         assert parsed.value.diagnostic == exc.diagnostic
     else:
         assert parse_state(raw).hypotheses == tuple(Hypothesis(n, t) for names, t in groups for n in names)
+
+
+# blanks a goal line may be indented or ended by, ASCII and not; lines led by "subgoal" that are no marker
+_BLANKS = st.text(st.sampled_from([" ", "\t", "\u00a0", "\u3000"]), max_size=3)
+_GOAL_WORDS = st.sampled_from(["P", "Q", "/\\", "->", "(x", "y)", "é", "subgoal", "is:", "2"])
+_NOT_MARKERS = st.sampled_from(["subgoal 2 is: P", "subgoals 2 is:", "subgoal x is:", "subgoal2 is:", "subgoal_2"])
+
+
+@st.composite
+def _goal_body(draw):
+    """The text below the separator line: one to three goals, each of wrapped
+    and blank lines, the goals after the first each led by a "subgoal K is:"
+    line; every line indented and ended by blanks of any kind."""
+    def line(text):
+        return draw(_BLANKS) + text + draw(_BLANKS)
+    lines = []
+    goals = draw(st.integers(1, 3))
+    for k in range(1, goals + 1):
+        if k > 1:
+            lines.append(line(draw(st.sampled_from(["subgoal", "subgoal  "])) + f" {k}"
+                              + draw(st.sampled_from([" is:", " is :", "\u00a0is\u3000:"]))))
+        for _ in range(draw(st.integers(0, 3))):
+            text = draw(_NOT_MARKERS | st.lists(_GOAL_WORDS, max_size=4).map(" ".join))
+            lines.append(line(text))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"])), goals
+
+
+@given(_goal_body(), st.sampled_from([0, 0, 0, 1]))
+def test_goals_are_the_reference_line_loop(drawn, wrong):
+    """Wrapped, blank and indented lines, blanks that are not ASCII, lines led by
+    "subgoal" that are no marker: the goals of the per-line reference loop, or,
+    under a header that announces one more, the message naming the count found."""
+    body, count = drawn[0], drawn[1] + wrong
+    raw = f"{count} subgoals\n\n  H : P\n{SEPARATOR}\n{body}"
+    expected = reference_goals(body)
+    if len(expected) == count:
+        assert parse_state(raw).goals == tuple(expected)
+    else:
+        with pytest.raises(CoqatooError, match=rf"but {len(expected)} goal block\(s\) found"):
+            parse_state(raw)
 
 
 def test_other_breaks_are_the_splitlines_breaks_but_lf():

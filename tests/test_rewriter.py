@@ -334,6 +334,12 @@ def test_fill_with_one_value_is_the_placeholder_pattern(template, name, value):
     assert TemplateSet("en", {"k": template}).fill("k", **values) == expected
 
 
+@given(st.lists(st.sampled_from(_TEMPLATE_PIECES)).map("".join))
+def test_fill_without_values_is_the_placeholder_pattern(template):
+    expected = _PLACEHOLDER.sub(lambda m: m.group(0), template)
+    assert TemplateSet("en", {"k": template}).fill("k") == expected
+
+
 def _render_pair(directory, mode, lemma, initial, steps):
     """The lines and the warnings of a proof written as a replay pair, rendered in `mode`."""
     script_file, trace_file = write_replay_pair(directory, lemma, initial, steps)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from coqatoo import CoqatooError, detect_unsupported, parse_script, tokenize_script
 from coqatoo.diagnostics import Severity
+from coqatoo.goal_parser import IDENT
 from coqatoo.script_parser import LEMMA_KEYWORDS, PROOF_END_KEYWORDS, ScriptItem, _head
 
 from helpers import ROOT, load_script, reference_parse, script_path, tactic_commands
@@ -147,6 +148,18 @@ def test_worked_example_has_no_errors():
 ])
 def test_head_is_the_identifier_a_command_starts_with(command, head):
     assert _head(command) == head
+
+
+@given(st.text(st.sampled_from(["a", "H", "é", "'", "_", "1", ":", ".", "(", "*", ")", " ", "\t", "\u00a0"]),
+               max_size=8),
+       st.sampled_from(["", " ", "\t\u3000"]), st.sampled_from(["", "."]), st.sampled_from(["", " ", "\n"]))
+def test_head_of_a_sentence_is_the_head_of_its_command(command, lead, dot, trail):
+    """With or without its "." and its outer blanks, a sentence's head is the
+    identifier its command starts with, or the whole command."""
+    text = lead + command + dot + trail
+    command = ScriptItem(text, (0, len(text)), 0).command
+    m = IDENT.match(command)
+    assert _head(text) == (m.group(0) if m else command)
 
 
 @pytest.mark.parametrize("text, argument", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coqatoo import (CoqatooError, SessionTrace, live_session, parse_script, parse_state,
-                     record_session, run_live, run_replay)
+                     record_session, run_live, run_replay, state_provider)
 from coqatoo.diagnostics import decode_utf8, error
 from coqatoo.pipeline import analyze_trace
 from coqatoo.state_provider import _HEADER_FIELDS, _STEP_FIELDS, _fields, _read_fixture
@@ -172,7 +172,8 @@ def _outcome(read, path):
 
 def _streamed(path):
     with open(path, "rb") as fh:
-        return _read_fixture(fh, str(path))
+        lemma, initial, version, tactics, raws = _read_fixture(fh, str(path))
+    return lemma, initial, version, tuple(zip(tactics, raws))
 
 
 def _assert_streamed_matches_reference(path):
@@ -218,17 +219,35 @@ _HEADER_SURROGATE = _HEADER.replace("subgoal", "\\udc80subgoal")
     f"{_HEADER}\n{_STEP_PAIR}\n".encode(),
     f"{_HEADER}\n{_STEP_SURROGATE}\n{_STEP}\n".encode(),
     f"{_HEADER_SURROGATE}\n{_STEP}\n".encode() + b"\xff\n",   # a bad byte after a bad record
+    f'{_HEADER}\n{{"tactic": 1, "raw_state": "x"}}\n{_STEP}\n'.encode(),
+    f'{_HEADER}\n"x"\n{_STEP}\n'.encode(),
+    f"{_HEADER}\n{_STEP} x\n{_STEP}\n".encode(),
+    f"{_HEADER}\n{_STEP}]\r\n".encode(),
 ], ids=["crlf", "bare-cr", "blank-lines", "no-final-newline", "crlf-blank-end", "raw-u2028", "bad-first",
         "bad-middle", "bad-last-byte", "bad-last-byte-2", "bad-byte-after-bad-json", "bad-json-after-bad-shape",
-        "bad-header", "only-blank", "empty", "surrogate-pair", "lone-surrogate", "lone-surrogate-in-header"])
+        "bad-header", "only-blank", "empty", "surrogate-pair", "lone-surrogate", "lone-surrogate-in-header",
+        "non-string-field", "string-record", "extra-data", "extra-data-crlf"])
 def test_streamed_reader_matches_whole_file_decode(tmp_path, data):
     path = tmp_path / "t.cqtrace"
     path.write_bytes(data)
     _assert_streamed_matches_reference(path)
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+@pytest.mark.parametrize("record", [_STEP[:-1], _STEP[:30], _STEP + " x", '{"tactic": "x",, }'])
+def test_a_malformed_record_reports_its_column_without_its_end(tmp_path, record, end):
+    """A record's end is JSON whitespace, so a reader that decodes the record with it
+    reads it too, but the line and column reported are those of the record alone."""
+    path = tmp_path / "t.cqtrace"
+    path.write_text(f"{_HEADER}\n{_STEP}\n{record}{end}{_STEP}\n", encoding="utf-8", newline="")
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(record)
+    assert "line 1 column" in str(exc.value)
+    assert _outcome(_streamed, path) == f"error[FIXTURE_PARSE]: malformed fixture {path}: {exc.value}"
+
+
 _PIECES = [_HEADER, _STEP, "", " ", "\t\u2028", "[1, 2]", '{"tactic": "x"}', "{", "\ufeff" + _STEP,
-           _STEP_SURROGATE, _STEP_PAIR, _HEADER_SURROGATE]
+           _STEP_SURROGATE, _STEP_PAIR, _HEADER_SURROGATE, '{"tactic": 1, "raw_state": "x"}', '"x"', _STEP + " x"]
 
 
 @given(st.lists(st.tuples(st.sampled_from(_PIECES), st.sampled_from([b"\n", b"\r\n", b"\r", b"\r\r\n"]),
@@ -251,9 +270,11 @@ def test_streamed_reader_matches_whole_file_decode_on_any_lines(tmp_path_factory
 
 
 def test_replay_decodes_each_line_once(monkeypatch):
+    """Each record is decoded once: by the scanner, or by json.loads when the scanner does not read it."""
     decoded = []
-    loads = json.loads
+    loads, scan = json.loads, state_provider._scan
     monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or loads(text))
+    monkeypatch.setattr(state_provider, "_scan", lambda text, at: decoded.append(text) or scan(text, at))
     load_trace("conj_imp_equiv")
     assert len(decoded) == len(fixture_path("conj_imp_equiv").read_text().splitlines())
 
