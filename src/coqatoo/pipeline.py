@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 from .diagnostics import CoqatooError, Diagnostic, error
 from .goal_parser import Hypothesis, ProofState
-from .rewriter import Annotation, OutputMode, TemplateSet, render, rewrite_step
+from .rewriter import OutputMode, TemplateSet, render, rewrite_step
 from .script_parser import Script
 from .state_provider import SessionTrace
 from .tree_builder import AnalyzedStep, ProofNode, build_tree
@@ -33,10 +33,6 @@ def analyze_trace(script: Script, trace: SessionTrace) -> List[AnalyzedStep]:
             for item, before, after in zip(tactics, states, states[1:])]
 
 
-def annotate_steps(steps: Sequence[AnalyzedStep], templates: TemplateSet) -> Dict[int, Annotation]:
-    return {step.item.seq: rewrite_step(step, templates) for step in steps}
-
-
 def build_proof_tree(script: Script, trace: SessionTrace) -> ProofNode:
     return build_tree(analyze_trace(script, trace))
 
@@ -46,6 +42,6 @@ def generate(script: Script, trace: SessionTrace, templates: TemplateSet,
     """The rendered proof's lines, and the warnings its rewriting raised."""
     steps = analyze_trace(script, trace)
     tree = build_tree(steps)
-    annotations = annotate_steps(steps, templates)
-    diagnostics = [d for annotation in annotations.values() for d in annotation.diagnostics]
+    annotations = [rewrite_step(step, templates) for step in steps]   # in trace order, as render reads them
+    diagnostics = [d for annotation in annotations for d in annotation.diagnostics]
     return render(tree, annotations, mode, script.lemma.text, templates), diagnostics

@@ -19,7 +19,7 @@ from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .diagnostics import CoqatooError, decode_utf8, error, warning
 from .goal_parser import IDENT, Hypothesis, ProofState, normalize_text
@@ -266,31 +266,32 @@ RULES: Dict[str, Tuple[Callable[..., Annotation], Tuple[str, ...]]] = {
 REQUIRED_KEYS = {"list.joiner", "case.label", "plain.omitted"} | {k for _, keys in RULES.values() for k in keys}
 
 
-def render(tree: ProofNode, annotations: Mapping[int, Annotation], mode: OutputMode,
+def render(tree: ProofNode, annotations: Sequence[Annotation], mode: OutputMode,
            lemma: str, templates: TemplateSet) -> List[str]:
     """The lines of the annotated, plain-text or LaTeX version of the proof,
-    each without its "\n"."""
+    each without its "\n"; `annotations` holds one per step, in trace order."""
     annotated, latex = mode is OutputMode.ANNOTATED, mode is OutputMode.LATEX
     lines = [normalize_text(lemma), "Proof."] if annotated else []
     tactics: Dict[str, str] = {}   # a tactic's text as written -> as printed
     case_label = templates.fill("case.label")
+    pending, depth = iter(annotations), -1   # depth: the number of the current node's ancestors
     for entering, node in walk(tree):
         if not entering:
+            depth -= 1
             if latex and node.children:
                 lines.append(r"\end{itemize}")
             continue
+        depth += 1
         indent = ""
-        if node.case_goal is not None:
-            label = case_label.replace("{goal}", normalize_text(node.case_goal))
+        if depth:   # a case, whose goal is the one its first step focuses
+            label = case_label.replace("{goal}", normalize_text(node.steps[0].before.goals[0]))
             if annotated:
-                depth = node.depth
                 lines.append(f"{' ' * (2 * depth)}{'-' * depth} (* {label} *)")
                 indent = " " * (3 * depth + 1)
             else:
                 lines.append(r"\item \textbf{" + latex_escape(label) + "}" if latex else label)
-        for step in node.steps:
+        for step, (sentences, _) in zip(node.steps, pending):   # pre-order is trace order: each takes the next
             item = step.item
-            sentences = annotations[item.seq].sentences
             text = " ".join(sentences) if sentences else None
             if annotated:
                 tactic = tactics.get(item.text)

@@ -31,9 +31,9 @@ _NON_SPACE = re.compile(r"\S")
 _TOKENS = re.compile(r'"|\(\*|\*\)|;|\.(?=\s|\Z)')
 
 
-class ScriptItem(namedtuple("ScriptItem", "text span seq")):
+class ScriptItem(namedtuple("ScriptItem", "text span")):
     """One sentence of the script, with its text as written.
-    text: str; span: Tuple[int, int]; seq: int, the sentence's index."""
+    text: str; span: Tuple[int, int]."""
     __slots__ = ()
 
     @property
@@ -142,7 +142,7 @@ def tokenize_script(source: str) -> List[ScriptItem]:
                 continue
         stop = _find_stop(source, i, ".")
         j = n if stop < 0 else stop + 1
-        items.append(ScriptItem(source[i:j], (i, j), len(items)))
+        items.append(ScriptItem(source[i:j], (i, j)))
         at = _NON_SPACE.search(source, j)
     return items
 

@@ -77,8 +77,8 @@ def _fields(record, fields: Dict[str, Optional[str]], fixture_path: str, number:
 def _read_fixture(fh: BinaryIO, fixture_path: str) -> Tuple[str, str, str, List[str], List[str]]:
     """Lemma, initial response, prover version, tactics and responses of an
     open fixture, read one record at a time.  The first record that is not
-    UTF-8, is not JSON or has the wrong fields raises FIXTURE_PARSE; no later
-    one is read."""
+    UTF-8, is not JSON that `json` decodes or has the wrong fields raises
+    FIXTURE_PARSE; no later one is read."""
     header: Optional[Tuple[str, ...]] = None
     tactics: List[str] = []
     raws: List[str] = []
@@ -89,14 +89,14 @@ def _read_fixture(fh: BinaryIO, fixture_path: str) -> Tuple[str, str, str, List[
             record, end = _scan(text := raw.decode(), 0)
             if text[end:] != "\n":
                 raise ValueError
-        except (StopIteration, ValueError):   # any other line, read as json.loads reads it without its end
+        except (StopIteration, ValueError, RecursionError):   # any other line, read by json.loads without its end
             text = decode_utf8(raw, f"fixture {fixture_path}", "FIXTURE_PARSE", offset - len(raw))
             text = text[:-2] if text.endswith("\r\n") else text.removesuffix("\n")   # "\r\n" is one record end
             if not text or text.isspace():
                 continue
             try:
                 record = json.loads(text)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:   # not JSON, an integer too long, arrays nested too deep
                 raise CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {fixture_path}: {exc}"))
         if header is None:
             header = _fields(record, _HEADER_FIELDS, fixture_path, 1)

@@ -3,8 +3,9 @@
 Simulates the prover's goal stack from the goal counts alone: a tactic
 that leaves k more goals than it found branches and opens k + 1 child
 nodes, one that leaves fewer closes its case and pops back to the nearest
-ancestor that still has unfilled children.  Bullet depth falls out of the
-nesting.
+ancestor that still has unfilled children.  A node holds only its steps
+and children: its depth is counted from `walk`'s events, and its case
+goal is the focused goal its first step starts from.
 
 Each tactic starts from the goals the last one left and acts on the first
 alone, so the rest must end the goal list it leaves, unchanged.  A goal
@@ -26,11 +27,9 @@ AnalyzedStep = namedtuple("AnalyzedStep", "item before after added")
 
 class ProofNode:
     """One case of the proof: its tactics in order, then its sub-cases."""
-    __slots__ = ("depth", "case_goal", "steps", "children")
+    __slots__ = ("steps", "children")
 
-    def __init__(self, depth: int, case_goal: Optional[str] = None):
-        self.depth = depth
-        self.case_goal = case_goal
+    def __init__(self):
         self.steps: List[AnalyzedStep] = []
         self.children: List[ProofNode] = []
 
@@ -42,7 +41,7 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
     goals = steps[0].before.goals   # the goals the last step left: the next one starts from them
     if len(goals) > 1:
         raise CoqatooError(error("MALFORMED_TRACE", f"the proof starts with {len(goals)} goals", steps[0].item.span))
-    root = current = ProofNode(depth=0)
+    root = current = ProofNode()
     parents: List[ProofNode] = []   # the parent of each case still to open, the next one last
 
     for step in steps:
@@ -67,7 +66,7 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
             continue
         else:
             parent = parents.pop()
-        current = ProofNode(parent.depth + 1, after[0])
+        current = ProofNode()
         parent.children.append(current)
 
     if goals:
@@ -117,8 +116,8 @@ def to_dot(root: ProofNode) -> List[str]:
             if open_ids:
                 lines.append(f"  n{open_ids[-1]} -> n{nid};")
             continue
-        first = node.steps[0].item.command if node.steps else "(empty)"
-        label = first if node.case_goal is None else f"{first}\\ncase: {node.case_goal}"
+        first = node.steps[0]   # every node build_tree makes has one; below the root, it focuses the case goal
+        label = first.item.command + (f"\\ncase: {first.before.goals[0]}" if open_ids else "")
         label = label.replace('"', '\\"')
         lines.append(f'  n{count} [label="{label}"];')
         open_ids.append(count)

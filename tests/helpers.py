@@ -6,7 +6,7 @@ import re
 import shlex
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from coqatoo import (CoqatooError, Diagnostic, ProofState, Script, ScriptItem, SessionTrace, detect_unsupported,
                      load_templates, parse_script, run_replay, tokenize_script)
@@ -69,6 +69,18 @@ def analyzed_steps(name: str):
 def flatten(root: ProofNode) -> List[ScriptItem]:
     """The tree's tactics in depth-first order, which must be the script's order."""
     return [step.item for entering, node in walk(root) if entering for step in node.steps]
+
+
+def cases(root: ProofNode) -> Dict[ProofNode, Tuple[int, Optional[str]]]:
+    """Each node's depth, counted from walk's enter and leave events with the
+    root at 0, and its case goal, the focused goal its first step starts from,
+    None for the root."""
+    found, depth = {}, -1
+    for entering, node in walk(root):
+        depth += 1 if entering else -1
+        if entering:
+            found[node] = (depth, node.steps[0].before.goals[0] if depth else None)
+    return found
 
 
 def leaves(root: ProofNode) -> List[ProofNode]:

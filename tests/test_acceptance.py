@@ -5,15 +5,16 @@ import time
 
 import pytest
 
-from coqatoo import classify_bindings, diff_states, load_templates, parse_state, record_session, run_live, run_replay
+from coqatoo import (classify_bindings, diff_states, load_templates, parse_state, record_session, rewrite_step,
+                     run_live, run_replay)
 from coqatoo.cli import main
-from coqatoo.pipeline import annotate_steps, generate
+from coqatoo.pipeline import generate
 from coqatoo.rewriter import OutputMode
 from coqatoo.tree_builder import build_tree
 from coqatoo.goal_parser import Hypothesis
 
 from helpers import (CORPUS, GOLDEN_DIR, LISTING_1, LISTING_2, all_fixture_states,
-                     analyzed_steps, fixture_path, flatten, leaves, load_script, load_trace,
+                     analyzed_steps, cases, fixture_path, flatten, leaves, load_script, load_trace,
                      normalize_rendering, output_text, roundtrip_tactics, script_path, tactic_commands)
 
 
@@ -50,8 +51,9 @@ def test_tree_shape():
     root = build_tree(steps)
     assert [step.item.command for step in root.steps] == ["intros", "split"]
     assert len(root.children) == 2
-    assert all(child.depth == 1 and len(child.children) == 2 for child in root.children)
-    assert all(leaf.depth == 2 for child in root.children for leaf in child.children)
+    depths = {node: depth for node, (depth, _) in cases(root).items()}
+    assert all(depths[child] == 1 and len(child.children) == 2 for child in root.children)
+    assert all(depths[leaf] == 2 for child in root.children for leaf in child.children)
     assert len(leaves(root)) == 4
     assert [it.command for it in flatten(root)] == [s.item.command for s in steps]
     assert len(flatten(root)) == 12
@@ -89,9 +91,9 @@ def test_language_completeness():
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_verbosity_bound(name):
-    annotations = annotate_steps(analyzed_steps(name), load_templates())
-    for ann in annotations.values():
-        assert len(ann.sentences) <= 2
+    templates = load_templates()
+    for step in analyzed_steps(name):
+        assert len(rewrite_step(step, templates).sentences) <= 2
     _report(f"verbosity bound of two sentences per tactic ({name})")
 
 

@@ -7,20 +7,21 @@ from helpers import load_trace
 
 
 def test_script_item_has_one_text():
-    item = ScriptItem("auto.", (0, 5), 3)
-    assert item._fields == ("text", "span", "seq")
+    item = ScriptItem("auto.", (0, 5))
+    assert item._fields == ("text", "span")
     assert (item.text, item.prover_text) == ("auto.", "info_auto.")
 
 
 def test_tokenized_auto_keeps_the_written_text():
     tactic = tokenize_script("Lemma t : True. Proof. - (* a *) auto with arith. Qed.")[2]
     assert (tactic.text, tactic.prover_text, tactic.head) == ("auto with arith.", "info_auto with arith.", "auto")
-    assert (tactic.span, tactic.seq) == ((33, 49), 2)
+    assert tactic.span == (33, 49)
     assert type(tactic) is ScriptItem
 
 
 def test_proof_nodes_share_no_lists():
-    first, second = ProofNode(depth=0), ProofNode(depth=1, case_goal="P")
+    assert ProofNode.__slots__ == ("steps", "children")
+    first, second = ProofNode(), ProofNode()
     first.steps.append("step")
     first.children.append(second)
     assert (second.steps, second.children) == ([], [])

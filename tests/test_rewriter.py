@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from coqatoo import CoqatooError, load_templates, parse_script, parse_state, render, rewrite_step, run_replay
 from coqatoo.diagnostics import Severity
-from coqatoo.pipeline import annotate_steps, diff_states, generate
+from coqatoo.pipeline import diff_states, generate
 from coqatoo.rewriter import (_LATEX_SPECIALS, _PLACEHOLDER, ALLOWED_PLACEHOLDERS, REQUIRED_KEYS, RULES,
                               OutputMode, TemplateSet, latex_escape, split_implication)
 from coqatoo.script_parser import ScriptItem
@@ -16,8 +16,8 @@ from helpers import (DONE, GOLDEN_DIR, LISTING_1, LISTING_2, analyzed_steps, con
 EN = load_templates()
 
 
-def _tactic(text, seq=0):
-    return ScriptItem(text, (0, len(text)), seq)
+def _tactic(text):
+    return ScriptItem(text, (0, len(text)))
 
 
 def _step(text, before, after):
@@ -229,7 +229,7 @@ def test_a_head_without_a_rule_explains_nothing_and_warns(head):
     """One warning, at the tactic's span, naming its head; `render` prints
     plain.omitted for it unless it branches."""
     text = f"{head} H."
-    item = ScriptItem(text, (12, 12 + len(text)), 0)
+    item = ScriptItem(text, (12, 12 + len(text)))
     ann = rewrite_step(AnalyzedStep(item, parse_state(LISTING_2), parse_state(LISTING_2), ()), EN)
     assert ann.sentences == ()
     assert [(d.code, d.severity, d.message, d.span) for d in ann.diagnostics] == [
@@ -460,8 +460,8 @@ def test_plain_lines_are_the_steps_that_do_not_branch_and_the_case_labels(tmp_pa
 
 
 def test_empty_proof_render():
-    tree = ProofNode(depth=0)
-    out = render(tree, {}, OutputMode.ANNOTATED, "Lemma t :\n  True.", EN)
+    tree = ProofNode()
+    out = render(tree, [], OutputMode.ANNOTATED, "Lemma t :\n  True.", EN)
     assert out == ["Lemma t : True.", "Proof.", "Qed."]
 
 
@@ -477,9 +477,8 @@ def test_round_trip_tactic_order(corpus_name):
 
 
 def test_verbosity_bound(corpus_name):
-    annotations = annotate_steps(analyzed_steps(corpus_name), EN)
-    for ann in annotations.values():
-        assert len(ann.sentences) <= 2
+    for step in analyzed_steps(corpus_name):
+        assert len(rewrite_step(step, EN).sentences) <= 2
 
 
 def test_rendering_is_deterministic():

@@ -246,6 +246,24 @@ def test_a_malformed_record_reports_its_column_without_its_end(tmp_path, record,
     assert _outcome(_streamed, path) == f"error[FIXTURE_PARSE]: malformed fixture {path}: {exc.value}"
 
 
+@pytest.mark.parametrize("value", ["9" * 5000, "[" * 100_000 + "]" * 100_000],
+                         ids=["integer-of-5000-digits", "arrays-nested-100000-deep"])
+@pytest.mark.parametrize("header", [True, False], ids=["header", "step"])
+def test_a_record_that_json_cannot_decode_is_a_fixture_parse_error(tmp_path, value, header):
+    """An integer longer than Python's digit limit (a ValueError that is no
+    JSONDecodeError) and arrays nested deeper than the decoder recurses (a
+    RecursionError) reject their record, and no later line is read.  The value
+    stands where a string must, so a Python without the digit limit rejects
+    the record as well."""
+    record = _HEADER.replace('"Lemma t : True."', value) if header else _STEP.replace('"exact I"', value)
+    lines = [record] if header else [_HEADER, record]
+    path = tmp_path / "t.cqtrace"
+    path.write_bytes("".join(line + "\n" for line in lines + [_STEP]).encode() + b"\xff\n")
+    outcome = _outcome(_streamed, path)
+    assert outcome.startswith(f"error[FIXTURE_PARSE]: malformed fixture {path}")
+    assert "UTF-8" not in outcome
+
+
 _PIECES = [_HEADER, _STEP, "", " ", "\t\u2028", "[1, 2]", '{"tactic": "x"}', "{", "\ufeff" + _STEP,
            _STEP_SURROGATE, _STEP_PAIR, _HEADER_SURROGATE, '{"tactic": 1, "raw_state": "x"}', '"x"', _STEP + " x"]
 

@@ -4,10 +4,13 @@ from itertools import count
 import pytest
 from hypothesis import given, strategies as st
 
-from coqatoo import CoqatooError, ScriptItem, build_tree, diff_states, parse_state, to_dot
-from coqatoo.tree_builder import AnalyzedStep
+from coqatoo import CoqatooError, ScriptItem, build_tree, diff_states, load_templates, parse_state, render, to_dot
+from coqatoo.rewriter import Annotation, OutputMode
+from coqatoo.tree_builder import AnalyzedStep, walk
 
-from helpers import DONE, analyzed_steps, flatten, leaves, state
+from helpers import DONE, analyzed_steps, cases, flatten, leaves, state
+
+EN = load_templates()
 
 
 def golden_tree():
@@ -16,16 +19,17 @@ def golden_tree():
 
 def test_golden_tree_shape():
     root = golden_tree()
+    found = cases(root)
     assert [step.item.command for step in root.steps] == ["intros", "split"]
     assert len(root.children) == 2
     branch_a, branch_b = root.children
     assert [step.item.command for step in branch_a.steps] == ["intros H HP HQ", "apply H", "apply conj"]
     assert [step.item.command for step in branch_b.steps] == ["intros H HPQ", "inversion HPQ", "apply H"]
     for branch in (branch_a, branch_b):
-        assert branch.depth == 1
+        assert found[branch][0] == 1
         assert len(branch.children) == 2
         for leaf in branch.children:
-            assert leaf.depth == 2
+            assert found[leaf][0] == 2
             assert [step.item.command for step in leaf.steps] == ["assumption"]
             assert not leaf.children
 
@@ -51,18 +55,22 @@ def test_every_leaf_ends_with_close(corpus_name):
 
 def test_case_labels_of_split_and_apply_conj():
     root = golden_tree()
-    assert [c.case_goal for c in root.children] == ["(P /\\ Q -> R) -> P -> Q -> R",
-                                                    "(P -> Q -> R) -> P /\\ Q -> R"]
+    found = cases(root)
+    assert [found[c][1] for c in root.children] == ["(P /\\ Q -> R) -> P -> Q -> R",
+                                                   "(P -> Q -> R) -> P /\\ Q -> R"]
     branch_a = root.children[0]
-    assert [c.case_goal for c in branch_a.children] == ["P", "Q"]
+    assert [found[c][1] for c in branch_a.children] == ["P", "Q"]
 
 
 def test_child_depth_is_parent_plus_one():
+    root = golden_tree()
+    found = cases(root)
+
     def check(node):
         for child in node.children:
-            assert child.depth == node.depth + 1
+            assert found[child][0] == found[node][0] + 1
             check(child)
-    check(golden_tree())
+    check(root)
 
 
 def test_single_tactic_proof_has_no_children():
@@ -92,8 +100,9 @@ def trees(depth):
     return leaf if depth == 0 else leaf | st.lists(trees(depth - 1), min_size=2, max_size=4)
 
 
-def _shape(node):
-    return node.depth, node.case_goal, [step.item for step in node.steps], [_shape(c) for c in node.children]
+def _shape(node, found):
+    """Depth, case goal, tactics and sub-shapes of `node`; `found` is the tree's `cases`."""
+    return (*found[node], [step.item for step in node.steps], [_shape(c, found) for c in node.children])
 
 
 def _linear_trace(tree):
@@ -120,16 +129,16 @@ def _linear_trace(tree):
 @given(trees(5))
 def test_a_tree_is_rebuilt_from_its_linear_trace(tree):
     steps, expected = _linear_trace(tree)
-    assert _shape(build_tree(steps)) == expected
+    root = build_tree(steps)
+    assert _shape(root, cases(root)) == expected
 
 
 def _steps(goal_lists):
     """One step between each two states of the given goals, none for a finished proof,
     the tactic of step k at span (2k, 2k + 2)."""
     states = [parse_state(state([], goals) if goals else DONE) for goals in goal_lists]
-    return [AnalyzedStep(ScriptItem("t.", (2 * seq, 2 * seq + 2), seq), before, after,
-                         diff_states(before, after))
-            for seq, (before, after) in enumerate(zip(states, states[1:]))]
+    return [AnalyzedStep(ScriptItem("t.", (2 * k, 2 * k + 2)), before, after, diff_states(before, after))
+            for k, (before, after) in enumerate(zip(states, states[1:]))]
 
 
 def _counted_steps(counts):
@@ -209,13 +218,57 @@ def test_any_goal_counts_give_the_steps_in_order_or_a_trace_error(initial, moves
     build_tree keeps every step in pre-order, or rejects the trace as
     malformed or incomplete, and raises nothing else."""
     steps, after = [], _named_state(initial)
-    for seq, (change, start) in enumerate(moves):
+    for k, (change, start) in enumerate(moves):
         before = after if start is None else _named_state(*start)
         after = _named_state(max(len(before.goals) + change, 0))
-        steps.append(AnalyzedStep(ScriptItem("t.", (2 * seq, 2 * seq + 2), seq), before, after, ()))
+        steps.append(AnalyzedStep(ScriptItem("t.", (2 * k, 2 * k + 2)), before, after, ()))
     try:
         root = build_tree(steps)
     except CoqatooError as exc:
         assert exc.diagnostic.code in ("MALFORMED_TRACE", "INCOMPLETE_PROOF")
     else:
         assert flatten(root) == [step.item for step in steps]
+
+
+@given(st.lists(st.integers(-1, 2), max_size=12))
+def test_each_step_gets_its_annotation_in_trace_order_and_each_case_its_first_goal(changes):
+    """Step k changes the goal count by changes[k], until the proof ends, and
+    then steps close the goals left one at a time; the goals a step adds are
+    named after it, so every step that keeps the count changes the focused
+    goal.  Step k's one sentence names k: annotated output prints it in front
+    of the k-th tactic, and plain output in the k-th tactic's place.  Every
+    case label and every `case:` line of to_dot names the goal its node's
+    first step focuses, at the node's depth, and every node below the root
+    has a step."""
+    goal_lists = [["G"]]
+    for change in changes:
+        if not goal_lists[-1]:
+            break
+        k = len(goal_lists) - 1
+        goal_lists.append([f"S{k}_{j}" for j in range(change + 1)] + goal_lists[-1][1:])
+    while goal_lists[-1]:
+        goal_lists.append(goal_lists[-1][1:])
+    steps = _steps(goal_lists)
+    root = build_tree(steps)
+    nodes = [node for entering, node in walk(root) if entering]
+    assert all(node.steps for node in nodes[1:])
+    found, label = cases(root), EN.fill("case.label")
+    annotations = [Annotation((f"Step {k}.",)) for k in range(len(steps))]
+    expected, dot, k = [], [], count()   # case labels with their depths and sentences, in output order
+    for node in nodes:
+        depth, goal = found[node]
+        if goal is not None:
+            expected.append((depth, label.replace("{goal}", goal)))
+        expected += [f"Step {next(k)}." for _ in node.steps]
+        dot.append("t" if goal is None else f"t\\ncase: {goal}")
+
+    annotated = render(root, annotations, OutputMode.ANNOTATED, "Lemma t : G.", EN)
+    assert annotated[:2] == ["Lemma t : G.", "Proof."] and annotated[-1] == "Qed."
+    read = []
+    for line in annotated[2:-1]:
+        case = re.fullmatch(r" *(-+) \(\* (.*) \*\)", line)
+        read.append((len(case[1]), case[2]) if case else re.fullmatch(r" *\(\* (.*) \*\) t\.", line)[1])
+    assert read == expected
+    plain = render(root, annotations, OutputMode.PLAIN, "Lemma t : G.", EN)
+    assert plain == [line if isinstance(line, str) else line[1] for line in expected]
+    assert re.findall(r'n\d+ \[label="(.*)"\];', "\n".join(to_dot(root))) == dot
