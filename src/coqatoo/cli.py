@@ -129,8 +129,9 @@ def _standard(name: str) -> TextIO:
 
 
 def _read_source(path: str) -> str:
-    """The script's text as decoded from UTF-8, line ends and all, so that a span
-    is the same offset into the file read from `path` and from standard input."""
+    """The script's text as decoded from UTF-8, line ends and all, less one leading
+    byte-order mark, so that a span is the same offset into the file read from
+    `path` and from standard input, and counts from the character after a mark."""
     name = "standard input" if path == "-" else path
     try:
         if path == "-":
@@ -140,7 +141,7 @@ def _read_source(path: str) -> str:
                 data = fh.read()
     except OSError as exc:
         raise CoqatooError(error("IO", f"cannot read {name}: {exc}"))
-    return decode_utf8(data, name, "INPUT_ENCODING")
+    return decode_utf8(data, name, "INPUT_ENCODING").removeprefix("\ufeff")
 
 
 # characters per write: under PYTHONUNBUFFERED=1 each write to standard output is a system call

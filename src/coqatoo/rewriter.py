@@ -73,7 +73,8 @@ class TemplateSet(namedtuple("TemplateSet", "language entries")):
 
 
 def load_templates(directory: Optional[str] = None, language: str = REFERENCE_LANGUAGE) -> TemplateSet:
-    """Load one language's templates, checking completeness and placeholders."""
+    """Load one language's templates, checking completeness and placeholders.
+    A leading byte-order mark is not part of the first line."""
     base = Path(directory) if directory else Path(__file__).parent / "templates"
     path = base / f"{language}.properties"
     try:
@@ -84,7 +85,7 @@ def load_templates(directory: Optional[str] = None, language: str = REFERENCE_LA
     except OSError as exc:
         raise CoqatooError(error("IO", f"cannot read {path}: {exc}"))
     entries: Dict[str, str] = {}
-    for line in decode_utf8(data, str(path), "TEMPLATE_PARSE").splitlines():
+    for line in decode_utf8(data, str(path), "TEMPLATE_PARSE").removeprefix("\ufeff").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -6,12 +6,13 @@ line-delimited JSON and store raw prover responses; parsing to
 ProofState happens lazily so recorded sessions survive parser changes.
 The live provider is its own module, `live_session`, which `run_live`
 imports when it runs, so a replay never loads the process machinery
-(`subprocess`, `selectors`).
+(`subprocess`, `selectors`).  Nor does it load `json`: records are read by
+the C scanner of `_json`, and `json` is imported only to read a record that
+scanner does not, and to write a recording.
 """
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from functools import lru_cache
 from itertools import zip_longest
@@ -50,8 +51,24 @@ def _norm_tactic(text: str) -> str:
 # the fields of a fixture's header record and of each later record -> the value of a missing one
 _HEADER_FIELDS = {"lemma": None, "initial_raw_state": None, "prover_version": ""}
 _STEP_FIELDS = {"tactic": None, "raw_state": None}
+
+
+class _Decoding:
+    """The settings of `json.JSONDecoder()`, which `_json.make_scanner` reads."""
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float, parse_int = float, int
+    parse_constant = {"NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf")}.__getitem__
+
+
 # one JSON value at an index, and the index after it: what json.loads runs, without its Python frames
-_scan = json.JSONDecoder().scan_once
+try:
+    from _json import make_scanner
+except ImportError:   # no C scanner: json's own, as json.scanner falls back to it
+    import json
+    _scan = json.JSONDecoder().scan_once
+else:
+    _scan = make_scanner(_Decoding())
 # a step record's fields, KeyError or TypeError when one is missing or the record is no object
 _step_fields = itemgetter(*_STEP_FIELDS)
 
@@ -94,6 +111,7 @@ def _read_fixture(fh: BinaryIO, fixture_path: str) -> Tuple[str, str, str, List[
             text = text[:-2] if text.endswith("\r\n") else text.removesuffix("\n")   # "\r\n" is one record end
             if not text or text.isspace():
                 continue
+            import json
             try:
                 record = json.loads(text)
             except (ValueError, RecursionError) as exc:   # not JSON, an integer too long, arrays nested too deep
@@ -145,6 +163,7 @@ def record_session(script: Script, trace: SessionTrace, out_path: str) -> None:
                 "prover_version": trace.prover_version}]
     records += [{"tactic": _norm_tactic(it.prover_text), "raw_state": raw}
                 for it, raw in zip(script.tactics, raws, strict=True)]
+    import json
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.writelines(json.dumps(record) + "\n" for record in records)

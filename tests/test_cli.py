@@ -979,6 +979,44 @@ def test_crlf_script_spans_are_offsets_into_the_decoded_file(tmp_path, capsys, m
     assert (text[start:end], errs[1]) == ("split; trivial.", errs[0])
 
 
+_BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_a_script_with_a_byte_order_mark_renders_its_golden(tmp_path, capsys, monkeypatch, name):
+    """One leading mark is dropped, from a path and from standard input alike."""
+    script = tmp_path / f"{name}.v"
+    script.write_bytes(_BOM + script_path(name).read_bytes())
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(script.read_bytes())))
+    golden = (GOLDEN_DIR / f"{name}.plain.en.txt").read_bytes().decode("utf-8")
+    for source in (str(script), "-"):
+        assert main([source, "--provider", "replay", "--fixture", str(fixture_path(name)), "--mode", "plain"]) == 0
+        assert capsys.readouterr() == (golden, "")
+
+
+def test_a_template_file_with_a_byte_order_mark_renders_the_golden(tmp_path, capsys):
+    english = (ROOT / "src" / "coqatoo" / "templates" / "en.properties").read_bytes()
+    (tmp_path / "en.properties").write_bytes(_BOM + english)
+    assert main(replay_args("and_commutes", "--templates", str(tmp_path))) == 0
+    assert capsys.readouterr() == ((GOLDEN_DIR / "and_commutes.annotated.en.txt").read_bytes().decode("utf-8"), "")
+
+
+def test_script_spans_count_from_after_a_byte_order_mark(tmp_path, capsys, monkeypatch):
+    """A span in a script with a mark, read from a path or from standard input,
+    is the span in the script without it."""
+    text = "Lemma t : True.\nProof.\n  split; trivial.\nQed.\n"
+    plain, marked = tmp_path / "plain.v", tmp_path / "marked.v"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(_BOM + text.encode())
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(marked.read_bytes())))
+    errs = []
+    for source in (str(plain), str(marked), "-"):
+        assert main([source]) == 1
+        errs.append(capsys.readouterr().err)
+    start, end = map(int, re.match(r"error\[UNSUPPORTED_CHAIN\] at (\d+)\.\.(\d+): ", errs[0]).groups())
+    assert (text[start:end], errs[1:]) == ("split; trivial.", errs[:1] * 2)
+
+
 def _added_modules(code):
     """The modules a fresh interpreter holds after running `code`, minus those of a bare one."""
     env = _cli_env()
@@ -992,17 +1030,32 @@ def _added_modules(code):
     return modules(code) - modules("pass")
 
 
-@pytest.mark.parametrize("code", [
-    "import coqatoo.cli",
-    "from coqatoo.cli import main\n"
-    f"assert main({replay_args('and_commutes', '--out', os.devnull)!r}) == 0",
-], ids=["import", "replay"])
-def test_cold_start_loads_no_process_machinery(code):
+@pytest.mark.parametrize("extra", [None, [], ["--mode", "plain"], ["--mode", "latex"], ["--dot"]],
+                         ids=["import", "replay", "replay-plain", "replay-latex", "replay-dot"])
+def test_cold_start_loads_no_process_machinery(extra):
     """Neither the import nor a replay run loads the live provider or its
     modules, argparse and the locale module it looks up, getopt and the
-    gettext it imports, nor dataclasses."""
-    assert _added_modules(code) & {"dataclasses", "inspect", "subprocess", "selectors", "shutil", "argparse",
-                                   "locale", "getopt", "gettext", "coqatoo.live_session"} == set()
+    gettext it imports, dataclasses, nor json, whose C scanner alone reads a
+    fixture; and a replay run loads no module that the import does not."""
+    imported = _added_modules("import coqatoo.cli")
+    forbidden = {"dataclasses", "inspect", "subprocess", "selectors", "shutil", "argparse", "locale", "getopt",
+                 "gettext", "json", "json.decoder", "json.scanner", "json.encoder", "coqatoo.live_session"}
+    assert imported & forbidden == set()
+    if extra is not None:
+        replayed = _added_modules("from coqatoo.cli import main\n"
+                                  f"assert main({replay_args('and_commutes', '--out', os.devnull, *extra)!r}) == 0")
+        assert replayed - imported == set()
+
+
+def test_a_replay_without_the_c_scanner_renders_the_golden():
+    """Where `_json` cannot be imported, fixture records are read by json's own scanner."""
+    code = ("import sys\nsys.modules['_json'] = None\n"
+            "from coqatoo import state_provider\nfrom coqatoo.cli import main\n"
+            "assert state_provider._scan.__module__ == 'json.scanner', state_provider._scan\n"
+            f"sys.exit(main({replay_args('and_commutes')!r}))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_cli_env(), timeout=60)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == (GOLDEN_DIR / "and_commutes.annotated.en.txt").read_bytes()
 
 
 @pytest.mark.parametrize("extra", [["--mode", "annotated"], ["--mode", "plain"], ["--mode", "latex"], ["--dot"]],

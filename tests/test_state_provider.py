@@ -2,7 +2,7 @@ import json
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from coqatoo import (CoqatooError, SessionTrace, live_session, parse_script, parse_state,
                      record_session, run_live, run_replay, state_provider)
@@ -295,6 +295,50 @@ def test_replay_decodes_each_line_once(monkeypatch):
     monkeypatch.setattr(state_provider, "_scan", lambda text, at: decoded.append(text) or scan(text, at))
     load_trace("conj_imp_equiv")
     assert len(decoded) == len(fixture_path("conj_imp_equiv").read_text().splitlines())
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12)
+_json_pieces = st.sampled_from([
+    "{", "}", "[", "]", ",", ":", " ", "\n", '"', "\\", "true", "false", "null", "NaN", "Infinity", "-Infinity",
+    "-", ".", "e", "+", "0", "1e400", "-0", "\\u", "\\u00e9", "\\ud800", "\\udc00", "\\ud83d\\ude00", "\\n",
+    '\\"', "\\x", "\x00", "\x1f", "\t", "\ufeff", "\u2028", '"\x01"', '"a\tb"', '{"k": NaN}',
+]) | st.integers(1, 5000).map("9".__mul__) | st.text(max_size=3)
+
+
+@st.composite
+def _json_texts(draw):
+    """A JSON text, dumped or pieced together, perhaps cut short; and an index into it."""
+    if draw(st.booleans()):
+        text = json.dumps(draw(_json_values), ensure_ascii=draw(st.booleans()))
+    else:
+        text = "".join(draw(st.lists(_json_pieces, max_size=12)))
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text, draw(st.just(0) | st.integers(0, len(text) + 1))
+
+
+def _scanned(scan, text, at):
+    """The value and end index `scan` reads at `at`, as text so that NaN equals NaN,
+    or the type and arguments of its exception."""
+    try:
+        return repr(scan(text, at))
+    except Exception as exc:
+        return type(exc), exc.args
+
+
+@example(("[NaN, Infinity, -Infinity, 1e400, -0.0]", 0))
+@example(('"a\x01b"', 0))
+@example(("9" * 5000, 0))
+@example(("[" * 100_000 + "]" * 100_000, 0))
+@given(_json_texts())
+def test_the_scanner_is_jsons_scanner(case):
+    """Valid and invalid texts, constants, long integers, escapes, surrogates, raw control
+    characters and cut texts: the value and end that json's scanner reads, or its exception."""
+    text, at = case
+    assert _scanned(state_provider._scan, text, at) == _scanned(json.JSONDecoder().scan_once, text, at)
 
 
 def test_missing_fixture_file(tmp_path):
