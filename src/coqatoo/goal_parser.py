@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import List, Tuple
 
 from .diagnostics import CoqatooError, error
 
@@ -32,8 +33,6 @@ _SUBGOAL_K = re.compile(r"\n[^\S\n]*subgoal[^\S\n]+\d+[^\S\n]+is[^\S\n]*:[^\S\n]
 # a Coq identifier: a letter (Unicode ones too) or "_", then letters, digits, "_" and "'";
 # the one definition every stage reads: match() finds the name a text starts with, fullmatch() checks one
 IDENT = re.compile(r"[^\W\d][\w']*")
-# below this length the normal-form check costs more than the split it saves
-_SHORT_TEXT = 16
 
 
 def normalize_text(text: str) -> str:
@@ -47,7 +46,7 @@ def normalize_text(text: str) -> str:
     other text must be printable, since " " is the only whitespace that
     `str.isprintable()` accepts.
     """
-    if (len(text) < _SHORT_TEXT or "  " in text or text[0] == " " or text[-1] == " "
+    if ("  " in text or text[:1] == " " or text[-1:] == " "
             or (("\n" in text or "\t" in text or "\r" in text or "\x0b" in text or "\x0c" in text
                  or "\x1c" in text or "\x1d" in text or "\x1e" in text or "\x1f" in text)
                 if text.isascii() else not text.isprintable())):
@@ -62,6 +61,7 @@ Hypothesis = namedtuple("Hypothesis", "name type_expr")
 ProofState = namedtuple("ProofState", "hypotheses goals auto")
 
 
+@lru_cache(maxsize=256)
 def _parse_context(block: str) -> Tuple[Hypothesis, ...]:
     """Parse the "\n"-separated hypothesis lines above the separator into one
     binding per name, in display order: `P, Q : Prop` gives two of type `Prop`.
@@ -70,6 +70,7 @@ def _parse_context(block: str) -> Tuple[Hypothesis, ...]:
     block's first hypothesis line and the text before its first " : " is
     a comma-separated identifier list; otherwise it is a wrapped
     continuation, which may itself contain " : " (as in a binder).
+    Cached by the block's text: the states that print one block share its tuple.
     """
     pending: List[Tuple[Tuple[str, ...], List[str]]] = []
     indent = -1
@@ -109,13 +110,9 @@ def _find_separator(text: str) -> Tuple[int, int]:
     return -1, -1
 
 
-def parse_state(raw: str, contexts: Optional[Dict[str, Tuple[Hypothesis, ...]]] = None) -> ProofState:
-    """Parse one complete prover response block into a ProofState.
-
-    `contexts` maps a hypothesis block's text to its parsed hypotheses.
-    The caller owns it; a block already in it is not parsed again, so
-    states with the same block share one `hypotheses` tuple.
-    """
+def parse_state(raw: str) -> ProofState:
+    """Parse one complete prover response block into a ProofState.  States
+    that print the same hypothesis block share one `hypotheses` tuple."""
     m = SUBGOAL_HEADER.search(raw)
     # the proof is finished when a marker starts a line ahead of the first subgoal header;
     # an info_auto report there ends at a blank line, a finished marker or the header
@@ -148,12 +145,7 @@ def parse_state(raw: str, contexts: Optional[Dict[str, Tuple[Hypothesis, ...]]] 
     if start < 0:
         _parse_context(text)  # a bad hypothesis line is reported before the missing separator
         raise CoqatooError(error("MALFORMED_STATE", "missing ==== separator in prover output"))
-    block = text[:start]
-    if contexts is None:
-        contexts = {}
-    hyps = contexts.get(block)
-    if hyps is None:
-        hyps = contexts[block] = _parse_context(block)
+    hyps = _parse_context(text[:start])
 
     goal = text[end:].strip()
     if "\n" in goal or goal.startswith("subgoal"):   # lines to join, or a "subgoal K is:" line that ends a goal

@@ -242,7 +242,7 @@ def _rewrite_inversion(step: AnalyzedStep, templates: TemplateSet) -> Annotation
     if arg is None or not added_types:   # no subject, or e.g. `inversion H` with `H : False`, which adds nothing
         return _SILENT
     key = "inversion.default" if len(added_types) > 1 else "inversion.one"
-    text = templates.fill(key, hyp=dict(step.before.hypotheses).get(arg, arg), list=", ".join(added_types))
+    text = templates.fill(key, hyp=dict(step.before.hypotheses).get(arg, arg), list=templates.join(added_types))
     return Annotation(_sentences(text))
 
 
@@ -273,7 +273,6 @@ def render(tree: ProofNode, annotations: Sequence[Annotation], mode: OutputMode,
     each without its "\n"; `annotations` holds one per step, in trace order."""
     annotated, latex = mode is OutputMode.ANNOTATED, mode is OutputMode.LATEX
     lines = [normalize_text(lemma), "Proof."] if annotated else []
-    tactics: Dict[str, str] = {}   # a tactic's text as written -> as printed
     case_label = templates.fill("case.label")
     pending, depth = iter(annotations), -1   # depth: the number of the current node's ancestors
     for entering, node in walk(tree):
@@ -295,9 +294,7 @@ def render(tree: ProofNode, annotations: Sequence[Annotation], mode: OutputMode,
             item = step.item
             text = " ".join(sentences) if sentences else None
             if annotated:
-                tactic = tactics.get(item.text)
-                if tactic is None:
-                    tactic = tactics[item.text] = normalize_text(item.text)
+                tactic = normalize_text(item.text)
                 lines.append(f"{indent}{tactic}" if text is None else f"{indent}(* {text} *) {tactic}")
                 continue
             if text is None:

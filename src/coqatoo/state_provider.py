@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import BinaryIO, Dict, List, Optional, Tuple
 
 from .diagnostics import CoqatooError, decode_utf8, error
-from .goal_parser import Hypothesis, ProofState, parse_state, normalize_text
+from .goal_parser import ProofState, parse_state, normalize_text
 from .script_parser import Script
 
 DEFAULT_TIMEOUT_SECS = 10
@@ -33,13 +33,8 @@ class SessionTrace(namedtuple("SessionTrace", "responses prover_version", defaul
     __slots__ = ()
 
     def states(self) -> List[ProofState]:
-        """The state after each response.
-
-        A hypothesis block is parsed once per call: states that print the
-        same block share one `hypotheses` tuple.
-        """
-        contexts: Dict[str, Tuple[Hypothesis, ...]] = {}
-        return [parse_state(raw, contexts) for raw in self.responses]
+        """The state after each response."""
+        return list(map(parse_state, self.responses))
 
 
 @lru_cache(maxsize=1024)

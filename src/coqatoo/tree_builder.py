@@ -52,9 +52,8 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
         if before is not goals and before != goals:
             raise CoqatooError(error("MALFORMED_TRACE", "the tactic does not start where the last one ended", step.item.span))
         delta = len(after) - len(before)
-        # the goals behind the focused one, if any, end `after` as they were, in the common case as the same text
-        if (len(before) > 1 and before[1:] != after[delta + 1:]
-                and (changed := _changed_goal(before, after)) is not None):
+        # the goals behind the focused one, if any, end `after` as they were
+        if len(before) > 1 and (changed := _changed_goal(before, after)) is not None:
             raise CoqatooError(error("MALFORMED_TRACE", f"goal {changed!r}, which the tactic does not "
                                      "focus, was changed or closed", step.item.span))
         current.steps.append(step)
@@ -117,8 +116,8 @@ def to_dot(root: ProofNode) -> List[str]:
                 lines.append(f"  n{open_ids[-1]} -> n{nid};")
             continue
         first = node.steps[0]   # every node build_tree makes has one; below the root, it focuses the case goal
-        label = first.item.command + (f"\\ncase: {first.before.goals[0]}" if open_ids else "")
-        label = label.replace('"', '\\"')
+        case = f"\\ncase: {normalize_text(first.before.goals[0])}" if open_ids else ""
+        label = (normalize_text(first.item.command) + case).replace('"', '\\"')
         lines.append(f'  n{count} [label="{label}"];')
         open_ids.append(count)
         count += 1

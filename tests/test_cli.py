@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st
 
 from coqatoo import live_session, load_templates, parse_script, run_replay, to_dot
 from coqatoo.cli import _EXIT2_CODES, _OPTIONS, main, parse_args
+from coqatoo.diagnostics import error
 from coqatoo.pipeline import build_proof_tree, generate
 from coqatoo.rewriter import OutputMode
 
@@ -578,6 +579,63 @@ def _assert_one_error(captured, code):
     assert captured.out == ""
     assert captured.err.startswith(f"error[{code}]") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("message, line", [
+    ("no break here", "no break here"),
+    ("a \r\n\t b", "a b"),
+    ("a\u2028b\x0bc\x1cd\x85e", "a b c d e"),
+    ("kept:  'x  y'\n  'p  q'  ", "kept:  'x  y' 'p  q'  "),
+    ("two\n\nbreaks", "two  breaks"),
+], ids=["one_line", "crlf_and_blanks", "unicode_breaks", "blanks_within_lines", "blank_line"])
+def test_a_diagnostic_formats_as_one_line(message, line):
+    """Each line break, as str.splitlines breaks lines, is one space with the blanks around it."""
+    assert error("CODE", message, (1, 2)).format() == f"error[CODE] at 1..2: {line}"
+
+
+@pytest.mark.parametrize("tactic, code, quoted", [
+    ("split;\n  intros.", "UNSUPPORTED_CHAIN", "chained tactics are not supported: \"split; intros\""),
+    ("2:\n  assumption.", "UNSUPPORTED_SELECTOR", "goal selectors are not supported: \"2: assumption\""),
+], ids=["chain", "selector"])
+def test_a_tactic_written_across_lines_is_one_diagnostic_line(tmp_path, capsys, tactic, code, quoted):
+    bad = tmp_path / "bad.v"
+    bad.write_text(f"Lemma t : True.\nProof.\n  {tactic}\nQed.\n", encoding="utf-8")
+    assert main([str(bad)]) == 1
+    captured = capsys.readouterr()
+    _assert_one_error(captured, code)
+    assert captured.err == f"error[{code}] at 25..{25 + len(tactic)}: {quoted}\n"
+
+
+def test_a_prover_error_of_several_lines_is_one_diagnostic_line(tmp_path, capsys):
+    script = tmp_path / "t.v"
+    script.write_text("Lemma t : True.\nProof.\n  destruct H.\nQed.\n", encoding="utf-8")
+    prover = write_prover(tmp_path, "echo 'Coq 8.9'\nprintf '<prompt>Coq < </prompt>' >&2\nread -r line\n"
+                                    "printf '1 subgoal\\n\\n  ============================\\n  True\\n'\n"
+                                    "printf '<prompt>t < </prompt>' >&2\nread -r line\n"
+                                    "printf 'Toplevel input, characters 0-6:\\n> destruct H.\\n> ^^^^^^^^\\n"
+                                    "Error: No such hypothesis: H\\n'\n"
+                                    "printf '<prompt>t < </prompt>' >&2\nread -r line")
+    assert main(_live_args(script, prover)) == 2
+    captured = capsys.readouterr()
+    _assert_one_error(captured, "TACTIC_FAILED")
+    assert captured.err == ("error[TACTIC_FAILED] at 25..36: prover rejected 'destruct H': Toplevel input, "
+                            "characters 0-6: > destruct H. > ^^^^^^^^ Error: No such hypothesis: H\n")
+
+
+def test_dot_labels_a_node_as_annotated_output_prints_it(tmp_path, capsys):
+    """A first tactic written across lines and a case goal holding a whitespace run
+    are labelled normalized, so each DOT statement is one line."""
+    ctx = ["A, B : Prop", "HA : A", "HB : B"]
+    script, trace = write_replay_pair(
+        tmp_path, "Lemma t : forall A B : Prop, A -> B -> A /\\ (B \\/ B).",
+        state([], ["forall A B : Prop, A -> B -> A /\\ (B \\/ B)"]),
+        [("intros\n    A B  HA HB", state(ctx, ["A /\\ (B \\/ B)"])), ("split", state(ctx, ["A", "B  \\/   B"])),
+         ("assumption", state(ctx, ["B  \\/   B"])), ("left", state(ctx, ["B"])), ("assumption", DONE)])
+    assert main([str(script), "--provider", "replay", "--fixture", str(trace), "--dot"]) == 0
+    assert capsys.readouterr().out == ('digraph proof {\n  node [shape=box];\n'
+                                       '  n0 [label="intros A B HA HB"];\n'
+                                       '  n1 [label="assumption\\ncase: A"];\n  n0 -> n1;\n'
+                                       '  n2 [label="left\\ncase: B \\/ B"];\n  n0 -> n2;\n}\n')
 
 
 @pytest.mark.parametrize("initial, message", [
@@ -1225,8 +1283,14 @@ def _diagnostic_codes():
 
 
 def test_every_diagnostic_code_is_in_the_readme():
-    """README lists each code as `CODE` (warning), (1) or (2)."""
+    """README's list under "Among the diagnostic codes" marks each code the package
+    raises, and no other, `CODE` (warning), (1) or (2): (2) marks exactly the codes
+    of `_EXIT2_CODES`, and (warning) exactly those that `warning(...)` raises."""
     codes = _diagnostic_codes()
     assert {"INPUT_ENCODING", "IO", "MULTIPLE_LEMMAS", "NO_LEMMA", "TACTIC_FAILED"} <= codes.keys()
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    assert sorted(code for code, kind in codes.items() if f"`{code}` ({kind})" not in readme) == []
+    section = readme.split("Among the diagnostic codes:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"`([A-Z][A-Z0-9_]+)` \((warning|1|2)\)", section)
+    assert len(listed) == len(dict(listed)), "a code is listed twice"
+    assert dict(listed) == codes
+    assert {code for code, kind in listed if kind == "2"} == _EXIT2_CODES

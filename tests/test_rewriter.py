@@ -179,7 +179,7 @@ def test_inversion_sentence():
     steps = analyzed_steps("conj_imp_equiv")
     step = steps[8]  # inversion HPQ
     ann = rewrite_step(step, EN)
-    assert " ".join(ann.sentences) == "By inversion on P /\\ Q, we know that P, Q are also true."
+    assert " ".join(ann.sentences) == "By inversion on P /\\ Q, we know that P and Q are also true."
 
 
 def test_split_is_silent():
