@@ -20,12 +20,10 @@ class Diagnostic(namedtuple("Diagnostic", "severity message code span", defaults
         """The diagnostic as one line: each line break of the message, as `str.splitlines`
         breaks lines, prints as one space together with the blanks around it."""
         loc = f" at {self.span[0]}..{self.span[1]}" if self.span else ""
-        message = self.message
-        if "".join(lines := message.splitlines()) != message:
-            lines[1:] = map(str.lstrip, lines[1:])
-            lines[:-1] = map(str.rstrip, lines[:-1])
-            message = " ".join(lines)
-        return f"{self.severity.value}[{self.code}]{loc}: {message}"
+        lines = self.message.splitlines()
+        lines[1:] = map(str.lstrip, lines[1:])
+        lines[:-1] = map(str.rstrip, lines[:-1])
+        return f"{self.severity.value}[{self.code}]{loc}: {' '.join(lines)}"
 
 
 class CoqatooError(Exception):

@@ -52,8 +52,9 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
         if before is not goals and before != goals:
             raise CoqatooError(error("MALFORMED_TRACE", "the tactic does not start where the last one ended", step.item.span))
         delta = len(after) - len(before)
-        # the goals behind the focused one, if any, end `after` as they were
-        if len(before) > 1 and (changed := _changed_goal(before, after)) is not None:
+        # the goals behind the focused one, if any, end `after` as they were, in the common case as the same text
+        if (len(before) > 1 and before[1:] != after[delta + 1:]
+                and (changed := _changed_goal(before, after)) is not None):
             raise CoqatooError(error("MALFORMED_TRACE", f"goal {changed!r}, which the tactic does not "
                                      "focus, was changed or closed", step.item.span))
         current.steps.append(step)
