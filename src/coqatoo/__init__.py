@@ -1,4 +1,18 @@
-"""coqatoo: natural-language rendering of Coq proof scripts."""
+"""coqatoo: natural-language rendering of Coq proof scripts.
+
+The pipeline: `parse_script` -> a state provider (`run_live`, or
+`run_replay` of a `.cqtrace`) -> `parse_state` -> `diff_states` ->
+`build_tree` -> `rewrite_step` -> `render` or `to_dot`.  Each input is
+parsed once, where it enters, and later stages use what the parser returned.
+
+The records are `collections.namedtuple`s, immutable and compared by value;
+one with methods subclasses its tuple with `__slots__ = ()`.  Neither
+`typing.NamedTuple` nor `dataclasses` is used, and every module takes
+`from __future__ import annotations`, so an import evaluates no annotation.
+A cache is a bounded `lru_cache` on the module-level function of the one
+text it speeds up, so a later run in the same process prints what a fresh
+process prints.
+"""
 
 from __future__ import annotations
 

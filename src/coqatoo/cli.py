@@ -1,4 +1,11 @@
-"""Command-line front end: parse -> states -> diffs -> tree -> rewrite -> render."""
+"""Command-line front end: parse -> states -> diffs -> tree -> rewrite -> render.
+
+`_write` writes every byte the command line prints: the output, `--help`,
+a usage error and each diagnostic.  Every diagnostic is decided before the
+first chunk of output goes out.  `parse_args` reads a command line as
+`getopt.gnu_getopt` does, with its messages, but imports neither `getopt`
+(and `gettext`) nor `argparse` (and `locale`); it ignores `POSIXLY_CORRECT`.
+"""
 
 from __future__ import annotations
 
@@ -129,9 +136,8 @@ def _standard(name: str) -> TextIO:
 
 
 def _read_source(path: str) -> str:
-    """The script's text as decoded from UTF-8, line ends and all, less one leading
-    byte-order mark, so that a span is the same offset into the file read from
-    `path` and from standard input, and counts from the character after a mark."""
+    """The script's text as decoded from UTF-8, line ends and all, so that a span
+    is the same offset into the file read from `path` and from standard input."""
     name = "standard input" if path == "-" else path
     try:
         if path == "-":
@@ -141,7 +147,7 @@ def _read_source(path: str) -> str:
                 data = fh.read()
     except OSError as exc:
         raise CoqatooError(error("IO", f"cannot read {name}: {exc}"))
-    return decode_utf8(data, name, "INPUT_ENCODING").removeprefix("\ufeff")
+    return decode_utf8(data, name, "INPUT_ENCODING")
 
 
 # characters per write: under PYTHONUNBUFFERED=1 each write to standard output is a system call
@@ -209,8 +215,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     A command-line run is the whole process: it runs without the cyclic
     garbage collector, and, every write flushed, it ends with `os._exit`,
-    skipping the interpreter's teardown.  Called with a list, it returns
-    the status and leaves the collector alone.
+    skipping the interpreter's teardown.  Nothing is left for a finalizer:
+    files are opened with `with`, and the prover is reaped before `run`
+    returns.  Called with a list, it returns the status and leaves the
+    collector alone.
     """
     if argv is not None:
         return run(argv)

@@ -1,4 +1,10 @@
-"""Diagnostics shared by every pipeline stage."""
+"""Diagnostics shared by every pipeline stage.
+
+Each input (the script, a fixture, a template file) is read as bytes, where
+a failure is IO (exit 2) but for a missing template file, and decoded
+strictly by `decode_utf8` under the name its diagnostics use (`standard
+input` for `-`).
+"""
 
 from __future__ import annotations
 

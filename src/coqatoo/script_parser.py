@@ -2,8 +2,8 @@
 
 Splits a script into its sentences; comments, bullet glyphs and focus
 braces end and separate sentences but are skipped.  A "." terminates a
-sentence only when followed by whitespace or end of input, so qualified
-names survive.  Comments nest.
+sentence only when followed by whitespace or end of input, and never
+inside a string or a comment, so qualified names survive.  Comments nest.
 `parse_script` is the one place that reads a sentence's role from its
 head and selects the lemma and the tactics the later stages run; they
 take its `Script`, never the sentence list.
@@ -38,8 +38,7 @@ class ScriptItem(namedtuple("ScriptItem", "text span")):
 
     @property
     def command(self) -> str:
-        """Sentence text without the trailing terminator."""
-        return self.text[:-1].strip() if self.text.endswith(".") else self.text.strip()
+        return sentence_command(self.text)
 
     @property
     def head(self) -> str:
@@ -69,11 +68,15 @@ class ScriptItem(namedtuple("ScriptItem", "text span")):
         return self.text
 
 
+def sentence_command(text: str) -> str:
+    """A sentence's text without its final "." and its outer blanks."""
+    return text[:-1].strip() if text.endswith(".") else text.strip()
+
+
 @lru_cache(maxsize=1024)
 def _head(text: str) -> str:
-    """The tactic name a sentence starts with, or its whole command: the text
-    without its final "." and its outer blanks, found after the cache is."""
-    command = text[:-1].strip() if text.endswith(".") else text.strip()
+    """The tactic name a sentence starts with, or its whole command."""
+    command = sentence_command(text)
     m = IDENT.match(command)
     return m.group(0) if m else command
 
@@ -182,10 +185,13 @@ def parse_script(source: str) -> Tuple[Script, List[Diagnostic]]:
     after it; every sentence in between not led by a lemma keyword or `Proof`
     is a tactic.
 
+    One leading byte-order mark (U+FEFF) is dropped, so spans count from the
+    character after it.
+
     Raises CoqatooError with UNTERMINATED_COMMENT or NO_LEMMA.  The
     diagnostics returned are MULTIPLE_LEMMAS and detect_unsupported's.
     """
-    sentences = tokenize_script(source)
+    sentences = tokenize_script(source.removeprefix("\ufeff"))
     heads = [it.head for it in sentences]
     start = next((i for i, head in enumerate(heads) if head in LEMMA_KEYWORDS), None)
     if start is None:

@@ -9,6 +9,8 @@ imports when it runs, so a replay never loads the process machinery
 (`subprocess`, `selectors`).  Nor does it load `json`: records are read by
 the C scanner of `_json`, and `json` is imported only to read a record that
 scanner does not, and to write a recording.
+This is the one module that spells a fixture: `run_replay` reads one, and
+`record_session` writes one with the lemma and tactic spellings of the script.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import BinaryIO, Dict, List, Optional, Tuple
 
 from .diagnostics import CoqatooError, decode_utf8, error
 from .goal_parser import ProofState, parse_state, normalize_text
-from .script_parser import Script
+from .script_parser import Script, sentence_command
 
 DEFAULT_TIMEOUT_SECS = 10
 PROVER_ENV_VAR = "COQATOO_PROVER"
@@ -39,8 +41,7 @@ class SessionTrace(namedtuple("SessionTrace", "responses prover_version", defaul
 
 @lru_cache(maxsize=1024)
 def _norm_tactic(text: str) -> str:
-    text = normalize_text(text)
-    return text[:-1].strip() if text.endswith(".") else text
+    return sentence_command(normalize_text(text))
 
 
 # the fields of a fixture's header record and of each later record -> the value of a missing one

@@ -8,8 +8,9 @@ and children: its depth is counted from `walk`'s events, and its case
 goal is the focused goal its first step starts from.
 
 Each tactic starts from the goals the last one left and acts on the first
-alone, so the rest must end the goal list it leaves, unchanged.  A goal
-with an evar (`?`), which a tactic on another goal may fill, may change.
+alone, so the rest must end the goal list it leaves, unchanged: a tactic
+that closes two goals at once is malformed.  A goal with an evar (`?`),
+which a tactic on another goal may fill, may change.
 """
 
 from __future__ import annotations

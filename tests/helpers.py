@@ -87,18 +87,6 @@ def leaves(root: ProofNode) -> List[ProofNode]:
     return [node for entering, node in walk(root) if entering and not node.children]
 
 
-def normalize_rendering(text: str) -> str:
-    """Collapse internal space runs and trailing whitespace, keep indentation."""
-    out = []
-    for line in text.splitlines():
-        line = line.rstrip()
-        lead = re.match(r"\s*", line).group(0)
-        out.append(lead + re.sub(r" {2,}", " ", line[len(lead):]))
-    while out and not out[-1]:
-        out.pop()
-    return "\n".join(out)
-
-
 def output_text(lines: Sequence[str]) -> str:
     """Output lines as the CLI prints them: each followed by "\n"."""
     return "".join(line + "\n" for line in lines)

@@ -10,7 +10,7 @@ from coqatoo.diagnostics import Severity
 from coqatoo.goal_parser import IDENT
 from coqatoo.script_parser import LEMMA_KEYWORDS, PROOF_END_KEYWORDS, ScriptItem, _head
 
-from helpers import ROOT, load_script, reference_parse, script_path, tactic_commands
+from helpers import CORPUS, ROOT, load_script, reference_parse, script_path, tactic_commands
 
 LISTING_4_TACTICS = [
     "intros", "split", "intros H HP HQ", "apply H", "apply conj",
@@ -208,6 +208,14 @@ def test_parse_script_keeps_the_first_lemma_and_warns():
     assert [(d.code, d.severity) for d in diags] == [("MULTIPLE_LEMMAS", Severity.WARNING)]
     assert "2 more ignored" in diags[0].message
     assert diags[0].span[0] == src.index("Lemma b")
+
+
+@pytest.mark.parametrize("source", [script_path(name).read_bytes().decode("utf-8") for name in CORPUS]
+                         + ["Lemma t : True.\r\nProof.\r\n  split; trivial.\r\nQed.\r\n"],
+                         ids=[*CORPUS, "chain-crlf"])
+def test_parse_script_drops_one_leading_byte_order_mark(source):
+    """The script, its spans and its diagnostics' spans are those of the text without the mark."""
+    assert parse_script("\ufeff" + source) == parse_script(source)
 
 
 def test_focus_braces_are_skipped():
