@@ -6,8 +6,10 @@ The pipeline: `parse_script` -> a state provider (`run_live`, or
 parsed once, where it enters, and later stages use what the parser returned.
 
 The records are `collections.namedtuple`s, immutable and compared by value;
-one with methods subclasses its tuple with `__slots__ = ()`.  Neither
-`typing.NamedTuple` nor `dataclasses` is used, and every module takes
+one with methods subclasses its tuple with `__slots__ = ()`.  No module
+imports `typing`, `pathlib` or `dataclasses`.  Annotations are written with
+builtin generics (`list[str]`, `str | None`), `Callable` and `Sequence` come
+from `collections.abc` and stream types from `io`, and every module takes
 `from __future__ import annotations`, so an import evaluates no annotation.
 A cache is a bounded `lru_cache` on the module-level function of the one
 text it speeds up, so a later run in the same process prints what a fresh

@@ -13,8 +13,9 @@ import errno
 import gc
 import os
 import sys
+from collections.abc import Sequence
+from io import TextIOBase
 from types import SimpleNamespace
-from typing import List, NoReturn, Optional, Sequence, TextIO
 
 from . import pipeline, script_parser, state_provider
 from .diagnostics import CoqatooError, Diagnostic, Severity, decode_utf8, error
@@ -49,7 +50,7 @@ _OPTIONS = {
 _USAGE = "usage: coqatoo [-h] [options] input"
 
 
-def _help() -> List[str]:
+def _help() -> list[str]:
     """The usage line, then a line for each option: how it is written, then what it does."""
     lines = [_USAGE]
     for name, (setting, _, kind, text) in _OPTIONS.items():
@@ -58,7 +59,7 @@ def _help() -> List[str]:
     return lines
 
 
-def _usage_error(message: str) -> NoReturn:
+def _usage_error(message: str):
     _write([_USAGE, f"coqatoo: error: {message}"], "stderr")
     sys.exit(2)
 
@@ -128,7 +129,7 @@ def _rejects(diags: Sequence[Diagnostic], strict: bool) -> bool:
     return any(d.severity is Severity.ERROR or strict for d in diags)
 
 
-def _standard(name: str) -> TextIO:
+def _standard(name: str) -> TextIOBase:
     """sys.`name` as it is now; None, a standard stream closed when the process started, is EBADF."""
     if (stream := getattr(sys, name)) is None:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
@@ -154,7 +155,7 @@ def _read_source(path: str) -> str:
 _CHUNK_CHARS = 64 * 1024
 
 
-def _write(lines: Sequence[str], stream: str = "stdout", path: Optional[str] = None) -> None:
+def _write(lines: Sequence[str], stream: str = "stdout", path: str | None = None) -> None:
     """Write each line and a "\n" after it, about `_CHUNK_CHARS` at a time, to the file `path`, else to
     sys.`stream` as it is now, and flush.  A failure is IO, unless it is standard error's."""
     fh = None
@@ -210,7 +211,7 @@ def run(argv: Sequence[str]) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     """Run on `argv`, or on the command line when it is None.
 
     A command-line run is the whole process: it runs without the cyclic

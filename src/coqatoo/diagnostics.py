@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from typing import Optional, Tuple
 
 
 class Severity(Enum):
@@ -19,7 +18,7 @@ class Severity(Enum):
 
 
 class Diagnostic(namedtuple("Diagnostic", "severity message code span", defaults=(None,))):
-    """severity: Severity; message, code: str; span: Optional[Tuple[int, int]]."""
+    """severity: Severity; message, code: str; span: tuple[int, int] | None."""
     __slots__ = ()
 
     def format(self) -> str:
@@ -40,11 +39,11 @@ class CoqatooError(Exception):
         self.diagnostic = diagnostic
 
 
-def error(code: str, message: str, span: Optional[Tuple[int, int]] = None) -> Diagnostic:
+def error(code: str, message: str, span: tuple[int, int] | None = None) -> Diagnostic:
     return Diagnostic(Severity.ERROR, message, code, span)
 
 
-def warning(code: str, message: str, span: Optional[Tuple[int, int]] = None) -> Diagnostic:
+def warning(code: str, message: str, span: tuple[int, int] | None = None) -> Diagnostic:
     return Diagnostic(Severity.WARNING, message, code, span)
 
 

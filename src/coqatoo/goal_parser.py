@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache
-from typing import List, Tuple
 
 from .diagnostics import CoqatooError, error
 
@@ -56,13 +55,13 @@ def normalize_text(text: str) -> str:
 
 # one binding of the context: name: str; type_expr: str
 Hypothesis = namedtuple("Hypothesis", "name type_expr")
-# hypotheses: Tuple[Hypothesis, ...]; goals: Tuple[str, ...];
-# auto: Tuple[str, ...], the commands of an info_auto report, each without "simple ", "(in <db>)" or "."
+# hypotheses: tuple[Hypothesis, ...]; goals: tuple[str, ...];
+# auto: tuple[str, ...], the commands of an info_auto report, each without "simple ", "(in <db>)" or "."
 ProofState = namedtuple("ProofState", "hypotheses goals auto")
 
 
 @lru_cache(maxsize=256)
-def _parse_context(block: str) -> Tuple[Hypothesis, ...]:
+def _parse_context(block: str) -> tuple[Hypothesis, ...]:
     """Parse the "\n"-separated hypothesis lines above the separator into one
     binding per name, in display order: `P, Q : Prop` gives two of type `Prop`.
 
@@ -72,7 +71,7 @@ def _parse_context(block: str) -> Tuple[Hypothesis, ...]:
     continuation, which may itself contain " : " (as in a binder).
     Cached by the block's text: the states that print one block share its tuple.
     """
-    pending: List[Tuple[Tuple[str, ...], List[str]]] = []
+    pending: list[tuple[tuple[str, ...], list[str]]] = []
     indent = -1
     for line in block.split("\n"):
         text = line.lstrip()
@@ -95,7 +94,7 @@ def _parse_context(block: str) -> Tuple[Hypothesis, ...]:
                  for type_expr in (normalize_text(" ".join(parts)),) for name in names)
 
 
-def _find_separator(text: str) -> Tuple[int, int]:
+def _find_separator(text: str) -> tuple[int, int]:
     """Start and end of the first line of `text` that is only "=" (four or
     more) between blanks, or (-1, -1)."""
     at = text.find("====")
@@ -117,7 +116,7 @@ def parse_state(raw: str) -> ProofState:
     # the proof is finished when a marker starts a line ahead of the first subgoal header;
     # an info_auto report there ends at a blank line, a finished marker or the header
     head = raw[:m.start()] if m else raw
-    auto: List[str] = []
+    auto: list[str] = []
     if head:
         report = None   # None ahead of the report, True within it, False after it
         for line in head.splitlines():

@@ -11,7 +11,6 @@ import os
 import selectors
 import subprocess
 import time
-from typing import Optional
 
 from .diagnostics import CoqatooError, error
 from .goal_parser import FAILURE_MARKERS
@@ -92,7 +91,7 @@ def _exited(stderr: bytes) -> CoqatooError:
                               + (f": {detail}" if detail else "")))
 
 
-def run_live(script: Script, prover_path: Optional[str], timeout_secs: float) -> SessionTrace:
+def run_live(script: Script, prover_path: str | None, timeout_secs: float) -> SessionTrace:
     """`state_provider.run_live`: the prover's response to the lemma and to each tactic."""
     session = _ProverSession(prover_path or os.environ.get(PROVER_ENV_VAR) or "coqtop", timeout_secs)
     try:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from .diagnostics import CoqatooError, Diagnostic, error
 from .goal_parser import Hypothesis, ProofState
 from .rewriter import OutputMode, TemplateSet, render, rewrite_step
@@ -12,7 +10,7 @@ from .state_provider import SessionTrace
 from .tree_builder import AnalyzedStep, ProofNode, build_tree
 
 
-def diff_states(before: ProofState, after: ProofState) -> Tuple[Hypothesis, ...]:
+def diff_states(before: ProofState, after: ProofState) -> tuple[Hypothesis, ...]:
     """The bindings that one tactic added to the focused goal's context: those of `after` that `before` lacks."""
     if before.hypotheses == after.hypotheses:
         # the common case, a tactic that leaves the context as it was;
@@ -22,7 +20,7 @@ def diff_states(before: ProofState, after: ProofState) -> Tuple[Hypothesis, ...]
     return tuple(h for h in after.hypotheses if h not in present)
 
 
-def analyze_trace(script: Script, trace: SessionTrace) -> List[AnalyzedStep]:
+def analyze_trace(script: Script, trace: SessionTrace) -> list[AnalyzedStep]:
     """Pair each tactic with the states around it and the hypotheses it added."""
     tactics = script.tactics
     if len(trace.responses) != len(tactics) + 1:
@@ -38,7 +36,7 @@ def build_proof_tree(script: Script, trace: SessionTrace) -> ProofNode:
 
 
 def generate(script: Script, trace: SessionTrace, templates: TemplateSet,
-             mode: OutputMode) -> Tuple[List[str], List[Diagnostic]]:
+             mode: OutputMode) -> tuple[list[str], list[Diagnostic]]:
     """The rendered proof's lines, and the warnings its rewriting raised."""
     steps = analyze_trace(script, trace)
     tree = build_tree(steps)

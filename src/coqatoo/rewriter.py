@@ -14,12 +14,12 @@ only the placeholders in `ALLOWED_PLACEHOLDERS`; further keys are allowed.
 
 from __future__ import annotations
 
+import os
 import re
 from collections import namedtuple
+from collections.abc import Callable, Sequence
 from enum import Enum
 from functools import lru_cache
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .diagnostics import CoqatooError, decode_utf8, error, warning
 from .goal_parser import IDENT, Hypothesis, ProofState, normalize_text
@@ -41,7 +41,7 @@ class OutputMode(Enum):
     LATEX = "latex"
 
 
-# sentences: tuple; diagnostics: Tuple[Diagnostic, ...]
+# sentences: tuple; diagnostics: tuple[Diagnostic, ...]
 Annotation = namedtuple("Annotation", "sentences diagnostics", defaults=((),))
 _SILENT = Annotation(())   # one for every rule that explains nothing
 
@@ -72,25 +72,26 @@ class TemplateSet(namedtuple("TemplateSet", "language entries")):
         return ", ".join(parts[:-1]) + f" {joiner} " + parts[-1]
 
 
-def load_templates(directory: Optional[str] = None, language: str = REFERENCE_LANGUAGE) -> TemplateSet:
+def load_templates(directory: str | None = None, language: str = REFERENCE_LANGUAGE) -> TemplateSet:
     """Load one language's templates, checking completeness and placeholders.
     A leading byte-order mark is not part of the first line."""
-    base = Path(directory) if directory else Path(__file__).parent / "templates"
-    path = base / f"{language}.properties"
+    base = directory or os.path.join(os.path.dirname(__file__), "templates")
+    path = os.path.join(base, f"{language}.properties")
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
         raise CoqatooError(error("TEMPLATE_MISSING_KEY",
                                  f"no template file for language {language!r} in {base}"))
     except OSError as exc:
         raise CoqatooError(error("IO", f"cannot read {path}: {exc}"))
-    entries: Dict[str, str] = {}
-    for line in decode_utf8(data, str(path), "TEMPLATE_PARSE").removeprefix("\ufeff").splitlines():
+    entries: dict[str, str] = {}
+    for line in decode_utf8(data, path, "TEMPLATE_PARSE").removeprefix("\ufeff").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise CoqatooError(error("TEMPLATE_PARSE", f"line without '=' in {path.name}: {line!r}"))
+            raise CoqatooError(error("TEMPLATE_PARSE", f"line without '=' in {os.path.basename(path)}: {line!r}"))
         key, value = line.split("=", 1)
         entries[key.strip()] = value.strip()
     missing = sorted(REQUIRED_KEYS - entries.keys())
@@ -110,10 +111,10 @@ def _sentences(text: str) -> tuple:
     return tuple(s for s in _SENTENCE_SPLIT.split(text.strip()) if s)
 
 
-def split_implication(text: str) -> List[str]:
+def split_implication(text: str) -> list[str]:
     """Split a normalized type on top-level "->", respecting brackets; a
     segment that starts with `forall` or `exists` runs to the end."""
-    parts: List[str] = []
+    parts: list[str] = []
     depth = 0
     start = 0
     i = 0
@@ -168,7 +169,7 @@ SORT_KEYWORDS = {"Prop", "Set", "Type"}
 
 
 def classify_bindings(added: Sequence[Hypothesis],
-                      before: ProofState) -> Tuple[List[Hypothesis], List[Hypothesis]]:
+                      before: ProofState) -> tuple[list[Hypothesis], list[Hypothesis]]:
     """Partition introduced bindings into (variables, hypotheses).
 
     A binding is a variable when its type is a sort keyword, or an
@@ -177,8 +178,8 @@ def classify_bindings(added: Sequence[Hypothesis],
     Everything else is a proof hypothesis.
     """
     type_vars = {h.name for h in before.hypotheses if h.type_expr in {"Set", "Type"}}
-    variables: List[Hypothesis] = []
-    hypotheses: List[Hypothesis] = []
+    variables: list[Hypothesis] = []
+    hypotheses: list[Hypothesis] = []
     for h in added:
         if h.type_expr in SORT_KEYWORDS or h.type_expr in type_vars:
             variables.append(h)
@@ -252,7 +253,7 @@ _INTROS_KEYS = ("intros.variables", "intros.variables_one", "intros.hypotheses",
 
 # tactic head -> (rule, template keys the rule fills); `auto` reaches the
 # prover as `info_auto` (ScriptItem.prover_text)
-RULES: Dict[str, Tuple[Callable[..., Annotation], Tuple[str, ...]]] = {
+RULES: dict[str, tuple[Callable[..., Annotation], tuple[str, ...]]] = {
     "intros": (_rewrite_intros, _INTROS_KEYS),
     "intro": (_rewrite_intros, _INTROS_KEYS),
     "split": (_silent, ()),
@@ -268,7 +269,7 @@ REQUIRED_KEYS = {"list.joiner", "case.label", "plain.omitted"} | {k for _, keys 
 
 
 def render(tree: ProofNode, annotations: Sequence[Annotation], mode: OutputMode,
-           lemma: str, templates: TemplateSet) -> List[str]:
+           lemma: str, templates: TemplateSet) -> list[str]:
     """The lines of the annotated, plain-text or LaTeX version of the proof,
     each without its "\n"; `annotations` holds one per step, in trace order."""
     annotated, latex = mode is OutputMode.ANNOTATED, mode is OutputMode.LATEX

@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache
-from typing import List, Optional, Tuple
 
 from .diagnostics import Diagnostic, CoqatooError, error, warning
 from .goal_parser import IDENT
@@ -33,7 +32,7 @@ _TOKENS = re.compile(r'"|\(\*|\*\)|;|\.(?=\s|\Z)')
 
 class ScriptItem(namedtuple("ScriptItem", "text span")):
     """One sentence of the script, with its text as written.
-    text: str; span: Tuple[int, int]."""
+    text: str; span: tuple[int, int]."""
     __slots__ = ()
 
     @property
@@ -45,7 +44,7 @@ class ScriptItem(namedtuple("ScriptItem", "text span")):
         return _head(self.text)
 
     @property
-    def argument(self) -> Optional[str]:
+    def argument(self) -> str | None:
         """The command's second word, or None.  A comment separates words as a
         blank does, so `apply (* by H *) H` has the argument `H`; an
         unterminated one hides the rest."""
@@ -121,12 +120,12 @@ def _find_stop(source: str, i: int, stop: str) -> int:
             i = m.end()
 
 
-def tokenize_script(source: str) -> List[ScriptItem]:
+def tokenize_script(source: str) -> list[ScriptItem]:
     """Tokenize a proof script into its sentences in document order.
 
     Raises CoqatooError with UNTERMINATED_COMMENT.
     """
-    items: List[ScriptItem] = []
+    items: list[ScriptItem] = []
     n = len(source)
     at = _NON_SPACE.search(source)
     while at is not None:
@@ -157,11 +156,11 @@ def _has_toplevel_semicolon(text: str) -> bool:
         return False
 
 
-def detect_unsupported(items: List[ScriptItem]) -> List[Diagnostic]:
+def detect_unsupported(items: list[ScriptItem]) -> list[Diagnostic]:
     """Flag what the prover cannot be given one tactic at a time: chained
     tactics and goal selectors (fatal).  Whether a tactic can be explained
     is `rewrite_step`'s to say."""
-    diags: List[Diagnostic] = []
+    diags: list[Diagnostic] = []
     for it in items:
         text = it.text
         if ";" in text and _has_toplevel_semicolon(text):
@@ -174,11 +173,11 @@ def detect_unsupported(items: List[ScriptItem]) -> List[Diagnostic]:
 
 class Script(namedtuple("Script", "lemma tactics")):
     """The first lemma of a source file and the tactics of its proof.
-    lemma: ScriptItem; tactics: Tuple[ScriptItem, ...]."""
+    lemma: ScriptItem; tactics: tuple[ScriptItem, ...]."""
     __slots__ = ()
 
 
-def parse_script(source: str) -> Tuple[Script, List[Diagnostic]]:
+def parse_script(source: str) -> tuple[Script, list[Diagnostic]]:
     """Tokenize, keep the first lemma through its proof end, and check its
     tactics.  A sentence's role is its head: the lemma is the first sentence
     led by a lemma keyword, and its proof ends at the first proof-end keyword
@@ -197,7 +196,7 @@ def parse_script(source: str) -> Tuple[Script, List[Diagnostic]]:
     if start is None:
         raise CoqatooError(error("NO_LEMMA", "no lemma statement found in input"))
     end = next((i for i in range(start + 1, len(heads)) if heads[i] in PROOF_END_KEYWORDS), len(heads))
-    diags: List[Diagnostic] = []
+    diags: list[Diagnostic] = []
     rest = [it for it, head in zip(sentences[end:], heads[end:]) if head in LEMMA_KEYWORDS]
     if rest:
         diags.append(warning("MULTIPLE_LEMMAS", f"processing the first lemma only ({len(rest)} more ignored)",

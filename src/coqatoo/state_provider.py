@@ -8,7 +8,9 @@ The live provider is its own module, `live_session`, which `run_live`
 imports when it runs, so a replay never loads the process machinery
 (`subprocess`, `selectors`).  Nor does it load `json`: records are read by
 the C scanner of `_json`, and `json` is imported only to read a record that
-scanner does not, and to write a recording.
+scanner does not, and to write a recording.  So a record the scanner rejects
+is worded by `json`, imported then: before 3.12 the scanner finds `json` only
+in `sys.modules`, and without it fails with a bare `SystemError`.
 This is the one module that spells a fixture: `run_replay` reads one, and
 `record_session` writes one with the lemma and tactic spellings of the script.
 """
@@ -17,9 +19,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from io import BufferedIOBase
 from itertools import zip_longest
 from operator import itemgetter
-from typing import BinaryIO, Dict, List, Optional, Tuple
 
 from .diagnostics import CoqatooError, decode_utf8, error
 from .goal_parser import ProofState, parse_state, normalize_text
@@ -34,7 +36,7 @@ class SessionTrace(namedtuple("SessionTrace", "responses prover_version", defaul
     tactic, in the order they were sent; prover_version: str."""
     __slots__ = ()
 
-    def states(self) -> List[ProofState]:
+    def states(self) -> list[ProofState]:
         """The state after each response."""
         return list(map(parse_state, self.responses))
 
@@ -69,7 +71,7 @@ else:
 _step_fields = itemgetter(*_STEP_FIELDS)
 
 
-def _fields(record, fields: Dict[str, Optional[str]], fixture_path: str, number: int) -> Tuple[str, ...]:
+def _fields(record, fields: dict[str, str | None], fixture_path: str, number: int) -> tuple[str, ...]:
     """The values of `fields` in one decoded fixture record, each a string that UTF-8
     can encode, which a string holding a lone surrogate (a JSON "\\ud800") is not."""
     where = f"malformed fixture {fixture_path} record {number}"
@@ -87,14 +89,14 @@ def _fields(record, fields: Dict[str, Optional[str]], fixture_path: str, number:
     return values
 
 
-def _read_fixture(fh: BinaryIO, fixture_path: str) -> Tuple[str, str, str, List[str], List[str]]:
+def _read_fixture(fh: BufferedIOBase, fixture_path: str) -> tuple[str, str, str, list[str], list[str]]:
     """Lemma, initial response, prover version, tactics and responses of an
     open fixture, read one record at a time.  The first record that is not
     UTF-8, is not JSON that `json` decodes or has the wrong fields raises
     FIXTURE_PARSE; no later one is read."""
-    header: Optional[Tuple[str, ...]] = None
-    tactics: List[str] = []
-    raws: List[str] = []
+    header: tuple[str, ...] | None = None
+    tactics: list[str] = []
+    raws: list[str] = []
     offset = 0
     for raw in fh:   # a record ends at "\n" only: a JSON string may hold U+2028 and the like raw
         offset += len(raw)
@@ -102,7 +104,7 @@ def _read_fixture(fh: BinaryIO, fixture_path: str) -> Tuple[str, str, str, List[
             record, end = _scan(text := raw.decode(), 0)
             if text[end:] != "\n":
                 raise ValueError
-        except (StopIteration, ValueError, RecursionError):   # any other line, read by json.loads without its end
+        except (StopIteration, ValueError, RecursionError, SystemError):   # any other line: json.loads, without its end
             text = decode_utf8(raw, f"fixture {fixture_path}", "FIXTURE_PARSE", offset - len(raw))
             text = text[:-2] if text.endswith("\r\n") else text.removesuffix("\n")   # "\r\n" is one record end
             if not text or text.isspace():
@@ -167,7 +169,7 @@ def record_session(script: Script, trace: SessionTrace, out_path: str) -> None:
         raise CoqatooError(error("IO", f"cannot write fixture {out_path}: {exc}"))
 
 
-def run_live(script: Script, prover_path: Optional[str] = None,
+def run_live(script: Script, prover_path: str | None = None,
              timeout_secs: float = DEFAULT_TIMEOUT_SECS) -> SessionTrace:
     """Execute the script against a live prover, capturing each response.
 

@@ -16,13 +16,13 @@ which a tactic on another goal may fill, may change.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import List, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from .diagnostics import CoqatooError, error
 from .goal_parser import normalize_text
 
 # one tactic: its item: ScriptItem, the states around it, before and after: ProofState,
-# and the hypotheses it added: Tuple[Hypothesis, ...]
+# and the hypotheses it added: tuple[Hypothesis, ...]
 AnalyzedStep = namedtuple("AnalyzedStep", "item before after added")
 
 
@@ -31,8 +31,8 @@ class ProofNode:
     __slots__ = ("steps", "children")
 
     def __init__(self):
-        self.steps: List[AnalyzedStep] = []
-        self.children: List[ProofNode] = []
+        self.steps: list[AnalyzedStep] = []
+        self.children: list[ProofNode] = []
 
 
 def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
@@ -43,7 +43,7 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
     if len(goals) > 1:
         raise CoqatooError(error("MALFORMED_TRACE", f"the proof starts with {len(goals)} goals", steps[0].item.span))
     root = current = ProofNode()
-    parents: List[ProofNode] = []   # the parent of each case still to open, the next one last
+    parents: list[ProofNode] = []   # the parent of each case still to open, the next one last
 
     for step in steps:
         before, after = step.before.goals, step.after.goals
@@ -75,7 +75,7 @@ def build_tree(steps: Sequence[AnalyzedStep]) -> ProofNode:
     return root
 
 
-def _changed_goal(before: Tuple[str, ...], after: Tuple[str, ...]) -> Optional[str]:
+def _changed_goal(before: tuple[str, ...], after: tuple[str, ...]) -> str | None:
     """The first goal behind the focused one in `before` that is not in its
     place at the end of `after`, normalized, or None: `before[1:]` must be a
     suffix of `after`, whitespace aside, but a goal with an evar may change."""
@@ -88,28 +88,28 @@ def _changed_goal(before: Tuple[str, ...], after: Tuple[str, ...]) -> Optional[s
     return None
 
 
-def walk(root: ProofNode) -> List[Tuple[bool, ProofNode]]:
+def walk(root: ProofNode) -> list[tuple[bool, ProofNode]]:
     """(True, node) on entering each node in pre-order, (False, node) after its subtree.
 
     `_visit` is the only code that recurses over `children`, one Python frame
     per tree level, so every output breaks at the same depth.
     """
-    events: List[Tuple[bool, ProofNode]] = []
+    events: list[tuple[bool, ProofNode]] = []
     _visit(root, events)
     return events
 
 
-def _visit(node: ProofNode, events: List[Tuple[bool, ProofNode]]) -> None:
+def _visit(node: ProofNode, events: list[tuple[bool, ProofNode]]) -> None:
     events.append((True, node))
     for child in node.children:
         _visit(child, events)
     events.append((False, node))
 
 
-def to_dot(root: ProofNode) -> List[str]:
+def to_dot(root: ProofNode) -> list[str]:
     """The lines of the tree as a DOT digraph for debugging, each without its "\n"."""
     lines = ["digraph proof {", "  node [shape=box];"]
-    open_ids: List[int] = []   # ids of the nodes entered and not yet left
+    open_ids: list[int] = []   # ids of the nodes entered and not yet left
     count = 0
     for entering, node in walk(root):
         if not entering:

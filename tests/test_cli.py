@@ -1103,6 +1103,20 @@ def test_cold_start_loads_no_process_machinery(extra):
         assert replayed - imported == set()
 
 
+@pytest.mark.parametrize("extra", [["--mode", "annotated"], ["--mode", "plain"], ["--mode", "latex"],
+                                   ["--lang", "fr"], ["--dot"]],
+                         ids=["annotated", "plain", "latex", "fr", "dot"])
+def test_a_replay_in_a_clean_interpreter_loads_no_typing_pathlib_json_or_process_machinery(extra):
+    """Only a fresh `python -S` can show this: this process has imported all
+    five, and a site-packages `.pth` may load some before any code runs."""
+    code = ("import sys\nfrom coqatoo.cli import main\n"
+            f"assert main({replay_args('and_commutes', '--out', os.devnull, *extra)!r}) == 0\n"
+            "print(*sorted({'typing', 'pathlib', 'json', 'subprocess', 'selectors'} & sys.modules.keys()))")
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=_cli_env(),
+                         timeout=60)
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "\n")
+
+
 def test_a_replay_without_the_c_scanner_renders_the_golden():
     """Where `_json` cannot be imported, fixture records are read by json's own scanner."""
     code = ("import sys\nsys.modules['_json'] = None\n"

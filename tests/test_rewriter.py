@@ -93,6 +93,19 @@ def test_missing_language_file(tmp_path, layout):
     assert exc.value.diagnostic.code == "TEMPLATE_MISSING_KEY"
 
 
+@pytest.mark.parametrize("suffix", ["/", "/./"])
+def test_messages_spell_the_template_directory_as_given(tmp_path, suffix):
+    """The directory and the file a message names are spelled as the caller spelled the directory."""
+    directory = str(tmp_path) + suffix
+    with pytest.raises(CoqatooError) as exc:
+        load_templates(directory, "de")
+    assert exc.value.diagnostic.message == f"no template file for language 'de' in {directory}"
+    (tmp_path / "de.properties").write_bytes(b"\xff")
+    with pytest.raises(CoqatooError) as exc:
+        load_templates(directory, "de")
+    assert exc.value.diagnostic.message.startswith(f"{directory}de.properties is not valid UTF-8: ")
+
+
 # --- split_implication ---
 
 @pytest.mark.parametrize("expr,parts", [

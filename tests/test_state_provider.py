@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -10,8 +13,8 @@ from coqatoo.diagnostics import decode_utf8, error
 from coqatoo.pipeline import analyze_trace
 from coqatoo.state_provider import _HEADER_FIELDS, _STEP_FIELDS, _fields, _read_fixture
 
-from helpers import (LISTING_1, LISTING_2, conjunction_chain, fixture_path, load_script, load_trace, narrow_chain,
-                     write_prover, write_replay_pair, write_split_coqtop)
+from helpers import (LISTING_1, LISTING_2, ROOT, conjunction_chain, fixture_path, load_script, load_trace,
+                     narrow_chain, write_prover, write_replay_pair, write_split_coqtop)
 
 
 def test_replay_golden_fixture():
@@ -200,7 +203,7 @@ _STEP_PAIR = _STEP.replace("exact I", "exact \\ud83d\\ude00")   # ... and of a s
 _HEADER_SURROGATE = _HEADER.replace("subgoal", "\\udc80subgoal")
 
 
-@pytest.mark.parametrize("data", [
+_FIXTURES = [
     f"{_HEADER}\r\n{_STEP}\r\n".encode(),
     f"{_HEADER}\n{_STEP_CR}\r\r\n{_STEP}\r".encode(),             # a bare "\r" inside a line
     f"\n  \t\n{_HEADER}\n\u2028\n\n {_STEP} \n\x0c\n".encode(),     # blank and whitespace-only lines
@@ -223,23 +226,35 @@ _HEADER_SURROGATE = _HEADER.replace("subgoal", "\\udc80subgoal")
     f'{_HEADER}\n"x"\n{_STEP}\n'.encode(),
     f"{_HEADER}\n{_STEP} x\n{_STEP}\n".encode(),
     f"{_HEADER}\n{_STEP}]\r\n".encode(),
-], ids=["crlf", "bare-cr", "blank-lines", "no-final-newline", "crlf-blank-end", "raw-u2028", "bad-first",
-        "bad-middle", "bad-last-byte", "bad-last-byte-2", "bad-byte-after-bad-json", "bad-json-after-bad-shape",
-        "bad-header", "only-blank", "empty", "surrogate-pair", "lone-surrogate", "lone-surrogate-in-header",
-        "non-string-field", "string-record", "extra-data", "extra-data-crlf"])
+]
+_FIXTURE_IDS = ["crlf", "bare-cr", "blank-lines", "no-final-newline", "crlf-blank-end", "raw-u2028", "bad-first",
+                "bad-middle", "bad-last-byte", "bad-last-byte-2", "bad-byte-after-bad-json", "bad-json-after-bad-shape",
+                "bad-header", "only-blank", "empty", "surrogate-pair", "lone-surrogate", "lone-surrogate-in-header",
+                "non-string-field", "string-record", "extra-data", "extra-data-crlf"]
+
+
+@pytest.mark.parametrize("data", _FIXTURES, ids=_FIXTURE_IDS)
 def test_streamed_reader_matches_whole_file_decode(tmp_path, data):
     path = tmp_path / "t.cqtrace"
     path.write_bytes(data)
     _assert_streamed_matches_reference(path)
 
 
-@pytest.mark.parametrize("end", ["\n", "\r\n"])
-@pytest.mark.parametrize("record", [_STEP[:-1], _STEP[:30], _STEP + " x", '{"tactic": "x",, }'])
+_MALFORMED_RECORDS = [_STEP[:-1], _STEP[:30], _STEP + " x", '{"tactic": "x",, }']
+_RECORD_ENDS = ["\n", "\r\n"]
+
+
+def _fixture_with(record, end):
+    return f"{_HEADER}\n{_STEP}\n{record}{end}{_STEP}\n".encode()
+
+
+@pytest.mark.parametrize("end", _RECORD_ENDS)
+@pytest.mark.parametrize("record", _MALFORMED_RECORDS)
 def test_a_malformed_record_reports_its_column_without_its_end(tmp_path, record, end):
     """A record's end is JSON whitespace, so a reader that decodes the record with it
     reads it too, but the line and column reported are those of the record alone."""
     path = tmp_path / "t.cqtrace"
-    path.write_text(f"{_HEADER}\n{_STEP}\n{record}{end}{_STEP}\n", encoding="utf-8", newline="")
+    path.write_bytes(_fixture_with(record, end))
     with pytest.raises(json.JSONDecodeError) as exc:
         json.loads(record)
     assert "line 1 column" in str(exc.value)
@@ -262,6 +277,30 @@ def test_a_record_that_json_cannot_decode_is_a_fixture_parse_error(tmp_path, val
     outcome = _outcome(_streamed, path)
     assert outcome.startswith(f"error[FIXTURE_PARSE]: malformed fixture {path}")
     assert "UTF-8" not in outcome
+
+
+def test_a_malformed_fixture_gives_its_diagnostic_in_a_clean_interpreter(tmp_path):
+    """Each rejected fixture of the two tests above, and a record holding a raw
+    tab, exits 1 with the diagnostic it gives in this process.  The run is a
+    fresh `python -S`, which has not imported `json`: before 3.12 the C scanner
+    words its own error only when `json` is already loaded."""
+    script = tmp_path / "t.v"
+    script.write_text("Lemma t : True.\nProof.\n  exact I.\nQed.\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    tab = _STEP.replace("exact I", "exact\tI")
+    rejected = 0
+    for number, data in enumerate(_FIXTURES + [_fixture_with(record, end) for record in _MALFORMED_RECORDS + [tab]
+                                               for end in _RECORD_ENDS]):
+        path = tmp_path / f"{number}.cqtrace"
+        path.write_bytes(data)
+        expected = _outcome(_streamed, path)
+        if not isinstance(expected, str):
+            continue
+        run = subprocess.run([sys.executable, "-S", "-m", "coqatoo.cli", str(script), "--provider", "replay",
+                              "--fixture", str(path)], capture_output=True, text=True, env=env, timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (1, "", expected + "\n"), data
+        rejected += 1
+    assert rejected == 15 + 10   # fixtures, records
 
 
 _PIECES = [_HEADER, _STEP, "", " ", "\t\u2028", "[1, 2]", '{"tactic": "x"}', "{", "\ufeff" + _STEP,
