@@ -3,7 +3,8 @@
 Splits a script into its sentences; comments, bullet glyphs and focus
 braces end and separate sentences but are skipped.  A "." terminates a
 sentence only when followed by whitespace or end of input, and never
-inside a string or a comment, so qualified names survive.  Comments nest.
+inside a string or a comment, so qualified names survive.  Comments nest,
+and a string inside one must be closed: a "*)" in it ends no comment.
 `parse_script` is the one place that reads a sentence's role from its
 head and selects the lemma and the tactics the later stages run; they
 take its `Script`, never the sentence list.
@@ -18,7 +19,7 @@ from functools import lru_cache
 from .diagnostics import Diagnostic, CoqatooError, error, warning
 from .goal_parser import IDENT
 
-LEMMA_KEYWORDS = {"Lemma", "Theorem", "Corollary", "Fact", "Remark", "Proposition", "Example"}
+LEMMA_KEYWORDS = {"Lemma", "Theorem", "Corollary", "Fact", "Remark", "Proposition", "Example", "Goal"}
 PROOF_END_KEYWORDS = {"Qed", "Defined", "Admitted", "Save"}
 
 # N:, N-M:, N, M:, all:, par:, !: and [name]: in front of a tactic
@@ -81,16 +82,19 @@ def _head(text: str) -> str:
 
 
 def _scan_comment(source: str, i: int) -> int:
-    """Return index just past the comment opening at i; raises if unterminated."""
-    depth = 0
-    for m in _TOKENS.finditer(source, i):
-        token = m.group()
-        if token == "(*":
+    """Return index just past the comment opening at i; raises if it, or a
+    string inside it, is unterminated."""
+    depth, at = 0, i
+    while (m := _TOKENS.search(source, at)) is not None:
+        token, at = m.group(), m.end()
+        if token == '"':
+            at = _scan_string(source, m.start())
+        elif token == "(*":
             depth += 1
         elif token == "*)":
             depth -= 1
             if depth == 0:
-                return m.end()
+                return at
     raise CoqatooError(error("UNTERMINATED_COMMENT", "comment opened here is never closed", (i, len(source))))
 
 

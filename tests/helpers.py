@@ -1,4 +1,11 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite.
+
+The suite tests whichever `coqatoo` Python imports: `src/` when it is on
+PYTHONPATH, otherwise an installed copy.  PACKAGE is that package's
+directory, and PACKAGE_PATH the directory that holds it, which a child
+process needs on PYTHONPATH to import the same package.  ROOT is the
+checkout, which the tests read for their fixtures, scripts and README.
+"""
 
 import importlib.util
 import json
@@ -8,6 +15,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import coqatoo
 from coqatoo import (CoqatooError, Diagnostic, ProofState, Script, ScriptItem, SessionTrace, detect_unsupported,
                      load_templates, parse_script, run_replay, tokenize_script)
 from coqatoo.diagnostics import error, warning
@@ -17,6 +25,8 @@ from coqatoo.pipeline import analyze_trace
 from coqatoo.tree_builder import ProofNode, walk
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(coqatoo.__file__).resolve().parent
+PACKAGE_PATH = PACKAGE.parent
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 FAKE_COQTOP = ROOT / "perfbench" / "fake_coqtop.py"
 SPLIT_WRITES = Path(__file__).parent / "split_writes.py"

@@ -489,6 +489,17 @@ def test_round_trip_tactic_order(corpus_name):
     assert roundtrip_tactics(out) == source_tactics
 
 
+def test_round_trip_of_a_goal_holding_a_comment_end_in_a_string(tmp_path):
+    """Annotated output prints the goal inside a comment, and the `"*)"` it holds
+    is a string there, as in Coq: it ends no comment on the way back."""
+    statement = '"*)" = "*)" -> "*)" = "*)"'
+    steps = [("intros H", state(['H : "*)" = "*)"'], ['"*)" = "*)"'])), ("assumption", DONE)]
+    lines, codes = _render_pair(tmp_path, OutputMode.ANNOTATED, f"Lemma t : {statement}.",
+                                state([], [statement]), steps)
+    assert codes == [] and '*)" is true.' in lines[2]
+    assert roundtrip_tactics(output_text(lines)) == ["intros H", "assumption"]
+
+
 def test_verbosity_bound(corpus_name):
     for step in analyzed_steps(corpus_name):
         assert len(rewrite_step(step, EN).sentences) <= 2

@@ -10,7 +10,7 @@ from coqatoo.diagnostics import Severity
 from coqatoo.goal_parser import IDENT
 from coqatoo.script_parser import LEMMA_KEYWORDS, PROOF_END_KEYWORDS, ScriptItem, _head
 
-from helpers import CORPUS, ROOT, load_script, reference_parse, script_path, tactic_commands
+from helpers import CORPUS, PACKAGE, load_script, reference_parse, script_path, tactic_commands
 
 LISTING_4_TACTICS = [
     "intros", "split", "intros H HP HQ", "apply H", "apply conj",
@@ -58,10 +58,21 @@ def test_qualified_name_does_not_split_sentence():
     assert tactics[0].command == "apply Coq.Init.Logic.I"
 
 
-def test_unterminated_comment():
+@pytest.mark.parametrize("src", ["Lemma t : True. Proof. (* oops", "(* don't use \"quotes *)",
+                                 'Lemma t : True. Proof. (* "a"" *) exact I. Qed.'],
+                         ids=["comment", "string-in-comment", "string-with-an-escaped-quote"])
+def test_unterminated_comment(src):
+    """A string inside a comment must be closed too: one left open leaves the comment open."""
     with pytest.raises(CoqatooError) as exc:
-        tokenize_script("Lemma t : True. Proof. (* oops")
-    assert exc.value.diagnostic.code == "UNTERMINATED_COMMENT"
+        tokenize_script(src)
+    at = src.index("(*")
+    assert (exc.value.diagnostic.code, exc.value.diagnostic.span) == ("UNTERMINATED_COMMENT", (at, len(src)))
+
+
+def test_a_string_in_a_comment_hides_its_comment_end():
+    """A comment may hold a string literal, as in Coq: its "*)" ends no comment."""
+    src = 'Proof. (* a "*)" b *) exact I. Qed.'
+    assert [(it.text, it.span) for it in tokenize_script(src)] == _sentences_at(src, ["Proof.", "exact I.", "Qed."])
 
 
 def test_no_lemma():
@@ -193,7 +204,7 @@ def test_semicolon_inside_comment_or_string_is_fine():
 def test_the_parser_leaves_explaining_to_the_rewriter():
     """Whether a tactic can be explained is `rewrite_step`'s to say: the parser
     flags only what the prover cannot be given, and imports no rewriter."""
-    tree = ast.parse((ROOT / "src" / "coqatoo" / "script_parser.py").read_text(encoding="utf-8"))
+    tree = ast.parse((PACKAGE / "script_parser.py").read_text(encoding="utf-8"))
     assert "rewriter" not in {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert detect_unsupported(_tactics_of("Lemma t : True. Proof. ring. τακτική H. Qed.")) == []
 

@@ -13,7 +13,7 @@ from coqatoo.diagnostics import decode_utf8, error
 from coqatoo.pipeline import analyze_trace
 from coqatoo.state_provider import _HEADER_FIELDS, _STEP_FIELDS, _fields, _read_fixture
 
-from helpers import (LISTING_1, LISTING_2, ROOT, conjunction_chain, fixture_path, load_script, load_trace,
+from helpers import (LISTING_1, LISTING_2, PACKAGE_PATH, conjunction_chain, fixture_path, load_script, load_trace,
                      narrow_chain, write_prover, write_replay_pair, write_split_coqtop)
 
 
@@ -261,8 +261,11 @@ def test_a_malformed_record_reports_its_column_without_its_end(tmp_path, record,
     assert _outcome(_streamed, path) == f"error[FIXTURE_PARSE]: malformed fixture {path}: {exc.value}"
 
 
-@pytest.mark.parametrize("value", ["9" * 5000, "[" * 100_000 + "]" * 100_000],
-                         ids=["integer-of-5000-digits", "arrays-nested-100000-deep"])
+# JSON values that `json` cannot decode: longer than the digit limit, nested deeper than it recurses
+_UNDECODABLE = ["9" * 5000, "[" * 100_000 + "]" * 100_000]
+
+
+@pytest.mark.parametrize("value", _UNDECODABLE, ids=["integer-of-5000-digits", "arrays-nested-100000-deep"])
 @pytest.mark.parametrize("header", [True, False], ids=["header", "step"])
 def test_a_record_that_json_cannot_decode_is_a_fixture_parse_error(tmp_path, value, header):
     """An integer longer than Python's digit limit (a ValueError that is no
@@ -280,16 +283,17 @@ def test_a_record_that_json_cannot_decode_is_a_fixture_parse_error(tmp_path, val
 
 
 def test_a_malformed_fixture_gives_its_diagnostic_in_a_clean_interpreter(tmp_path):
-    """Each rejected fixture of the two tests above, and a record holding a raw
-    tab, exits 1 with the diagnostic it gives in this process.  The run is a
-    fresh `python -S`, which has not imported `json`: before 3.12 the C scanner
+    """Each rejected fixture of the two tests above, a step record holding a
+    raw tab, and one holding each value that `json` cannot decode, exits 1
+    with the diagnostic it gives in this process.  The run is a fresh
+    `python -S`, which has not imported `json`: before 3.12 the C scanner
     words its own error only when `json` is already loaded."""
     script = tmp_path / "t.v"
     script.write_text("Lemma t : True.\nProof.\n  exact I.\nQed.\n")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    tab = _STEP.replace("exact I", "exact\tI")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_PATH))
+    records = [_STEP.replace("exact I", "exact\tI")] + [_STEP.replace('"exact I"', value) for value in _UNDECODABLE]
     rejected = 0
-    for number, data in enumerate(_FIXTURES + [_fixture_with(record, end) for record in _MALFORMED_RECORDS + [tab]
+    for number, data in enumerate(_FIXTURES + [_fixture_with(record, end) for record in _MALFORMED_RECORDS + records
                                                for end in _RECORD_ENDS]):
         path = tmp_path / f"{number}.cqtrace"
         path.write_bytes(data)
@@ -300,7 +304,7 @@ def test_a_malformed_fixture_gives_its_diagnostic_in_a_clean_interpreter(tmp_pat
                               "--fixture", str(path)], capture_output=True, text=True, env=env, timeout=60)
         assert (run.returncode, run.stdout, run.stderr) == (1, "", expected + "\n"), data
         rejected += 1
-    assert rejected == 15 + 10   # fixtures, records
+    assert rejected == 15 + 14   # fixtures, records
 
 
 _PIECES = [_HEADER, _STEP, "", " ", "\t\u2028", "[1, 2]", '{"tactic": "x"}', "{", "\ufeff" + _STEP,
@@ -414,7 +418,8 @@ def test_record_then_replay_round_trip(tmp_path, proof):
     _assert_recording_round_trips(script, run_replay(script, str(fixture)), tmp_path / "out.cqtrace", fixture)
 
 
-@pytest.mark.parametrize("proof", _CHAINS, ids=lambda p: f"{p[0].__name__}-{p[1]}")
+@pytest.mark.parametrize("proof", ["conj_imp_equiv", "and_commutes", "modus_ponens", *_CHAINS],
+                         ids=lambda p: p if isinstance(p, str) else f"{p[0].__name__}-{p[1]}")
 def test_live_record_then_replay_round_trip(tmp_path, fake_prover, proof):
     script, fixture = _source(tmp_path, proof)
     trace = run_live(script, fake_prover(fixture))
