@@ -3,7 +3,10 @@
 Understands the "N subgoals" header, the hypothesis block above the
 "====" separator, the focused goal below it, and trailing
 "subgoal K is:" blocks; ahead of the header, a finished proof's marker
-and the "(* info auto: *)" report of the tactics an `auto` used.
+("No more subgoals.") and the "(* info auto: *)" report of the tactics an
+`auto` used.  Both wordings are read: coqtop 8.9's, quoted above, and that
+of newer releases, which say "goal" for "subgoal" ("2 goals", "goal 2 is:",
+"No more goals.").
 
 Hypothesis types are stored normalized (wrapped lines joined, whitespace
 runs collapsed), so later stages compare and print them as they are.
@@ -19,16 +22,17 @@ from functools import lru_cache
 
 from .diagnostics import CoqatooError, error
 
-# where a state starts: its subgoal header, or a marker that the proof is finished
-SUBGOAL_HEADER = re.compile(r"^\s*(\d+)\s+(?:focused\s+)?subgoals?\b", re.M)
-FINISHED_MARKERS = ("No more subgoals", "Proof completed")
+# where a state starts: its subgoal header, or a marker that the proof is finished;
+# "subgoal" in coqtop 8.9's wording, "goal" in that of newer releases
+SUBGOAL_HEADER = re.compile(r"^\s*(\d+)\s+(?:focused\s+)?(?:sub)?goals?\b", re.M)
+FINISHED_MARKERS = ("No more subgoals", "No more goals", "Proof completed")
 # a line that starts with one of these reports that the prover rejected the sentence
 FAILURE_MARKERS = ("Error", "Toplevel input")
 # the line that opens an info_auto report, then the hint database that ends a reported command
 _AUTO_REPORT = re.compile(r"\(\*\s*info\s+e?auto\s*:\s*\*\)")
 _AUTO_DB = re.compile(r"\s*\(in \w+\)$")
-# a "subgoal K is:" line, from the line break ahead of it, which ends the goal above it
-_SUBGOAL_K = re.compile(r"\n[^\S\n]*subgoal[^\S\n]+\d+[^\S\n]+is[^\S\n]*:[^\S\n]*(?=\n|\Z)")
+# a "subgoal K is:" or "goal K is:" line, from the line break ahead of it, which ends the goal above it
+_SUBGOAL_K = re.compile(r"\n[^\S\n]*(?:sub)?goal[^\S\n]+\d+[^\S\n]+is[^\S\n]*:[^\S\n]*(?=\n|\Z)")
 # a Coq identifier: a letter (Unicode ones too) or "_", then letters, digits, "_" and "'";
 # the one definition every stage reads: match() finds the name a text starts with, fullmatch() checks one
 IDENT = re.compile(r"[^\W\d][\w']*")
@@ -147,7 +151,8 @@ def parse_state(raw: str) -> ProofState:
     hyps = _parse_context(text[:start])
 
     goal = text[end:].strip()
-    if "\n" in goal or goal.startswith("subgoal"):   # lines to join, or a "subgoal K is:" line that ends a goal
+    # lines to join, or a "subgoal K is:" or "goal K is:" line that ends a goal
+    if "\n" in goal or goal.startswith(("subgoal", "goal")):
         goals = tuple(map(_joined, _SUBGOAL_K.split(text[end:])))
     else:
         goals = (goal,)

@@ -11,8 +11,9 @@ the C scanner of `_json`, and `json` is imported only to read a record that
 scanner does not, and to write a recording.  So a record the scanner rejects
 is worded by `json`, imported then: before 3.12 the scanner finds `json` only
 in `sys.modules`, and without it fails with a bare `SystemError`.
-This is the one module that spells a fixture: `run_replay` reads one, and
-`record_session` writes one with the lemma and tactic spellings of the script.
+This is the one module that spells a fixture: `run_replay` reads one, one
+record at a time through a 64 KiB buffer, and `record_session` writes one with
+the lemma and tactic spellings of the script.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .script_parser import Script, sentence_command
 
 DEFAULT_TIMEOUT_SECS = 10
 PROVER_ENV_VAR = "COQATOO_PROVER"
+# the buffer a fixture is read through: a long trace's records are a few KiB each, more than
+# the file system's block, which `open` takes by default
+_BUFFER_BYTES = 64 * 1024
 
 
 class SessionTrace(namedtuple("SessionTrace", "responses prover_version", defaults=("",))):
@@ -133,7 +137,7 @@ def _read_fixture(fh: BufferedIOBase, fixture_path: str) -> tuple[str, str, str,
 def run_replay(script: Script, fixture_path: str) -> SessionTrace:
     """Replay a recorded session, verifying it matches the script."""
     try:
-        with open(fixture_path, "rb") as fh:
+        with open(fixture_path, "rb", buffering=_BUFFER_BYTES) as fh:
             lemma, initial, version, tactics, raws = _read_fixture(fh, fixture_path)
     except OSError as exc:
         raise CoqatooError(error("IO", f"cannot read fixture {fixture_path}: {exc}"))

@@ -154,9 +154,10 @@ def _load_fixture_builder():
     return module
 
 
-# the coqtop-style state printer and "No more subgoals" block of the committed fixtures
+# the coqtop-style state printer and "No more subgoals" block of the committed fixtures, each
+# of which takes the word a goal is named by; and each committed fixture's name -> its builder
 _builder = _load_fixture_builder()
-state, DONE = _builder.state, _builder.DONE
+state, done, DONE, FIXTURE_BUILDERS = _builder.state, _builder.done, _builder.DONE, _builder.BUILDERS
 
 
 def extract_auto_trace(response_raw: str) -> List[str]:
@@ -180,19 +181,19 @@ def extract_auto_trace(response_raw: str) -> List[str]:
     return tactics
 
 
-_SUBGOAL_K = re.compile(r"^\s*subgoal\s+(\d+)\s+is\s*:\s*$")
+_SUBGOAL_K = re.compile(r"^\s*(?:sub)?goal\s+(\d+)\s+is\s*:\s*$")
 
 
 def reference_goals(body: str) -> List[str]:
     """`goal_parser.parse_state`'s goal loop as it was when it read the text
     below the separator line one line at a time, kept as the reference for its
-    goal join: each line stripped, a "subgoal K is:" line ending a goal, the
-    other non-blank lines of a goal joined by " "."""
+    goal join: each line stripped, a "subgoal K is:" or "goal K is:" line
+    ending a goal, the other non-blank lines of a goal joined by " "."""
     goals: List[str] = []
     current: List[str] = []
     for line in body.split("\n"):
         line = line.strip()
-        if line.startswith("subgoal") and _SUBGOAL_K.match(line):
+        if line.startswith(("subgoal", "goal")) and _SUBGOAL_K.match(line):
             goals.append(" ".join(current))
             current = []
         elif line:

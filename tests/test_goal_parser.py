@@ -22,7 +22,8 @@ SEPARATOR = "  ============================"
     (LISTING_1.replace(SEPARATOR, SEPARATOR + "   "), ()),
     (LISTING_1.replace(SEPARATOR, "  H : a ==== b\n  ====>\n" + SEPARATOR),
      (Hypothesis("H", "a ==== b ====>"),)),
-], ids=["lf", "crlf", "cr", "formfeed", "trailing-blanks", "equals-in-type"])
+    (LISTING_1.replace("1 subgoal", "1 goal"), ()),
+], ids=["lf", "crlf", "cr", "formfeed", "trailing-blanks", "equals-in-type", "newer-wording"])
 def test_initial_state_block(raw, hypotheses):
     state = parse_state(raw)
     assert state.hypotheses == hypotheses
@@ -35,12 +36,14 @@ def test_state_after_intros_block():
     assert state.goals == ("(P /\\ Q -> R) <-> (P -> Q -> R)",)
 
 
-def test_no_more_subgoals():
-    state = parse_state("No more subgoals.\n")
+@pytest.mark.parametrize("raw", ["No more subgoals.\n", "No more goals.\n"])
+def test_no_more_subgoals(raw):
+    state = parse_state(raw)
     assert state.goals == ()
 
 
-@pytest.mark.parametrize("goal", ['s = "Proof completed"', '"No more subgoals" = s', "P ->\n  Proof completed"])
+@pytest.mark.parametrize("goal", ['s = "Proof completed"', '"No more subgoals" = s', '"No more goals" = s',
+                                  "P ->\n  Proof completed"])
 def test_a_marker_in_a_goal_is_no_finished_proof(goal):
     """A marker counts only where it starts a line ahead of the subgoal header."""
     state = parse_state(f"1 subgoal\n\n  s : string\n  ============================\n  {goal}\n")
@@ -48,6 +51,7 @@ def test_a_marker_in_a_goal_is_no_finished_proof(goal):
 
 
 @pytest.mark.parametrize("raw, auto", [("(* info auto: *)\nsimple exact I.\n\nNo more subgoals.\n", ("exact I",)),
+                                       ("(* info auto: *)\nsimple exact I.\nNo more goals.\n", ("exact I",)),
                                        ("  Proof completed.\n", ()), ("No more subgoals.\r\n", ())])
 def test_a_marker_that_starts_a_line_finishes_the_proof(raw, auto):
     assert parse_state(raw) == ((), (), auto)
@@ -55,10 +59,11 @@ def test_a_marker_that_starts_a_line_finishes_the_proof(raw, auto):
 
 _AUTO_COMMANDS = ["simple apply H", "assumption", "apply H0 (in core)", "intro", "exact I", "auto", "info_auto"]
 # what coqtop prints after a report: a finished proof, or the state the `auto` left
-_AFTER_REPORT = st.sampled_from(["No more subgoals.\n", "Proof completed.\n"]) | st.builds(
+_AFTER_REPORT = st.sampled_from(["No more subgoals.\n", "No more goals.\n", "Proof completed.\n"]) | st.builds(
     build_state,
     st.lists(st.sampled_from(["P, Q : Prop", "H : P -> Q", "H0 : P", "n : nat"]), max_size=3),
-    st.lists(st.sampled_from(["Q", "P /\\ Q", "True"]), min_size=1, max_size=3))
+    st.lists(st.sampled_from(["Q", "P /\\ Q", "True"]), min_size=1, max_size=3),
+    st.sampled_from(["subgoal", "goal"]))
 
 
 @given(st.lists(st.sampled_from(_AUTO_COMMANDS), max_size=4), st.booleans(), _AFTER_REPORT)
@@ -70,9 +75,10 @@ def test_the_auto_report_matches_the_reference_reader(commands, blank, rest):
     assert alone.auto == ()
 
 
-def test_multiple_subgoals():
-    raw = ("3 subgoals\n\n  H : P\n  ============================\n  P\n\n"
-           "subgoal 2 is:\n Q\nsubgoal 3 is:\n R\n")
+@pytest.mark.parametrize("word", ["subgoal", "goal"])
+def test_multiple_subgoals(word):
+    raw = (f"3 {word}s\n\n  H : P\n  ============================\n  P\n\n"
+           f"{word} 2 is:\n Q\n{word} 3 is:\n R\n")
     state = parse_state(raw)
     assert state.goals == ("P", "Q", "R")
 
@@ -189,24 +195,25 @@ def test_each_name_of_a_display_group_is_a_binding_of_its_type(lines):
         assert parse_state(raw).hypotheses == tuple(Hypothesis(n, t) for names, t in groups for n in names)
 
 
-# blanks a goal line may be indented or ended by, ASCII and not; lines led by "subgoal" that are no marker
+# blanks a goal line may be indented or ended by, ASCII and not; lines led by "subgoal" or "goal" that are no marker
 _BLANKS = st.text(st.sampled_from([" ", "\t", "\u00a0", "\u3000"]), max_size=3)
-_GOAL_WORDS = st.sampled_from(["P", "Q", "/\\", "->", "(x", "y)", "é", "subgoal", "is:", "2"])
-_NOT_MARKERS = st.sampled_from(["subgoal 2 is: P", "subgoals 2 is:", "subgoal x is:", "subgoal2 is:", "subgoal_2"])
+_GOAL_WORDS = st.sampled_from(["P", "Q", "/\\", "->", "(x", "y)", "é", "subgoal", "goal", "is:", "2"])
+_NOT_MARKERS = st.sampled_from([f"{word}{rest}" for word in ("subgoal", "goal")
+                                for rest in (" 2 is: P", "s 2 is:", " x is:", "2 is:", "_2")] + ["sub goal 2 is:"])
 
 
 @st.composite
 def _goal_body(draw):
     """The text below the separator line: one to three goals, each of wrapped
     and blank lines, the goals after the first each led by a "subgoal K is:"
-    line; every line indented and ended by blanks of any kind."""
+    or "goal K is:" line; every line indented and ended by blanks of any kind."""
     def line(text):
         return draw(_BLANKS) + text + draw(_BLANKS)
     lines = []
     goals = draw(st.integers(1, 3))
     for k in range(1, goals + 1):
         if k > 1:
-            lines.append(line(draw(st.sampled_from(["subgoal", "subgoal  "])) + f" {k}"
+            lines.append(line(draw(st.sampled_from(["subgoal", "subgoal  ", "goal", "goal  "])) + f" {k}"
                               + draw(st.sampled_from([" is:", " is :", "\u00a0is\u3000:"]))))
         for _ in range(draw(st.integers(0, 3))):
             text = draw(_NOT_MARKERS | st.lists(_GOAL_WORDS, max_size=4).map(" ".join))
@@ -214,13 +221,13 @@ def _goal_body(draw):
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"])), goals
 
 
-@given(_goal_body(), st.sampled_from([0, 0, 0, 1]))
-def test_goals_are_the_reference_line_loop(drawn, wrong):
+@given(_goal_body(), st.sampled_from([0, 0, 0, 1]), st.sampled_from(["subgoals", "goals"]))
+def test_goals_are_the_reference_line_loop(drawn, wrong, header):
     """Wrapped, blank and indented lines, blanks that are not ASCII, lines led by
-    "subgoal" that are no marker: the goals of the per-line reference loop, or,
-    under a header that announces one more, the message naming the count found."""
+    "subgoal" or "goal" that are no marker: the goals of the per-line reference loop,
+    or, under a header that announces one more, the message naming the count found."""
     body, count = drawn[0], drawn[1] + wrong
-    raw = f"{count} subgoals\n\n  H : P\n{SEPARATOR}\n{body}"
+    raw = f"{count} {header}\n\n  H : P\n{SEPARATOR}\n{body}"
     expected = reference_goals(body)
     if len(expected) == count:
         assert parse_state(raw).goals == tuple(expected)

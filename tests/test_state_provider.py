@@ -13,8 +13,9 @@ from coqatoo.diagnostics import decode_utf8, error
 from coqatoo.pipeline import analyze_trace
 from coqatoo.state_provider import _HEADER_FIELDS, _STEP_FIELDS, _fields, _read_fixture
 
-from helpers import (LISTING_1, LISTING_2, PACKAGE_PATH, conjunction_chain, fixture_path, load_script, load_trace,
-                     narrow_chain, write_prover, write_replay_pair, write_split_coqtop)
+from helpers import (CORPUS, FIXTURE_BUILDERS, LISTING_1, LISTING_2, PACKAGE_PATH, conjunction_chain, fixture_path,
+                     load_script, load_trace, narrow_chain, state, write_prover, write_replay_pair,
+                     write_split_coqtop)
 
 
 def test_replay_golden_fixture():
@@ -382,6 +383,61 @@ def test_the_scanner_is_jsons_scanner(case):
     characters and cut texts: the value and end that json's scanner reads, or its exception."""
     text, at = case
     assert _scanned(state_provider._scan, text, at) == _scanned(json.JSONDecoder().scan_once, text, at)
+
+
+def _step_record(start, end, straddle=None):
+    """A step record that fills the bytes start..end of a fixture, its "\n" the last:
+    a goal of wrapped lines, padded to fit, whose "é" straddles the offset `straddle`."""
+    def dumped(head, lines, tail):
+        goal = head + "é" * (straddle is not None) + "P -> Q\n  " * lines + tail
+        record = {"tactic": "exact I", "raw_state": state([], [goal])}
+        return (json.dumps(record, ensure_ascii=False) + "\n").encode()
+    head = "" if straddle is None else "R" * (straddle - 1 - start - dumped("", 0, "").index("é".encode()))
+    line = len(dumped("", 1, "")) - len(dumped("", 0, ""))
+    lines, tail = divmod(end - start - len(dumped(head, 0, "")), line)
+    record = dumped(head, lines, "R" * tail)
+    assert len(record) == end - start
+    return record
+
+
+_BLOCK = state_provider._BUFFER_BYTES
+
+
+def test_records_longer_than_the_read_buffer(tmp_path):
+    """Records of about 200 KiB, which end on a boundary of the read buffer, one
+    byte past one and inside a block, one holding a character that straddles a
+    boundary: the states that json.loads of each line gives.  A byte that is not
+    UTF-8, in a record after them, is FIXTURE_PARSE at its offset in the file."""
+    data = (json.dumps({"lemma": "Lemma t : True.", "initial_raw_state": state([], ["True"])}) + "\n").encode()
+    for end, straddle in [(4 * _BLOCK, None), (7 * _BLOCK + 1, None), (10 * _BLOCK + 20_000, 9 * _BLOCK)]:
+        data += _step_record(len(data), end, straddle)
+    assert data[9 * _BLOCK - 1:9 * _BLOCK + 1] == "é".encode()
+    script = parse_script("Lemma t : True.\nProof.\n" + "  exact I.\n" * 4 + "Qed.\n")[0]
+    path = tmp_path / "long.cqtrace"
+    path.write_bytes(data + _step_record(len(data), 12 * _BLOCK))
+    header, *steps = map(json.loads, path.read_text(encoding="utf-8").splitlines())
+    assert run_replay(script, str(path)).states() == \
+        [parse_state(header["initial_raw_state"]), *(parse_state(step["raw_state"]) for step in steps)]
+    bad = _step_record(len(data), 12 * _BLOCK).replace(b"exact I", b"exact \xff")
+    path.write_bytes(data + bad)
+    with pytest.raises(CoqatooError) as exc:
+        run_replay(script, str(path))
+    assert exc.value.diagnostic.format() == _outcome(_whole_file_reference, path)
+    assert f"byte 0xff at offset {len(data) + bad.index(0xff)} " in exc.value.diagnostic.message
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_each_fixture_in_the_newer_wording_gives_its_states(tmp_path, fake_prover, name):
+    """The builder writes each committed fixture, in coqtop 8.9's wording.  Built
+    in that of newer releases, replayed or answered live, it gives the same states."""
+    assert FIXTURE_BUILDERS[name]() == fixture_path(name).read_text(encoding="utf-8")
+    script, committed = load_trace(name)
+    path = tmp_path / "newer.cqtrace"
+    path.write_text(FIXTURE_BUILDERS[name]("goal"), encoding="utf-8")
+    newer = run_replay(script, str(path))
+    assert newer.responses[0].startswith("1 goal\n") and newer.responses[-1].endswith("No more goals.\n")
+    assert newer.states() == committed.states()
+    assert run_live(script, fake_prover(path)).responses == newer.responses
 
 
 def test_missing_fixture_file(tmp_path):
