@@ -23,8 +23,10 @@ from functools import lru_cache
 from .diagnostics import CoqatooError, error
 
 # where a state starts: its subgoal header, or a marker that the proof is finished;
-# "subgoal" in coqtop 8.9's wording, "goal" in that of newer releases
-SUBGOAL_HEADER = re.compile(r"^\s*(\d+)\s+(?:focused\s+)?(?:sub)?goals?\b", re.M)
+# "subgoal" in coqtop 8.9's wording, "goal" in that of newer releases; a "(shelved: N)"
+# note, on the header line or on the line after it, is part of the header
+SUBGOAL_HEADER = re.compile(r"^\s*(\d+)\s+(?:focused\s+)?(?:sub)?goals?\b"
+                            r"(?:[^\S\n]*\n?[^\S\n]*\(shelved:[^\S\n]*\d+\))?", re.M)
 FINISHED_MARKERS = ("No more subgoals", "No more goals", "Proof completed")
 # a line that starts with one of these reports that the prover rejected the sentence
 FAILURE_MARKERS = ("Error", "Toplevel input")

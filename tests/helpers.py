@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import coqatoo
 from coqatoo import (CoqatooError, Diagnostic, ProofState, Script, ScriptItem, SessionTrace, detect_unsupported,
-                     load_templates, parse_script, run_replay, tokenize_script)
+                     parse_script, run_replay, tokenize_script)
 from coqatoo.diagnostics import error, warning
 from coqatoo.goal_parser import FINISHED_MARKERS, IDENT, SUBGOAL_HEADER, normalize_text
 from coqatoo.script_parser import LEMMA_KEYWORDS, PROOF_END_KEYWORDS
@@ -143,8 +143,74 @@ def reference_parse(source: str) -> Tuple[Script, List[Diagnostic]]:
     return Script(items[start][1], tuple(tactics)), diags
 
 
-def english_templates():
-    return load_templates()
+def reference_sentences(source: str) -> List[Tuple[str, Tuple[int, int]]]:
+    """`tokenize_script`'s sentences as (text, span), read one character at a
+    time by the lexical rules of Coq's reference manual, kept as the reference
+    for its scanners: comments nest, a comment may hold string literals, which
+    must be closed, and "" is a quote within a string.  Blanks, comments,
+    focus braces and bullets (a run of "-", "+" or "*" before a blank) are
+    skipped between sentences; a sentence ends at a "." before a blank or at
+    the end, outside strings and comments.
+
+    Raises CoqatooError with UNTERMINATED_COMMENT, spanning the comment that
+    is never closed to the end.
+    """
+    n = len(source)
+
+    def string_end(i):
+        """Just past the string whose quote is at i, or None if it is never closed."""
+        i += 1
+        while i < n:
+            if source[i] == '"':
+                if source[i + 1:i + 2] != '"':
+                    return i + 1
+                i += 1
+            i += 1
+        return None
+
+    def comment_end(opened):
+        """Just past the comment that opens at `opened`."""
+        depth, i = 0, opened
+        while i is not None and i < n:
+            if source.startswith("(*", i):
+                depth, i = depth + 1, i + 2
+            elif source.startswith("*)", i):
+                depth, i = depth - 1, i + 2
+                if depth == 0:
+                    return i
+            else:
+                i = string_end(i) if source[i] == '"' else i + 1
+        raise CoqatooError(error("UNTERMINATED_COMMENT", "comment opened here is never closed", (opened, n)))
+
+    sentences, i = [], 0
+    while True:
+        while i < n and source[i].isspace():
+            i += 1
+        if i == n:
+            return sentences
+        if source.startswith("(*", i):
+            i = comment_end(i)
+            continue
+        if source[i] in "{}":
+            i += 1
+            continue
+        run = i
+        while run < n and source[run] == source[i]:
+            run += 1
+        if source[i] in "-+*" and (run == n or source[run].isspace()):
+            i = run
+            continue
+        start = i
+        while i < n:
+            if source.startswith("(*", i):
+                i = comment_end(i)
+            elif source[i] == '"':
+                i = string_end(i) or n
+            else:
+                i += 1
+                if source[i - 1] == "." and (i == n or source[i].isspace()):
+                    break
+        sentences.append((source[start:i], (start, i)))
 
 
 def _load_fixture_builder():

@@ -3,16 +3,11 @@ from hypothesis import given, strategies as st
 from coqatoo import Hypothesis, SessionTrace, classify_bindings, diff_states, parse_state
 from coqatoo.rewriter import is_heuristic
 
-from helpers import LISTING_1, LISTING_2, all_fixture_states, analyzed_steps, state
+from helpers import LISTING_1, LISTING_2, analyzed_steps, state
 
 
 def test_intros_diff_from_listings():
     assert diff_states(parse_state(LISTING_1), parse_state(LISTING_2)) == tuple(Hypothesis(n, "Prop") for n in "PQR")
-
-
-def test_reflexive_diff_is_empty_transform(corpus_name):
-    for state in all_fixture_states(corpus_name):
-        assert diff_states(state, state) == ()
 
 
 def test_unchanged_context_is_shared_and_diffs_empty():

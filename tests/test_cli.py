@@ -34,47 +34,6 @@ def replay_args(name, *extra):
             "--fixture", str(fixture_path(name)), *extra]
 
 
-def test_defaults():
-    config = parse_args(["proof.v"])
-    assert config.input_path == "proof.v"
-    assert config.provider == "live"
-    assert config.language == "en"
-    assert config.mode == "annotated"
-    assert config.timeout_secs == 10
-    assert not config.strict
-
-
-def test_replay_config():
-    config = parse_args(["proof.v", "--provider", "replay", "--fixture", "t.cqtrace", "--lang", "fr"])
-    assert config.provider == "replay"
-    assert config.fixture_path == "t.cqtrace"
-    assert config.language == "fr"
-
-
-def test_replay_requires_fixture():
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["proof.v", "--provider", "replay"])
-    assert exc.value.code != 0
-
-
-def test_record_requires_live():
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["proof.v", "--provider", "replay", "--fixture", "t", "--record", "o"])
-    assert exc.value.code != 0
-
-
-def test_fixture_requires_replay():
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["proof.v", "--provider", "live", "--fixture", "t.cqtrace"])
-    assert exc.value.code != 0
-
-
-def test_unknown_flag():
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["proof.v", "--frobnicate"])
-    assert exc.value.code != 0
-
-
 def test_help_exits_0_with_the_usage_on_stdout(capsys):
     with pytest.raises(SystemExit) as exc:
         parse_args(["--help"])
@@ -400,23 +359,6 @@ def test_out_file(tmp_path, capsys):
     assert main(replay_args("conj_imp_equiv", "--out", str(out))) == 0
     assert capsys.readouterr().out == ""
     assert "Qed." in out.read_text()
-
-
-def test_plain_and_french(capsys):
-    assert main(replay_args("conj_imp_equiv", "--mode", "plain", "--lang", "fr")) == 0
-    out = capsys.readouterr().out
-    assert "Supposons" in out
-    assert "intros" not in out
-
-
-def test_latex_mode(capsys):
-    assert main(replay_args("conj_imp_equiv", "--mode", "latex")) == 0
-    assert capsys.readouterr().out.startswith("\\begin{proof}")
-
-
-def test_dot_flag(capsys):
-    assert main(replay_args("conj_imp_equiv", "--dot")) == 0
-    assert capsys.readouterr().out.startswith("digraph proof {")
 
 
 def _ring_args(directory):
@@ -875,42 +817,6 @@ def test_output_over_64_kib_is_the_same_through_every_writer(tmp_path, dot):
     assert outputs == [expected] * 3
 
 
-def _run_on_unwritable_stdout(command, target, unbuffered):
-    """Run `command` with standard output on /dev/full or on a pipe whose read end is closed."""
-    if target == "/dev/full":
-        stdout = os.open(target, os.O_WRONLY)
-    else:
-        read_end, stdout = os.pipe()
-        os.close(read_end)
-    try:
-        return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE,
-                              env=_cli_env(PYTHONUNBUFFERED=unbuffered), timeout=60)
-    finally:
-        os.close(stdout)
-
-
-@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("target, reason", [("/dev/full", "[Errno 28] No space left on device"),
-                                            ("closed pipe", "[Errno 32] Broken pipe")],
-                         ids=["dev-full", "closed-pipe"])
-def test_failed_write_to_stdout_exits_2(target, reason, unbuffered):
-    """One IO diagnostic, as for --out; no traceback, and nothing at exit."""
-    run = _run_on_unwritable_stdout(_cli_command(script_path("and_commutes"), fixture_path("and_commutes")),
-                                    target, unbuffered)
-    assert run.returncode == 2
-    assert run.stderr.decode() == f"error[IO]: cannot write standard output: {reason}\n"
-
-
-@pytest.mark.parametrize("target, reason", [("/dev/full", "[Errno 28] No space left on device"),
-                                            ("closed pipe", "[Errno 32] Broken pipe")],
-                         ids=["/dev/full", "closed pipe"])
-def test_help_that_cannot_be_written_exits_2(target, reason):
-    """Buffered --help reaches standard output at the writer's flush, which
-    fails as the output of a run does: one IO diagnostic, exit 2."""
-    run = _run_on_unwritable_stdout([sys.executable, "-m", "coqatoo.cli", "--help"], target, None)
-    assert (run.returncode, run.stderr.decode()) == (2, f"error[IO]: cannot write standard output: {reason}\n")
-
-
 @pytest.mark.parametrize("failing_args", [
     lambda _: replay_args("and_commutes")[:-1] + [str(fixture_path("modus_ponens"))],
     lambda directory: _heuristic_args(directory) + ["--strict"],
@@ -1242,22 +1148,29 @@ _CONSOLE_SCRIPT = "import sys\nfrom coqatoo.cli import main\nsys.exit(main())"
 
 
 def _run_with_a_failing_stream(argv, stream, target, unbuffered):
-    """Run the console script on `argv` with the standard `stream` on /dev/full
-    or closed, the others on pipes, and nothing to read on standard input."""
+    """Run the console script on `argv` with the standard `stream` on /dev/full,
+    closed, or on a pipe whose read end is closed, the others on pipes, and
+    nothing to read on standard input."""
     command = [sys.executable, "-c", _CONSOLE_SCRIPT, *argv]
     streams = {"stdin": subprocess.DEVNULL, "stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
-    with open("/dev/full", "wb") as full:
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open("/dev/full", "wb") as full, open(write_end, "wb") as broken_pipe:
         if target == "closed":
             command = ["sh", "-c", f'exec "$@" {list(streams).index(stream)}>&-', "sh", *command]
         else:
-            streams[stream] = full
+            streams[stream] = full if target == "/dev/full" else broken_pipe
         return subprocess.run(command, **streams, env=_cli_env(PYTHONUNBUFFERED=unbuffered), timeout=60)
 
 
+_WRITE_ERRORS = {"/dev/full": "[Errno 28] No space left on device", "closed": "[Errno 9] Bad file descriptor",
+                 "broken pipe": "[Errno 32] Broken pipe"}
+
+
 @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("stream, target", [("stdout", "/dev/full"), ("stdout", "closed"),
+@pytest.mark.parametrize("stream, target", [("stdout", "/dev/full"), ("stdout", "closed"), ("stdout", "broken pipe"),
                                             ("stderr", "/dev/full"), ("stderr", "closed")],
-                         ids=["stdout-full", "stdout-closed", "stderr-full", "stderr-closed"])
+                         ids=["stdout-full", "stdout-closed", "stdout-broken-pipe", "stderr-full", "stderr-closed"])
 @pytest.mark.parametrize("way_out", sorted(_WAYS_OUT))
 def test_a_failing_standard_stream_leaves_the_exit_statuses_0_1_and_2(tmp_path, capsys, way_out, stream, target,
                                                                      unbuffered):
@@ -1272,8 +1185,8 @@ def test_a_failing_standard_stream_leaves_the_exit_statuses_0_1_and_2(tmp_path, 
     if stream == "stderr":
         assert (run.returncode, run.stdout.decode()) == (status, captured.out)
     elif captured.out:
-        reason = "[Errno 28] No space left on device" if target == "/dev/full" else "[Errno 9] Bad file descriptor"
-        assert (run.returncode, run.stderr.decode()) == (2, f"error[IO]: cannot write standard output: {reason}\n")
+        assert (run.returncode, run.stderr.decode()) == (
+            2, f"error[IO]: cannot write standard output: {_WRITE_ERRORS[target]}\n")
     else:
         assert (run.returncode, run.stderr.decode()) == (status, captured.err)
 

@@ -23,23 +23,16 @@ SEPARATOR = "  ============================"
     (LISTING_1.replace(SEPARATOR, "  H : a ==== b\n  ====>\n" + SEPARATOR),
      (Hypothesis("H", "a ==== b ====>"),)),
     (LISTING_1.replace("1 subgoal", "1 goal"), ()),
-], ids=["lf", "crlf", "cr", "formfeed", "trailing-blanks", "equals-in-type", "newer-wording"])
+    (LISTING_1.replace("1 subgoal", "1 focused goal (shelved: 1)"), ()),
+    (LISTING_1.replace("1 subgoal", "1 focused subgoal\n(shelved: 1)"), ()),
+    (LISTING_1.replace("1 subgoal", "1 focused subgoal (shelved: 1)"), ()),
+    (LISTING_1.replace("1 subgoal", "1 focused goal\n(shelved: 2)"), ()),
+], ids=["lf", "crlf", "cr", "formfeed", "trailing-blanks", "equals-in-type", "newer-wording", "shelved-on-the-header",
+        "shelved-below-the-header", "shelved-on-the-header-older-wording", "shelved-below-the-header-newer-wording"])
 def test_initial_state_block(raw, hypotheses):
     state = parse_state(raw)
     assert state.hypotheses == hypotheses
     assert state.goals == ("forall P Q R : Prop, (P /\\ Q -> R) <-> (P -> Q -> R)",)
-
-
-def test_state_after_intros_block():
-    state = parse_state(LISTING_2)
-    assert state.hypotheses == (Hypothesis("P", "Prop"), Hypothesis("Q", "Prop"), Hypothesis("R", "Prop"))
-    assert state.goals == ("(P /\\ Q -> R) <-> (P -> Q -> R)",)
-
-
-@pytest.mark.parametrize("raw", ["No more subgoals.\n", "No more goals.\n"])
-def test_no_more_subgoals(raw):
-    state = parse_state(raw)
-    assert state.goals == ()
 
 
 @pytest.mark.parametrize("goal", ['s = "Proof completed"', '"No more subgoals" = s', '"No more goals" = s',
@@ -52,7 +45,8 @@ def test_a_marker_in_a_goal_is_no_finished_proof(goal):
 
 @pytest.mark.parametrize("raw, auto", [("(* info auto: *)\nsimple exact I.\n\nNo more subgoals.\n", ("exact I",)),
                                        ("(* info auto: *)\nsimple exact I.\nNo more goals.\n", ("exact I",)),
-                                       ("  Proof completed.\n", ()), ("No more subgoals.\r\n", ())])
+                                       ("  Proof completed.\n", ()), ("No more subgoals.\r\n", ()),
+                                       ("No more subgoals.\n", ()), ("No more goals.\n", ())])
 def test_a_marker_that_starts_a_line_finishes_the_proof(raw, auto):
     assert parse_state(raw) == ((), (), auto)
 
@@ -75,34 +69,62 @@ def test_the_auto_report_matches_the_reference_reader(commands, blank, rest):
     assert alone.auto == ()
 
 
-@pytest.mark.parametrize("word", ["subgoal", "goal"])
-def test_multiple_subgoals(word):
-    raw = (f"3 {word}s\n\n  H : P\n  ============================\n  P\n\n"
-           f"{word} 2 is:\n Q\n{word} 3 is:\n R\n")
-    state = parse_state(raw)
-    assert state.goals == ("P", "Q", "R")
+@st.composite
+def _printed(draw, words, breaks):
+    """Some `words` as a state prints them, a blank or a line break from `breaks` in each gap;
+    and as parsed, one space in each gap."""
+    drawn = draw(st.lists(words, min_size=1, max_size=6))
+    return drawn[0] + "".join(draw(breaks) + word for word in drawn[1:]), " ".join(drawn)
 
 
-def test_wrapped_goal_lines_are_joined():
-    raw = "1 subgoal\n\n  ============================\n  forall P : Prop,\n  P -> P\n"
-    assert parse_state(raw).goals == ("forall P : Prop, P -> P",)
+# a display group of names, Unicode ones too, and its type, wrapped onto lines indented deeper than the
+# group's, which may read like a binding ("x : nat, x = x"); one to four goals, wrapped too
+_GROUPS = st.tuples(st.lists(st.sampled_from(["P", "Q", "H", "H0", "x'", "_y", "α", "Hα", "é1", "漢字"]),
+                             min_size=1, max_size=3),
+                    _printed(st.sampled_from(["Prop", "Set", "P", "Q", "->", "/\\", "~", "forall", "x", ":",
+                                              "nat,", "=", "α", "(x", "y)"]),
+                             st.sampled_from([" ", "  ", "\n    ", "\n        "])))
+_GOALS = st.lists(_printed(st.sampled_from(["P", "Q", "->", "/\\", "~", "True", "x", "=", "α", "∀", "(P", "Q)"]),
+                           st.sampled_from([" ", "\n  ", "\n    "])), min_size=1, max_size=4)
 
 
-def test_wrapped_hypothesis_type():
-    raw = ("1 subgoal\n\n  H : forall x : nat,\n        x = x\n"
-           "  ============================\n  True\n")
-    state = parse_state(raw)
-    assert state.hypotheses == (Hypothesis("H", "forall x : nat, x = x"),)
-    # a continuation line may itself contain " : "
-    raw = ("1 subgoal\n\n  H : forall x : nat,\n      forall y : nat, x = y\n  n, m : nat\n"
-           "  ============================\n  True\n")
-    assert parse_state(raw).hypotheses == (
-        ("H", "forall x : nat, forall y : nat, x = y"), ("n", "nat"), ("m", "nat"))
-    # a deeper-indented line continues the hypothesis above, even when it
-    # reads like one
-    raw = ("1 subgoal\n\n  H : forall\n        x : nat, x = x\n  y : nat\n"
-           "  ============================\n  True\n")
-    assert parse_state(raw).hypotheses == (("H", "forall x : nat, x = x"), ("y", "nat"))
+def _parses_back(groups, goals, word):
+    raw = build_state([f"{', '.join(names)} : {printed}" for names, (printed, _) in groups],
+                      [printed for printed, _ in goals], word)
+    assert parse_state(raw) == (tuple(Hypothesis(name, parsed) for names, (_, parsed) in groups for name in names),
+                                tuple(parsed for _, parsed in goals), ())
+
+
+@given(st.lists(_GROUPS, max_size=4), _GOALS, st.sampled_from(["subgoal", "goal"]))
+def test_a_printed_state_gives_back_its_bindings_and_goals(groups, goals, word):
+    """What build_fixtures.state prints parses back: one binding of the group's type per
+    name of a display group, each type's wrapped lines joined, and each goal, in either wording."""
+    _parses_back(groups, goals, word)
+
+
+_THREE_GOALS = [("P", "P"), ("Q", "Q"), ("R", "R")]
+
+
+@pytest.mark.parametrize("groups, goals, word", [
+    ([(["H"], ("P", "P"))], _THREE_GOALS, "subgoal"),
+    ([(["H"], ("P", "P"))], _THREE_GOALS, "goal"),
+    ([], [("forall P : Prop,\n  P -> P", "forall P : Prop, P -> P")], "subgoal"),
+    ([(["H"], ("forall x : nat,\n        x = x", "forall x : nat, x = x"))], [("True", "True")], "subgoal"),
+    ([(["H"], ("forall x : nat,\n      forall y : nat, x = y", "forall x : nat, forall y : nat, x = y")),
+      (["n", "m"], ("nat", "nat"))], [("True", "True")], "subgoal"),
+    ([(["H"], ("forall\n        x : nat, x = x", "forall x : nat, x = x")), (["y"], ("nat", "nat"))],
+     [("True", "True")], "subgoal"),
+    ([(["α", "β", "漢字"], ("Set", "Set")), (["Hα"], ("α ->\n    β", "α -> β"))], [("∀ x,\n  x = x", "∀ x, x = x")],
+     "goal"),
+    ([], [("P", "P"), ("Q\n  -> P", "Q -> P"), ("~\n    Q", "~ Q"), ("True", "True")], "goal"),
+    ([(["P", "Q", "R"], ("Prop", "Prop")), (["H"], ("P /\\ Q\n        -> R", "P /\\ Q -> R"))], _THREE_GOALS,
+     "goal"),
+], ids=["three-goals", "three-goals-newer-wording", "a-wrapped-goal", "a-wrapped-type",
+        "a-continuation-holding-a-colon", "a-continuation-reading-like-a-binding", "unicode-names-newer-wording",
+        "four-wrapped-goals-and-no-context", "a-group-and-a-wrapped-type-over-three-goals"])
+def test_a_printed_layout_gives_back_its_bindings_and_goals(groups, goals, word):
+    """Layouts of the property's kind, each named for what it holds."""
+    _parses_back(groups, goals, word)
 
 
 @pytest.mark.parametrize("raw", [

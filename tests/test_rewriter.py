@@ -9,33 +9,17 @@ from coqatoo.rewriter import (_LATEX_SPECIALS, _PLACEHOLDER, ALLOWED_PLACEHOLDER
 from coqatoo.script_parser import ScriptItem
 from coqatoo.tree_builder import AnalyzedStep, ProofNode
 
-from helpers import (DONE, GOLDEN_DIR, LISTING_1, LISTING_2, analyzed_steps, conjunction_chain, load_script,
-                     load_trace, narrow_chain, output_text, roundtrip_tactics, state,
-                     tactic_commands, write_replay_pair)
+from helpers import (DONE, LISTING_1, LISTING_2, analyzed_steps, conjunction_chain, narrow_chain, output_text,
+                     roundtrip_tactics, state, write_replay_pair)
 
 EN = load_templates()
 
 
-def _tactic(text):
-    return ScriptItem(text, (0, len(text)))
-
-
 def _step(text, before, after):
-    return AnalyzedStep(_tactic(text), before, after, diff_states(before, after))
+    return AnalyzedStep(ScriptItem(text, (0, len(text))), before, after, diff_states(before, after))
 
 
 # --- load_templates ---
-
-def test_english_reference_keys():
-    assert EN.entries["intros.variables"] == ("Assume that {list} are arbitrary objects of type "
-                                              "{type}. Let us show that {goal} is true.")
-    assert EN.entries["assumption.default"] == "True, because it is one of our assumptions."
-
-
-def test_french_is_complete():
-    fr = load_templates(language="fr")
-    assert set(fr.entries) == set(EN.entries)
-
 
 def test_templates_define_exactly_the_required_keys():
     assert set(EN.entries) == REQUIRED_KEYS
@@ -144,70 +128,25 @@ def test_split_implication_parts_join_back_to_the_type(text):
 
 # --- rewrite_step rules ---
 
-def test_intros_variables_sentence():
-    ann = rewrite_step(_step("intros.", parse_state(LISTING_1), parse_state(LISTING_2)), EN)
-    assert " ".join(ann.sentences) == (
-        "Assume that P, Q and R are arbitrary objects of type Prop. "
-        "Let us show that (P /\\ Q -> R) <-> (P -> Q -> R) is true.")
+_BY_ASSUMPTION = "True, because it is one of our assumptions."
 
 
-def test_intros_hypotheses_sentence():
-    steps = analyzed_steps("conj_imp_equiv")
-    step = steps[2]  # intros H HP HQ
-    ann = rewrite_step(step, EN)
-    assert " ".join(ann.sentences) == (
-        "Suppose that P, Q and P /\\ Q -> R are true. Let us show that R is true.")
-
-
-def test_apply_local_hypothesis_sentence():
-    steps = analyzed_steps("conj_imp_equiv")
-    step = steps[3]  # apply H with H : P /\ Q -> R
-    ann = rewrite_step(step, EN)
-    assert " ".join(ann.sentences) == (
-        "By our hypothesis P /\\ Q -> R, we know that R is true if P /\\ Q is true.")
-
-
-def test_apply_multi_antecedent_sentence():
-    steps = analyzed_steps("conj_imp_equiv")
-    step = steps[9]  # apply H with H : P -> Q -> R
-    ann = rewrite_step(step, EN)
-    assert " ".join(ann.sentences) == (
-        "By our hypothesis P -> Q -> R, we know that R is true if P and Q are true.")
-
-
-def test_apply_global_constant_is_silent():
-    steps = analyzed_steps("conj_imp_equiv")
-    step = steps[4]  # apply conj
-    assert rewrite_step(step, EN).sentences == ()
-
-
-def test_assumption_sentence():
-    steps = analyzed_steps("conj_imp_equiv")
-    step = steps[5]
-    ann = rewrite_step(step, EN)
-    assert ann.sentences == ("True, because it is one of our assumptions.",)
-
-
-def test_inversion_sentence():
-    steps = analyzed_steps("conj_imp_equiv")
-    step = steps[8]  # inversion HPQ
-    ann = rewrite_step(step, EN)
-    assert " ".join(ann.sentences) == "By inversion on P /\\ Q, we know that P and Q are also true."
-
-
-def test_split_is_silent():
-    steps = analyzed_steps("conj_imp_equiv")
-    step = steps[1]
-    assert rewrite_step(step, EN).sentences == ()
-
-
-def test_info_auto_expands_reported_tactics():
-    steps = analyzed_steps("modus_ponens")
-    step = steps[2]
-    ann = rewrite_step(step, EN)
-    assert " ".join(ann.sentences) == (
-        "By our hypothesis P -> Q, we know that Q is true if P is true. "
-        "True, because it is one of our assumptions.")
+@pytest.mark.parametrize("name, index, sentences", [
+    ("conj_imp_equiv", 0, ("Assume that P, Q and R are arbitrary objects of type Prop.",
+                           "Let us show that (P /\\ Q -> R) <-> (P -> Q -> R) is true.")),
+    ("conj_imp_equiv", 1, ()),
+    ("conj_imp_equiv", 2, ("Suppose that P, Q and P /\\ Q -> R are true.", "Let us show that R is true.")),
+    ("conj_imp_equiv", 3, ("By our hypothesis P /\\ Q -> R, we know that R is true if P /\\ Q is true.",)),
+    ("conj_imp_equiv", 4, ()),
+    ("conj_imp_equiv", 5, (_BY_ASSUMPTION,)),
+    ("conj_imp_equiv", 8, ("By inversion on P /\\ Q, we know that P and Q are also true.",)),
+    ("conj_imp_equiv", 9, ("By our hypothesis P -> Q -> R, we know that R is true if P and Q are true.",)),
+    ("modus_ponens", 2, ("By our hypothesis P -> Q, we know that Q is true if P is true.", _BY_ASSUMPTION)),
+], ids=["intros-variables", "split-is-silent", "intros-hypotheses", "apply-local-hypothesis",
+        "apply-global-constant-is-silent", "assumption", "inversion", "apply-multi-antecedent",
+        "info-auto-expands-reported-tactics"])
+def test_the_sentences_of_a_fixture_step(name, index, sentences):
+    assert rewrite_step(analyzed_steps(name)[index], EN).sentences == sentences
 
 
 @pytest.mark.parametrize("rest", [
@@ -295,34 +234,6 @@ def test_mixed_intros_agree_in_number(lang, names, hyps, variables, hypotheses):
 
 
 # --- render ---
-
-def _generate(name, mode, lang="en"):
-    script, trace = load_trace(name)
-    lines, _ = generate(script, trace, load_templates(language=lang), mode)
-    return output_text(lines)
-
-
-def test_annotated_golden_output():
-    out = _generate("conj_imp_equiv", OutputMode.ANNOTATED)
-    golden = (GOLDEN_DIR / "conj_imp_equiv.annotated.en.txt").read_bytes().decode("utf-8")
-    assert out == golden
-
-
-def test_plain_mode_first_line():
-    out = _generate("conj_imp_equiv", OutputMode.PLAIN)
-    assert out.splitlines()[0] == ("Assume that P, Q and R are arbitrary objects of type Prop. "
-                                   "Let us show that (P /\\ Q -> R) <-> (P -> Q -> R) is true.")
-    assert "intros" not in out
-    assert "Case P:" in out
-
-
-def test_latex_mode_escapes_and_wraps():
-    out = _generate("conj_imp_equiv", OutputMode.LATEX)
-    assert out.startswith("\\begin{proof}\n")
-    assert out.rstrip().endswith("\\end{proof}")
-    assert "/\\textbackslash{}" in out
-    assert "\\item" in out
-
 
 def test_latex_escape_covers_specials():
     assert latex_escape("a_b%c&d#e$f{g}~h^i\\j") == (
@@ -478,17 +389,6 @@ def test_empty_proof_render():
     assert out == ["Lemma t : True.", "Proof.", "Qed."]
 
 
-def test_french_rendering_completes(corpus_name):
-    out = _generate(corpus_name, OutputMode.ANNOTATED, lang="fr")
-    assert "Montrons" in out or "Vrai" in out
-
-
-def test_round_trip_tactic_order(corpus_name):
-    out = _generate(corpus_name, OutputMode.ANNOTATED)
-    source_tactics = tactic_commands(load_script(corpus_name).tactics)
-    assert roundtrip_tactics(out) == source_tactics
-
-
 def test_round_trip_of_a_goal_holding_a_comment_end_in_a_string(tmp_path):
     """Annotated output prints the goal inside a comment, and the `"*)"` it holds
     is a string there, as in Coq: it ends no comment on the way back."""
@@ -498,13 +398,3 @@ def test_round_trip_of_a_goal_holding_a_comment_end_in_a_string(tmp_path):
                                 state([], [statement]), steps)
     assert codes == [] and '*)" is true.' in lines[2]
     assert roundtrip_tactics(output_text(lines)) == ["intros H", "assumption"]
-
-
-def test_verbosity_bound(corpus_name):
-    for step in analyzed_steps(corpus_name):
-        assert len(rewrite_step(step, EN).sentences) <= 2
-
-
-def test_rendering_is_deterministic():
-    assert _generate("conj_imp_equiv", OutputMode.ANNOTATED) == _generate(
-        "conj_imp_equiv", OutputMode.ANNOTATED)

@@ -10,7 +10,8 @@ from coqatoo.diagnostics import Severity
 from coqatoo.goal_parser import IDENT
 from coqatoo.script_parser import LEMMA_KEYWORDS, PROOF_END_KEYWORDS, ScriptItem, _head
 
-from helpers import CORPUS, PACKAGE, load_script, reference_parse, script_path, tactic_commands
+from helpers import (CORPUS, GOLDEN_DIR, PACKAGE, load_script, reference_parse, reference_sentences, script_path,
+                     tactic_commands)
 
 LISTING_4_TACTICS = [
     "intros", "split", "intros H HP HQ", "apply H", "apply conj",
@@ -46,12 +47,6 @@ def test_empty_proof_body():
     assert _tactics_of(src) == ()
 
 
-def test_nested_comment_is_skipped():
-    src = "Lemma t : True.\nProof.\n(* a (* b *) c. Qed. *)\nsplit.\nQed."
-    assert [(it.text, it.span) for it in tokenize_script(src)] == _sentences_at(
-        src, ["Lemma t : True.", "Proof.", "split.", "Qed."])
-
-
 def test_qualified_name_does_not_split_sentence():
     tactics = _tactics_of("Lemma t : True. Proof. apply Coq.Init.Logic.I. Qed.")
     assert len(tactics) == 1
@@ -59,8 +54,10 @@ def test_qualified_name_does_not_split_sentence():
 
 
 @pytest.mark.parametrize("src", ["Lemma t : True. Proof. (* oops", "(* don't use \"quotes *)",
-                                 'Lemma t : True. Proof. (* "a"" *) exact I. Qed.'],
-                         ids=["comment", "string-in-comment", "string-with-an-escaped-quote"])
+                                 'Lemma t : True. Proof. (* "a"" *) exact I. Qed.',
+                                 "Proof. (*) exact I. Qed.", "Proof. (* a (* b *) exact I. Qed."],
+                         ids=["comment", "string-in-comment", "string-with-an-escaped-quote",
+                              "an-opener-whose-star-ends-nothing", "a-nested-comment-closes-only-itself"])
 def test_unterminated_comment(src):
     """A string inside a comment must be closed too: one left open leaves the comment open."""
     with pytest.raises(CoqatooError) as exc:
@@ -69,23 +66,11 @@ def test_unterminated_comment(src):
     assert (exc.value.diagnostic.code, exc.value.diagnostic.span) == ("UNTERMINATED_COMMENT", (at, len(src)))
 
 
-def test_a_string_in_a_comment_hides_its_comment_end():
-    """A comment may hold a string literal, as in Coq: its "*)" ends no comment."""
-    src = 'Proof. (* a "*)" b *) exact I. Qed.'
-    assert [(it.text, it.span) for it in tokenize_script(src)] == _sentences_at(src, ["Proof.", "exact I.", "Qed."])
-
-
 def test_no_lemma():
     assert [it.text for it in tokenize_script("split. assumption.")] == ["split.", "assumption."]
     with pytest.raises(CoqatooError) as exc:
         parse_script("split. assumption.")
     assert exc.value.diagnostic.code == "NO_LEMMA"
-
-
-def test_bullets_are_skipped():
-    src = "Lemma t : True.\nProof.\nsplit.\n- assumption.\n-- apply x.\n*-x.\nQed."
-    assert [(it.text, it.span) for it in tokenize_script(src)] == _sentences_at(
-        src, ["Lemma t : True.", "Proof.", "split.", "assumption.", "apply x.", "*-x.", "Qed."])
 
 
 def test_spans_cover_source(corpus_name):
@@ -132,12 +117,6 @@ def test_non_auto_unchanged():
 def test_prover_text_of_a_tactic_not_led_by_auto_is_its_text(text):
     item = tokenize_script(f"Lemma t : True. Proof. {text} Qed.")[2]
     assert item.prover_text == item.text == text
-
-
-def test_preprocess_idempotent(corpus_name):
-    items = tokenize_script(script_path(corpus_name).read_text())
-    once = [_prover_spelled(it) for it in items]
-    assert [_prover_spelled(it) for it in once] == once
 
 
 # --- detect_unsupported ---
@@ -288,6 +267,54 @@ def test_lossless_lexing(drawn):
     assert src[pos:].strip() == ""
 
 
+def _lexed(tokenize, src):
+    """The (text, span) of each sentence `tokenize` finds in `src`, or the diagnostic it raises."""
+    try:
+        return [(text, span) for text, span in tokenize(src)]
+    except CoqatooError as exc:
+        return exc.diagnostic
+
+
+# pieces whose order decides where a comment, a string and a sentence end
+_LEXEMES = st.sampled_from(['"', '""', '"*)"', '"(*"', "(*", "*)", "(", ")", "*", ".", ";", "-", "+", "{", "}", "a",
+                            "é", " ", "\n", "\u3000"])
+
+
+@settings(max_examples=500)
+@given(_scripts().map(lambda drawn: drawn[0]) | st.lists(_LEXEMES, max_size=24).map("".join))
+def test_sentences_are_the_reference_lexers(src):
+    assert _lexed(tokenize_script, src) == _lexed(reference_sentences, src)
+
+
+@pytest.mark.parametrize("src, texts", [
+    ("Lemma t : True.\nProof.\n(* a (* b *) c. Qed. *)\nsplit.\nQed.", ["Lemma t : True.", "Proof.", "split.", "Qed."]),
+    ('Proof. (* a "*)" b *) exact I. Qed.', ["Proof.", "exact I.", "Qed."]),
+    ('Proof. (* "a""*)" *) exact I. Qed.', ["Proof.", "exact I.", "Qed."]),
+    ('Proof. (* a (* b "*)" (* c *) *) d *) exact I. Qed.', ["Proof.", "exact I.", "Qed."]),
+    ("Proof. exact (* a. b *) I. Qed.", ["Proof.", "exact (* a. b *) I.", "Qed."]),
+    ('Lemma t : "(* a. b" = s.\nProof.\nQed.', ['Lemma t : "(* a. b" = s.', "Proof.", "Qed."]),
+    ('Lemma t : "a"". b" = s. Proof. Qed.', ['Lemma t : "a"". b" = s.', "Proof.", "Qed."]),
+    ("Lemma t : True.\nProof.\nsplit.\n- assumption.\n-- apply x.\n*-x.\nQed.",
+     ["Lemma t : True.", "Proof.", "split.", "assumption.", "apply x.", "*-x.", "Qed."]),
+    ("Proof. exact I", ["Proof.", "exact I"]),
+], ids=["nested-comment", "string-in-a-comment", "escaped-quote-in-a-comments-string", "string-between-nested-comments",
+        "comment-in-a-sentence", "comment-opener-in-a-string", "escaped-quote-in-a-string", "bullets",
+        "no-final-dot"])
+def test_sentences_by_the_manuals_rules(src, texts):
+    """Comments nest and may hold strings, whose "*)" ends no comment; a string's "" is
+    a quote; a run of "-", "+" or "*" before a blank is a bullet; a sentence ends at a
+    "." before a blank, or at the end of the input."""
+    assert _lexed(tokenize_script, src) == _lexed(reference_sentences, src) == _sentences_at(src, texts)
+
+
+@pytest.mark.parametrize("path", [script_path(name) for name in CORPUS] + sorted(GOLDEN_DIR.glob("*.annotated.*")),
+                         ids=lambda path: path.name)
+def test_a_committed_script_lexes_as_the_reference_reads_it(path):
+    """The corpus scripts, and the annotated goldens, whose comments hold goals and prose."""
+    src = path.read_bytes().decode("utf-8")
+    assert [(it.text, it.span) for it in tokenize_script(src)] == reference_sentences(src)
+
+
 def test_regex_whitespace_is_str_isspace():
     # the tokenizer finds sentence ends and skips blanks with regex \s
     every = "".join(map(chr, range(sys.maxunicode + 1)))
@@ -295,7 +322,7 @@ def test_regex_whitespace_is_str_isspace():
 
 
 @given(_scripts())
-def test_preprocess_idempotence_property(drawn):
+def test_the_prover_spelling_is_idempotent(drawn):
     once = [_prover_spelled(it) for it in tokenize_script(drawn[0])]
     assert [_prover_spelled(it) for it in once] == once
 
