@@ -512,6 +512,66 @@ def test_prover_never_prompting_times_out(tmp_path, capsys):
     assert "PROVER_TIMEOUT" in capsys.readouterr().err
 
 
+_PROMPTING = "echo 'Coq 8.9'\nprintf '<prompt>Coq < </prompt>' >&2\n"
+
+
+def _big_lemma_pair(tmp_path):
+    """and_commutes with a 200 KB comment in its lemma, more than a pipe buffer holds, and its trace."""
+    text = script_path("and_commutes").read_text()
+    lemma = text.split("\n", 1)[0]
+    big_lemma = lemma.replace(" :", " (* " + "x" * 200_000 + " *) :", 1)
+    script, trace = tmp_path / "big.v", tmp_path / "big.cqtrace"
+    script.write_text(text.replace(lemma, big_lemma, 1))
+    header, *steps = fixture_path("and_commutes").read_text().splitlines()
+    trace.write_text("\n".join([json.dumps(dict(json.loads(header), lemma=big_lemma)), *steps]) + "\n")
+    return script, trace
+
+
+def test_timeout_bounds_sending_a_sentence(tmp_path, capsys):
+    """The prover prompts, then reads no more: the lemma never fits in the pipe, and the
+    deadline that covers its answer covers sending it too."""
+    script, _ = _big_lemma_pair(tmp_path)
+    prover = write_prover(tmp_path, _PROMPTING + "exec sleep 10")
+    start = time.monotonic()
+    code = main(_live_args(script, prover, "--timeout", "1"))
+    assert time.monotonic() - start < 3.0
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error[PROVER_TIMEOUT]")
+
+
+def test_sentence_bigger_than_the_pipe_buffer_matches_replay(tmp_path, fake_prover, capsys):
+    """The lemma goes out over several partial writes, between reads of the prover's pipes."""
+    script, trace = _big_lemma_pair(tmp_path)
+    assert main(_live_args(script, fake_prover(trace))) == 0
+    live = capsys.readouterr()
+    assert main([str(script), "--provider", "replay", "--fixture", str(trace)]) == 0
+    assert capsys.readouterr() == live
+
+
+@pytest.mark.parametrize("tactic, body, timeout, code, diagnostic", [
+    ("inversion H.", None, "10", 0, ""),
+    ("destruct H.", None, "10", 2, "error[TACTIC_FAILED]"),
+    ("inversion H.", "exec sleep 10", "1", 2, "error[PROVER_TIMEOUT]"),
+    ("inversion H.", _PROMPTING + "exit 0", "10", 2, "error[PROVER_EXITED]"),
+    ("inversion H.", "exec 0<&-\n" + _PROMPTING + "exec sleep 10", "10", 2, "error[PROVER_EXITED]"),
+], ids=["exit-0", "tactic-failed", "prover-timeout", "prover-exited", "stdin-closed"])
+def test_no_prover_outlives_a_run(tmp_path, fake_prover, capsys, tactic, body, timeout, code, diagnostic):
+    """Every way out kills the prover and reaps it, at once: a prover left running holds
+    the run up to its `sleep`, and a zombie still answers `os.kill(pid, 0)`."""
+    pid_file = tmp_path / "pid"
+    prelude = f"echo $$ > {shlex.quote(str(pid_file))}\n"
+    script = tmp_path / "proof.v"
+    script.write_text(script_path("and_commutes").read_text().replace("inversion H.", tactic))
+    prover = (fake_prover(fixture_path("and_commutes"), prelude) if body is None
+              else write_prover(tmp_path, prelude + body))
+    start = time.monotonic()
+    assert main(_live_args(script, prover, "--timeout", timeout)) == code
+    assert time.monotonic() - start < 3.0
+    assert capsys.readouterr().err.startswith(diagnostic)
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
+
+
 def test_live_run_ends_an_unterminated_last_tactic(tmp_path, fake_prover, capsys):
     """The last tactic has no "." (no Qed. follows): the live session adds it."""
     script, trace = write_replay_pair(tmp_path, "Lemma t : True /\\ True.", _GOAL,
