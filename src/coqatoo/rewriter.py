@@ -31,8 +31,11 @@ ALLOWED_PLACEHOLDERS = {"list", "type", "goal", "hyp", "consequent", "antecedent
 
 _PLACEHOLDER = re.compile(r"\{(\w+)\}")
 _SENTENCE_SPLIT = re.compile(r"(?<=\.)\s+")
-# a quantifier's scope runs to the end of the type, so its "->" are not top level
-_BINDER = re.compile(r"\s*(?:forall|exists)(?![\w'])")
+# each logical connective's ASCII spelling -> that of the notation Coq's Utf8_core library prints
+CONNECTIVES = {"forall": "∀", "exists": "∃", "->": "→", "<->": "↔",
+               "/\\": "∧", "\\/": "∨", "~": "¬", "<>": "≠"}
+# a quantifier's scope runs to the end of the type, so its arrows are not top level
+_BINDER = re.compile(rf"\s*(?:(?:forall|exists)(?![\w'])|{CONNECTIVES['forall']}|{CONNECTIVES['exists']})")
 
 
 class OutputMode(Enum):
@@ -112,21 +115,22 @@ def _sentences(text: str) -> tuple:
 
 
 def split_implication(text: str) -> list[str]:
-    """Split a normalized type on top-level "->", respecting brackets; a
-    segment that starts with `forall` or `exists` runs to the end."""
+    """Split a normalized type on top-level "->" or its Unicode twin, respecting
+    brackets; a segment that starts with a quantifier runs to the end."""
     parts: list[str] = []
     depth = 0
     start = 0
     i = 0
+    arrow = CONNECTIVES["->"]
     while i < len(text) and not (i == start and _BINDER.match(text, i)):
         ch = text[i]
         if ch in "([{":
             depth += 1
         elif ch in ")]}":
             depth -= 1
-        elif depth == 0 and text.startswith("->", i) and text[i - 1:i] != "<":   # not the arrow of "<->"
+        elif depth == 0 and (ch == arrow or text.startswith("->", i) and text[i - 1:i] != "<"):   # an arrow, not "<->"
             parts.append(text[start:i].strip())
-            i += 2
+            i += 1 if ch == arrow else 2
             start = i
             continue
         i += 1
@@ -192,8 +196,8 @@ def is_heuristic(h: Hypothesis) -> bool:
     """True when classify_bindings calls h a hypothesis only by default:
     its type is neither an identifier nor built from a logical connective."""
     t = h.type_expr
-    return not (IDENT.fullmatch(t.replace(" ", ""))
-                or any(op in t for op in ("->", "/\\", "\\/", "<->", "~", "=", "forall", "exists")))
+    return not (IDENT.fullmatch(t.replace(" ", "")) or "=" in t
+                or any(op in t for spellings in CONNECTIVES.items() for op in spellings))
 
 
 def _rewrite_intros(step: AnalyzedStep, templates: TemplateSet) -> Annotation:

@@ -11,14 +11,15 @@ the C scanner of `_json`, and `json` is imported only to read a record that
 scanner does not, and to write a recording.  So a record the scanner rejects
 is worded by `json`, imported then: before 3.12 the scanner finds `json` only
 in `sys.modules`, and without it fails with a bare `SystemError`.
-This is the one module that spells a fixture: `run_replay` reads one, one
-record at a time through a 64 KiB buffer, and `record_session` writes one with
+This is the one module that spells a fixture: `run_replay` reads one in one
+pass, which ends at its first bad record, and `record_session` writes one with
 the lemma and tactic spellings of the script.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
 from io import BufferedIOBase
 from itertools import zip_longest
@@ -93,15 +94,12 @@ def _fields(record, fields: dict[str, str | None], fixture_path: str, number: in
     return values
 
 
-def _read_fixture(fh: BufferedIOBase, fixture_path: str) -> tuple[str, str, str, list[str], list[str]]:
-    """Lemma, initial response, prover version, tactics and responses of an
-    open fixture, read one record at a time.  The first record that is not
-    UTF-8, is not JSON that `json` decodes or has the wrong fields raises
-    FIXTURE_PARSE; no later one is read."""
-    header: tuple[str, ...] | None = None
-    tactics: list[str] = []
-    raws: list[str] = []
-    offset = 0
+def _read_fixture(fh: BufferedIOBase, fixture_path: str) -> Iterator[tuple[str, ...]]:
+    """The lemma, initial response and prover version of an open fixture, then
+    the tactic and response of each step, read one record at a time as they
+    are asked for.  A record that is not UTF-8, is not JSON that `json`
+    decodes or has the wrong fields raises FIXTURE_PARSE."""
+    number = offset = 0   # the records and the bytes read
     for raw in fh:   # a record ends at "\n" only: a JSON string may hold U+2028 and the like raw
         offset += len(raw)
         try:   # the common record, one JSON value and then "\n", read with no Python frame of json.loads
@@ -118,44 +116,45 @@ def _read_fixture(fh: BufferedIOBase, fixture_path: str) -> tuple[str, str, str,
                 record = json.loads(text)
             except (ValueError, RecursionError) as exc:   # not JSON, an integer too long, arrays nested too deep
                 raise CoqatooError(error("FIXTURE_PARSE", f"malformed fixture {fixture_path}: {exc}"))
-        if header is None:
-            header = _fields(record, _HEADER_FIELDS, fixture_path, 1)
+        number += 1
+        if number == 1:
+            yield _fields(record, _HEADER_FIELDS, fixture_path, 1)
             continue
         try:   # the common step, two ASCII strings, read and checked with no call of _fields
             tactic, response = _step_fields(record)
             if not (tactic.isascii() and response.isascii()):
                 raise TypeError
         except (KeyError, TypeError, AttributeError):
-            tactic, response = _fields(record, _STEP_FIELDS, fixture_path, len(tactics) + 2)
-        tactics.append(tactic)
-        raws.append(response)
-    if header is None:
+            tactic, response = _fields(record, _STEP_FIELDS, fixture_path, number)
+        yield tactic, response
+    if not number:
         raise CoqatooError(error("FIXTURE_PARSE", f"fixture {fixture_path} is empty"))
-    return (*header, tactics, raws)
 
 
 def run_replay(script: Script, fixture_path: str) -> SessionTrace:
-    """Replay a recorded session, verifying it matches the script."""
+    """Replay a recorded session, verifying it matches the script in one pass that stops
+    at the fixture's first bad record: one that is malformed or is not the script's."""
     try:
         with open(fixture_path, "rb", buffering=_BUFFER_BYTES) as fh:
-            lemma, initial, version, tactics, raws = _read_fixture(fh, fixture_path)
+            records = _read_fixture(fh, fixture_path)
+            lemma, initial, version = next(records)
+            script_lemma, fixture_lemma = normalize_text(script.lemma.text), normalize_text(lemma)
+            if fixture_lemma != script_lemma:
+                raise CoqatooError(error("FIXTURE_MISMATCH", f"fixture records lemma {fixture_lemma!r}, "
+                                                             f"script states {script_lemma!r}"))
+            responses = [initial]
+            for i, (item, step) in enumerate(zip_longest(script.tactics, records)):
+                a = item and _norm_tactic(item.prover_text)   # None past the end of the script
+                b = step and _norm_tactic(step[0])            # ... or of the fixture
+                if a != b:
+                    a, b = ("(end of proof)" if it is None else it for it in (a, b))
+                    raise CoqatooError(error(
+                        "FIXTURE_MISMATCH",
+                        f"fixture diverges from script at tactic {i}: script has {a!r}, fixture has {b!r}"))
+                responses.append(step[1])
     except OSError as exc:
         raise CoqatooError(error("IO", f"cannot read fixture {fixture_path}: {exc}"))
-
-    script_lemma, fixture_lemma = normalize_text(script.lemma.text), normalize_text(lemma)
-    if fixture_lemma != script_lemma:
-        raise CoqatooError(error(
-            "FIXTURE_MISMATCH",
-            f"fixture records lemma {fixture_lemma!r}, script states {script_lemma!r}"))
-    script_tactics = [_norm_tactic(it.prover_text) for it in script.tactics]
-    fixture_tactics = list(map(_norm_tactic, tactics))
-    if script_tactics != fixture_tactics:
-        for i, (a, b) in enumerate(zip_longest(script_tactics, fixture_tactics, fillvalue="(end of proof)")):
-            if a != b:
-                raise CoqatooError(error(
-                    "FIXTURE_MISMATCH",
-                    f"fixture diverges from script at tactic {i}: script has {a!r}, fixture has {b!r}"))
-    return SessionTrace((initial, *raws), version)
+    return SessionTrace(tuple(responses), version)
 
 
 def record_session(script: Script, trace: SessionTrace, out_path: str) -> None:

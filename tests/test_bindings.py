@@ -71,7 +71,7 @@ def test_unrecognized_type_is_a_heuristic_hypothesis():
     odd = Hypothesis("p", "nat * nat")
     assert classify_bindings([odd], parse_state(LISTING_1)) == ([], [odd])
     assert is_heuristic(odd)
-    assert not any(is_heuristic(Hypothesis("H", t)) for t in ("P", "P /\\ Q", "x = y", "A -> B"))
+    assert not any(is_heuristic(Hypothesis("H", t)) for t in ("P", "P /\\ Q", "x = y", "x <> y", "A -> B"))
 
 
 def test_classify_empty():

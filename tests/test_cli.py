@@ -436,6 +436,22 @@ def test_heuristic_classification_warns_once_per_binding(tmp_path, capsys):
         for name in "pq")
 
 
+@pytest.mark.parametrize("arrow", ["->", "→"])
+def test_a_hypothesis_printed_in_utf8_notation_passes_strict(tmp_path, capsys, arrow):
+    """After `Require Import Utf8`, coqtop prints "->" as "→": `apply` still reads the
+    implication, and `intros` does not call its hypothesis a guess."""
+    ctx = ["P, Q : Prop", "HP : P", f"H : P {arrow} Q"]
+    steps = [("intros P Q HP H", state(ctx, ["Q"])), ("apply H", state(ctx, ["P"])), ("assumption", DONE)]
+    script, trace = write_replay_pair(tmp_path, "Lemma t : forall P Q : Prop, P -> (P -> Q) -> Q.",
+                                      state([], [f"forall P Q : Prop, P {arrow} (P {arrow} Q) {arrow} Q"]), steps)
+    assert main([str(script), "--provider", "replay", "--fixture", str(trace), "--mode", "plain", "--strict"]) == 0
+    assert capsys.readouterr() == (
+        f"Assume that P and Q are arbitrary objects of type Prop and suppose that P and P {arrow} Q are true. "
+        "Let us show that Q is true.\n"
+        f"By our hypothesis P {arrow} Q, we know that Q is true if P is true.\n"
+        "True, because it is one of our assumptions.\n", "")
+
+
 def _live_args(script, prover, *extra):
     return [str(script), "--provider", "live", "--prover", prover, *extra]
 

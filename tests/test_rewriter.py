@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from helpers import (DONE, LISTING_1, LISTING_2, analyzed_steps, conjunction_cha
                      roundtrip_tactics, state, write_replay_pair)
 
 EN = load_templates()
+TEMPLATES = {"en": EN, "fr": load_templates(language="fr")}
 
 
 def _step(text, before, after):
@@ -106,6 +109,10 @@ def test_messages_spell_the_template_directory_as_given(tmp_path, suffix):
     # the arrow of "<->" is no implication arrow, and "<->" binds tighter than "->"
     ("P <-> Q", ["P <-> Q"]),
     ("P -> Q <-> R", ["P", "Q <-> R"]),
+    # the Unicode arrow splits as "->" does, and "↔" holds no arrow
+    ("P → Q -> R", ["P", "Q", "R"]),
+    ("P → Q ↔ R", ["P", "Q ↔ R"]),
+    ("P → ∀ x, Q x → R x", ["P", "∀ x, Q x → R x"]),
 ])
 def test_split_implication(expr, parts):
     assert split_implication(expr) == parts
@@ -231,6 +238,42 @@ def test_mixed_intros_agree_in_number(lang, names, hyps, variables, hypotheses):
     hyp_types = templates.join(sorted((h.split(" : ")[1] for h in hyps), key=len))
     names = templates.join(names.split(", "))
     assert sentence == variables[lang].format(names) + hypotheses[lang].format(hyp_types)
+
+
+# each connective -> the notation of Coq's Utf8_core for it, spelled apart from the rewriter's table
+_UTF8_CORE = {"forall": "\u2200", "exists": "\u2203", "->": "\u2192", "<->": "\u2194",
+              "/\\": "\u2227", "\\/": "\u2228", "~": "\u00ac", "<>": "\u2260"}
+_ASCII_CONNECTIVE = re.compile(r"<->|->|/\\|\\/|<>|~|(?<![\w'])(?:forall|exists)(?![\w'])")
+
+
+def _in_utf8(text):
+    return _ASCII_CONNECTIVE.sub(lambda m: _UTF8_CORE[m.group()], text)
+
+
+def _logical(inner):
+    return st.one_of(st.builds("{} {} {}".format, inner, st.sampled_from(["->", "<->", "/\\", "\\/", "<>"]), inner),
+                     inner.map("~ {}".format), inner.map("({})".format),
+                     st.builds("{} {}, {}".format, st.sampled_from(["forall", "exists"]),
+                               st.sampled_from(["x", "x : A"]), inner))
+
+
+_logical_types = st.recursive(st.sampled_from(["P", "Q", "R x", "x = y", "nat * nat", "forall_x", "exists'"]),
+                              _logical, max_leaves=6)
+
+
+@given(_logical_types, st.sampled_from(["en", "fr"]))
+def test_a_type_in_utf8_notation_reads_as_in_ascii(text, lang):
+    """A hypothesis whose connectives are spelled as Coq prints them after `Require
+    Import Utf8` gives, when introduced and applied, the sentences of its ASCII
+    spelling with the same spelling change, and the same diagnostics."""
+    def rewritten(hyp_type):
+        goal, ctx = parse_state(state(["P, Q : Prop"], [f"({hyp_type}) -> Q"])), ["P, Q : Prop", f"H : {hyp_type}"]
+        introduced, applied = parse_state(state(ctx, ["Q"])), parse_state(state(ctx, ["P"]))
+        return [rewrite_step(step, TEMPLATES[lang])
+                for step in (_step("intros H.", goal, introduced), _step("apply H.", introduced, applied))]
+    assert rewritten(_in_utf8(text)) == [
+        (tuple(map(_in_utf8, sentences)), tuple(d._replace(message=_in_utf8(d.message)) for d in diagnostics))
+        for sentences, diagnostics in rewritten(text)]
 
 
 # --- render ---

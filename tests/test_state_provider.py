@@ -13,8 +13,8 @@ from coqatoo.diagnostics import decode_utf8, error
 from coqatoo.pipeline import analyze_trace
 from coqatoo.state_provider import _HEADER_FIELDS, _STEP_FIELDS, _fields, _read_fixture
 
-from helpers import (CORPUS, FIXTURE_BUILDERS, LISTING_1, LISTING_2, PACKAGE_PATH, conjunction_chain, fixture_path,
-                     load_script, load_trace, narrow_chain, state, write_prover, write_replay_pair,
+from helpers import (CORPUS, DONE, FIXTURE_BUILDERS, LISTING_1, LISTING_2, PACKAGE_PATH, conjunction_chain,
+                     fixture_path, load_script, load_trace, narrow_chain, state, write_prover, write_replay_pair,
                      write_split_coqtop)
 
 
@@ -56,6 +56,20 @@ def test_truncated_fixture_steps_mismatch(tmp_path):
     with pytest.raises(CoqatooError) as exc:
         run_replay(load_script("conj_imp_equiv"), str(path))
     assert exc.value.diagnostic.code == "FIXTURE_MISMATCH"
+
+
+@pytest.mark.parametrize("short", ["script", "fixture"])
+def test_a_side_that_ends_matches_no_tactic(tmp_path, short):
+    """Where the script or the fixture has ended, no tactic matches, not even one spelled "(end of proof)"."""
+    script, trace = write_replay_pair(tmp_path, "Lemma t : True.", state([], ["True"]), [("(end of proof)", DONE)])
+    if short == "script":
+        script.write_text("Lemma t : True.\nProof.\nQed.\n")
+    else:
+        trace.write_text(trace.read_text().splitlines()[0] + "\n")
+    with pytest.raises(CoqatooError) as exc:
+        run_replay(parse_script(script.read_text())[0], str(trace))
+    assert exc.value.diagnostic.message == \
+        "fixture diverges from script at tactic 0: script has '(end of proof)', fixture has '(end of proof)'"
 
 
 def test_malformed_fixture(tmp_path):
@@ -176,8 +190,8 @@ def _outcome(read, path):
 
 def _streamed(path):
     with open(path, "rb") as fh:
-        lemma, initial, version, tactics, raws = _read_fixture(fh, str(path))
-    return lemma, initial, version, tuple(zip(tactics, raws))
+        (lemma, initial, version), *steps = _read_fixture(fh, str(path))
+    return lemma, initial, version, tuple(steps)
 
 
 def _assert_streamed_matches_reference(path):
@@ -331,14 +345,40 @@ def test_streamed_reader_matches_whole_file_decode_on_any_lines(tmp_path_factory
     _assert_streamed_matches_reference(path)
 
 
-def test_replay_decodes_each_line_once(monkeypatch):
-    """Each record is decoded once: by the scanner, or by json.loads when the scanner does not read it."""
+def _decoded(monkeypatch):
+    """The list of the texts that the replay decodes from now on, by the scanner or by json.loads."""
     decoded = []
     loads, scan = json.loads, state_provider._scan
     monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or loads(text))
     monkeypatch.setattr(state_provider, "_scan", lambda text, at: decoded.append(text) or scan(text, at))
+    return decoded
+
+
+def test_replay_decodes_each_line_once(monkeypatch):
+    """Each record is decoded once: by the scanner, or by json.loads when the scanner does not read it."""
+    decoded = _decoded(monkeypatch)
     load_trace("conj_imp_equiv")
     assert len(decoded) == len(fixture_path("conj_imp_equiv").read_text().splitlines())
+
+
+@pytest.mark.parametrize("prefix, message", [
+    (lambda ours, theirs: theirs[:1], "fixture records lemma 'Lemma modus_ponens : "),
+    (lambda ours, theirs: [ours[0], theirs[1]],
+     "fixture diverges from script at tactic 0: script has 'intros', fixture has 'intros P Q'"),
+], ids=["foreign-header", "foreign-first-step"])
+def test_replay_reads_no_record_after_one_of_another_proof(tmp_path, monkeypatch, prefix, message):
+    """A header or a step of another proof is the fault reported, though a malformed record
+    and a byte that is not UTF-8 follow it, and no record after it is decoded."""
+    ours, theirs = (fixture_path(name).read_text().splitlines() for name in ("conj_imp_equiv", "modus_ponens"))
+    records = prefix(ours, theirs)   # the last one is the first that is not the script's
+    path = tmp_path / "t.cqtrace"
+    path.write_bytes("".join(line + "\n" for line in [*records, '{"tactic": "apply H", "raw_st', *ours[1:]]).encode()
+                     + b"\xff\n")
+    decoded = _decoded(monkeypatch)
+    with pytest.raises(CoqatooError) as exc:
+        run_replay(load_script("conj_imp_equiv"), str(path))
+    assert exc.value.diagnostic.code == "FIXTURE_MISMATCH" and exc.value.diagnostic.message.startswith(message)
+    assert decoded == [line + "\n" for line in records]
 
 
 _json_values = st.recursive(
